@@ -42,7 +42,6 @@ from .field import (
     FieldElement,
     make_field,
     quadratic_character,
-    span_subspace,
     sqrt,
     subfield_elements,
 )
@@ -109,6 +108,6 @@ from .search import (
 )
 from .selftest import SuiteResult, run_selftest, selftest_passed
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

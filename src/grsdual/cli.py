@@ -23,15 +23,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cosets import (
-    iterated_lift,
-    th8_code,
-    th9_code,
-    th10_code,
-    th11_code,
-    th12_code,
-    th13_code,
-)
 from .errors import (
     EnumerationTooLarge,
     GreedyFailed,
@@ -41,7 +32,7 @@ from .errors import (
     TableLimitExceeded,
     VerificationFailed,
 )
-from .field import DEFAULT_TABLE_LIMIT, make_field
+from .field import DEFAULT_TABLE_LIMIT
 from .grs import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MINOR_LIMIT,
@@ -50,15 +41,8 @@ from .grs import (
     code_from_obj,
     min_distance,
 )
-from .search import (
-    _prime_power,
-    catalog,
-    catalog_to_csv,
-    catalog_to_jsonl,
-    th_large_q_code,
-)
+from .search import FAMILIES, catalog, catalog_to_csv, catalog_to_jsonl
 from .selftest import run_selftest
-from .subspace import th1_code, th2_code, th3_code, th4_code
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,7 +108,7 @@ def _build_parser():
 
     c = sub.add_parser("construct", parents=[common],
                        help="build one code from a theorem id")
-    c.add_argument("--theorem", required=True, choices=sorted(_THEOREMS))
+    c.add_argument("--theorem", required=True, choices=sorted(FAMILIES))
     for flag in ("r", "p", "m", "s", "e", "t", "f", "n", "q"):
         c.add_argument(f"--{flag}", type=int, default=None)
     c.add_argument("--ms", type=_int_list, default=None,
@@ -189,56 +173,6 @@ def _load_config(args):
     return cfg
 
 
-def _need(args, names):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise ValueError("missing " + ", ".join(missing))
-
-
-def _large_q(args, cfg):
-    p, m = _prime_power(args.q)
-    fld = make_field(p, m, cfg.table_limit)
-    return th_large_q_code(fld, args.n, permissive=args.permissive)
-
-
-_THEOREMS = {
-    "th1": (("r", "m", "e", "t"),
-            lambda a, c: th1_code(a.r, a.m, a.e, a.t, c.table_limit)),
-    "th2": (("p", "m", "e", "t"),
-            lambda a, c: th2_code(a.p, a.m, a.e, a.t, c.table_limit)),
-    "th3": (("p", "m", "e", "t"),
-            lambda a, c: th3_code(a.p, a.m, a.e, a.t, c.table_limit)),
-    "th4": (("r", "m", "e", "t"),
-            lambda a, c: th4_code(a.r, a.m, a.e, a.t, c.table_limit)),
-    "th8": (("r", "s", "m", "e", "t"),
-            lambda a, c: th8_code(a.r, a.s, a.m, a.e, a.t, c.table_limit)),
-    "th9": (("r", "s", "m", "e", "t"),
-            lambda a, c: th9_code(a.r, a.s, a.m, a.e, a.t, c.table_limit)),
-    "th10": (("r", "s", "m", "e", "t"),
-             lambda a, c: th10_code(a.r, a.s, a.m, a.e, a.t, c.table_limit)),
-    "th11": (("r", "s", "m", "e", "t"),
-             lambda a, c: th11_code(a.r, a.s, a.m, a.e, a.t, c.table_limit)),
-    "cor1": (("r", "s", "ms", "e", "t"),
-             lambda a, c: iterated_lift(a.r, a.s, a.ms, a.e, a.t, "th8",
-                                        c.table_limit)),
-    "cor2": (("r", "s", "ms", "e", "t"),
-             lambda a, c: iterated_lift(a.r, a.s, a.ms, a.e, a.t, "th9",
-                                        c.table_limit)),
-    "cor3": (("r", "s", "ms", "e", "t"),
-             lambda a, c: iterated_lift(a.r, a.s, a.ms, a.e, a.t, "th10",
-                                        c.table_limit)),
-    "cor4": (("r", "s", "ms", "e", "t"),
-             lambda a, c: iterated_lift(a.r, a.s, a.ms, a.e, a.t, "th11",
-                                        c.table_limit)),
-    "th12": (("r", "e", "f", "s", "t", "variant"),
-             lambda a, c: th12_code(a.r, a.e, a.f, a.s, a.t, a.variant,
-                                    c.table_limit)),
-    "th13": (("r", "e", "f", "s", "t"),
-             lambda a, c: th13_code(a.r, a.e, a.f, a.s, a.t, c.table_limit)),
-    "large_q": (("q", "n"), _large_q),
-}
-
-
 def _write(path, text):
     if path == "-":
         sys.stdout.write(text)
@@ -259,14 +193,13 @@ def _code_report(code, cfg):
 
 
 def cmd_construct(args, cfg):
-    names, build = _THEOREMS[args.theorem]
-    try:
-        _need(args, names)
-    except ValueError as exc:
-        sys.stderr.write(f"construct: {exc}\n")
+    family = FAMILIES[args.theorem]
+    missing = [f"--{n}" for n in family.params if getattr(args, n) is None]
+    if missing:
+        sys.stderr.write(f"construct: missing {', '.join(missing)}\n")
         return EXIT_USAGE
     try:
-        code = build(args, cfg)
+        code = family.build(vars(args), cfg.table_limit)
     except HypothesisViolated as exc:
         sys.stderr.write(f"hypothesis not met: {exc}\n")
         return EXIT_HYPOTHESIS
@@ -275,12 +208,6 @@ def cmd_construct(args, cfg):
         # an expected negative outcome, like a failed hypothesis.
         sys.stderr.write(f"greedy search failed: {exc}\n")
         return EXIT_HYPOTHESIS if args.permissive else EXIT_VERIFICATION
-    except VerificationFailed as exc:
-        sys.stderr.write(f"verification failed: {exc}\n")
-        return EXIT_VERIFICATION
-    except TableLimitExceeded as exc:
-        sys.stderr.write(f"field too large: {exc}\n")
-        return EXIT_TOO_LARGE
     except EnumerationTooLarge as exc:
         sys.stderr.write(f"code too large to verify: {exc}\n")
         return EXIT_TOO_LARGE
@@ -323,9 +250,6 @@ def cmd_verify(args, cfg):
     except (OSError, json.JSONDecodeError, SchemaError) as exc:
         sys.stderr.write(f"verify: cannot load code: {exc}\n")
         return EXIT_USAGE
-    except TableLimitExceeded as exc:
-        sys.stderr.write(f"field too large: {exc}\n")
-        return EXIT_TOO_LARGE
     gmat = code.generator_matrix()
     report = {"field": code.field.name, "length": code.length, "k": code.k,
               "self_dual": bool(code.verify())}
@@ -357,9 +281,6 @@ def cmd_catalog(args, cfg):
     except HypothesisViolated as exc:
         sys.stderr.write(f"catalog: {exc}\n")
         return EXIT_USAGE
-    except TableLimitExceeded as exc:
-        sys.stderr.write(f"field too large: {exc}\n")
-        return EXIT_TOO_LARGE
     if cfg.format == "json":
         _write(args.out, catalog_to_jsonl(entries))
     else:
@@ -408,6 +329,9 @@ def main(argv=None, _selftest_fields=None):
     except VerificationFailed as exc:
         sys.stderr.write(f"verification failed: {exc}\n")
         return EXIT_VERIFICATION
+    except TableLimitExceeded as exc:
+        sys.stderr.write(f"field too large: {exc}\n")
+        return EXIT_TOO_LARGE
     except GrsDualError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -47,19 +47,20 @@ from .errors import (
     NotInSubgroup,
     TooManyCosets,
     VerificationFailed,
+    _require,
 )
-from .field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field
+from .field import DEFAULT_TABLE_LIMIT, extension_field
 from .grs import (
     build_verified_code,
+    check_transfer,
+    check_verify_scale,
     lagrange_products,
     products_at,
     solve_extended_multipliers,
     solve_multipliers,
 )
 from .subspace import (
-    DESK_SCALE_Q,
     _check_zero_roots_products,
-    extended_subspace_lift,
     lift_in_container,
     roots_of_unity,
     th1_base,
@@ -67,17 +68,11 @@ from .subspace import (
 )
 
 
-def _require(cond, message):
-    if not cond:
-        raise HypothesisViolated(message)
-
-
 @dataclass(frozen=True)
 class CosetSpec:
     """Decomposition W - 1 = e1 * f1 of a subfield's cyclic group.
 
-    subfield_order W defaults to the ambient q.  e2 is the alias f1
-    carries when it is used as a subgroup index rather than an order.
+    subfield_order W defaults to the ambient q.
     """
 
     field: object
@@ -96,10 +91,6 @@ class CosetSpec:
     @property
     def f1(self):
         return (self.subfield_order - 1) // self.e1
-
-    @property
-    def e2(self):
-        return self.f1
 
     @property
     def stride(self):
@@ -133,45 +124,40 @@ def coset_points(spec, base_points, extended=False):
     """
     f = spec.field
     base = np.asarray(base_points, dtype=np.int64)
-    if spec.e1 % 2 == 0:
-        raise E1NotOdd(f"e1 = {spec.e1} must be odd")
-    if extended:
-        if base.size % 2 == 0:
-            raise HypothesisViolated("extended coset lift needs an odd base")
-        if solve_extended_multipliers(f, base) is None:
-            raise BaseNotSelfDual("base fails the extended criterion")
-        e1_sign = f.sign(f.from_int(spec.e1))
-        if f.q % 4 == 1:
-            assert e1_sign == 1  # odd divisor of q-1 is then a square
-        elif e1_sign != 1:
-            raise CharacterCondition(
-                f"chi({spec.e1}) = -1 and q is 3 mod 4")
-    else:
-        if base.size % 2 == 1:
-            raise HypothesisViolated("coset lift needs an even base")
-        if solve_multipliers(f, base) is None:
-            raise BaseNotSelfDual("base fails the multiplier criterion")
+    _check_e1(spec, extended)
+    if base.size % 2 != extended:
+        raise HypothesisViolated(
+            f"coset lift needs an {('even', 'odd')[extended]} base")
+    l_base = lagrange_products(f, base)
+    solve = solve_extended_multipliers if extended else solve_multipliers
+    if solve(f, base, l_base) is None:
+        raise BaseNotSelfDual("base fails the multiplier criterion")
 
     vs = np.array([spec.v_of(x) for x in base.tolist()], dtype=np.int64)
     if len(set(vs.tolist())) != vs.size:
         raise DuplicatePoints("base points repeat a coset")
     u = np.arange(spec.e1, dtype=np.int64)
     pts = spec.gpow(vs[:, None] + spec.f1 * u[None, :]).ravel()
-
-    l_base = lagrange_products(f, base)
     scale = spec.gpow(vs[:, None] * (spec.e1 - 1) - spec.f1 * u[None, :])
     expect = f.vmul(f.from_int(spec.e1),
                     f.vmul(scale, l_base[:, None])).ravel()
-    if f.q <= DESK_SCALE_Q:
-        ok = np.all(lagrange_products(f, pts) == expect)
-    else:
-        # all-against-all differencing is quadratic in n; spot-check
-        probe = np.linspace(0, pts.size - 1, num=min(64, pts.size),
-                            dtype=np.int64)
-        ok = np.all(products_at(f, pts, probe) == expect[probe])
-    if not ok:
+    if not check_transfer(f, pts, expect):
         raise VerificationFailed("coset lift transfer identity failed")
     return pts
+
+
+def _check_e1(spec, extended):
+    """The coset-lift hypotheses that depend on e1 alone."""
+    f = spec.field
+    if spec.e1 % 2 == 0:
+        raise E1NotOdd(f"e1 = {spec.e1} must be odd")
+    if extended:
+        e1_sign = f.sign(f.from_int(spec.e1))
+        if f.q % 4 == 1:
+            assert e1_sign == 1  # odd divisor of q-1 is then a square
+        elif e1_sign != 1:
+            raise CharacterCondition(
+                f"chi({spec.e1}) = -1 and q is 3 mod 4")
 
 
 def coset_lift(spec, base_points, provenance=None):
@@ -191,9 +177,28 @@ def extended_coset_lift(spec, base_points, provenance=None):
 # ----------------------------------------------------------------------
 # tower families over GF(r^{sm})
 
+# variant: (extended, parity t must have, T - t, iterated id), where the
+# code length is T r^e (1 + r^s + ...) plus 1 when extended.
+TOWER_VARIANTS = {
+    "th8": (False, 0, 0, "cor1"), "th9": (False, 1, 1, "cor2"),
+    "th10": (True, 1, 0, "cor3"), "th11": (True, 0, 1, "cor4")}
+
+
 def _tower_sum(base, count):
     """1 + base + ... + base**(count-1)."""
     return (base ** count - 1) // (base - 1)
+
+
+def tower_length(variant, r, s, ms, e, t):
+    """T r^e prod_j (1 + w_j + ... + w_j^(m_j - 1)), plus 1 if extended,
+    with w_j = r^(s m_1 ... m_(j-1)): the length of every tower code."""
+    extended, _, extra, _ = TOWER_VARIANTS[variant]
+    n = (t + extra) * r ** e
+    omega = r ** s
+    for mj in ms:
+        n *= _tower_sum(omega, mj)
+        omega **= mj
+    return n + int(extended)
 
 
 def _shift_nonzero(field, pts, container_order):
@@ -210,129 +215,105 @@ def _shift_nonzero(field, pts, container_order):
     raise HypothesisViolated("point set covers the whole container")
 
 
-def _tower_base_points(field, r, s, e, t, variant):
-    """Nonzero base points in the container GF(r^s) for th8..th11.
-
-    Validates the variant's hypotheses, builds its point menu, lifts by
-    a dim-e subspace inside the container, and shifts off zero.
-    """
-    container = r ** s
+def _tower_menu(field, r, s, e, t, variant):
+    """Check the variant's remaining hypotheses; return its menu in GF(r)."""
     _require(0 <= e <= s - 1, "e must satisfy 0 <= e <= s-1")
     _require(t >= 1 and (r - 1) % t == 0, "t must divide r-1")
     if variant == "th8":
-        _require(t % 2 == 0, "t must be even")
         _require(1 < t < r - 1, "need 1 < t < r-1")
         _require(field.q % 4 == 1, "q = 1 (mod 4) fails")
-        assert container % 4 == 1  # forced by q = 1 mod 4 with m odd
-        base = th1_base(field, r, t // 2)
-        lifted = lift_in_container(field, r, e, base, container)
-    elif variant == "th9":
-        _require(t % 2 == 1, "t must be odd")
-        tval = field.from_int(t)
-        _require(field.sign(field.neg(tval)) == 1, "chi(-t) = -1 fails")
-        base = zero_and_roots(field, t)
-        _check_zero_roots_products(field, base, t)
-        lifted = lift_in_container(field, r, e, base, container)
-    elif variant == "th10":
-        _require(t % 2 == 1, "t must be odd")
+        assert (r ** s) % 4 == 1  # forced by q = 1 mod 4 with m odd
+        return th1_base(field, r, t // 2)
+    if variant == "th10":
         val = field.from_int(t)
         if ((r ** e + 1) // 2) % 2 == 1:
             val = field.neg(val)
         _require(field.sign(val) == 1,
                  "chi((-1)^((r^e+1)/2) t) = -1 fails")
-        base = roots_of_unity(field, t)
-        lifted = lift_in_container(field, r, e, base, container)
-    elif variant == "th11":
-        _require(t % 2 == 0, "t must be even")
+        return roots_of_unity(field, t)
+    tval = field.from_int(t)
+    if variant == "th9":
+        _require(field.sign(field.neg(tval)) == 1, "chi(-t) = -1 fails")
+    else:
         _require(1 <= t < r - 1, "need 1 <= t < r-1")
-        tval = field.from_int(t)
         branch1 = field.sign(tval) == 1 and field.q % 4 == 1
         branch2 = field.sign(field.neg(tval)) == 1 and e % 2 == 0
         _require(branch1 or branch2,
                  "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
-        base = zero_and_roots(field, t)
-        _check_zero_roots_products(field, base, t)
-        lifted = lift_in_container(field, r, e, base, container,
-                                   extended=True)
+    base = zero_and_roots(field, t)
+    _check_zero_roots_products(field, base, t)
+    return base
+
+
+def _tower(variant, r, s, ms, e, t, table_limit):
+    """Tower code over GF(r^{s m1 m2 ...}): the variant's menu, lifted by
+    a dim-e subspace inside GF(r^s) and shifted off zero, expanded to
+    cosets once per factor in ms, innermost first.  All hypotheses, the
+    per-stage e1 checks included, precede the scale guard, which runs on
+    the closed-form length before any expansion.  One factor carries
+    the variant's provenance, more carry its iterated id's.
+    """
+    extended, parity, _, iterated_id = TOWER_VARIANTS[variant]
+    _require(t % 2 == parity, f"t must be {('even', 'odd')[parity]}")
+    _require(len(ms) >= 1 and all(x >= 1 and x % 2 == 1 for x in ms),
+             "tower factors must be odd and there must be at least one")
+    f = extension_field(r, s * math.prod(ms), table_limit)
+    menu = _tower_menu(f, r, s, e, t, variant)
+    specs = []
+    omega = r ** s
+    for mj in ms:
+        specs.append(CosetSpec(f, _tower_sum(omega, mj), omega ** mj))
+        omega **= mj
+    for spec in specs:
+        _check_e1(spec, extended)
+    n = tower_length(variant, r, s, ms, e, t)
+    check_verify_scale(n // 2, n)
+
+    lifted = lift_in_container(f, r, e, menu, r ** s,
+                               extended=variant == "th11")
+    pts = _shift_nonzero(f, np.array(lifted.points), r ** s)
+    if extended and solve_extended_multipliers(f, pts) is None:
+        raise VerificationFailed("extended criterion lost in the tower base")
+    for spec in specs:
+        pts = coset_points(spec, pts, extended)
+    if len(ms) == 1:
+        prov = {"theorem": variant, "m": ms[0]}
     else:
-        raise HypothesisViolated(f"unknown tower variant {variant!r}")
-
-    pts = _shift_nonzero(field, np.array(lifted.points), container)
-    if variant in ("th10", "th11"):
-        if solve_extended_multipliers(field, pts) is None:
-            raise VerificationFailed(
-                "extended criterion lost in the tower base")
-    return pts
+        prov = {"theorem": iterated_id, "ms": ms}
+    prov.update(r=r, s=s, e=e, t=t)
+    return build_verified_code(f, pts, extended, prov)
 
 
-_TOWER_EXTENDED = {"th8": False, "th9": False, "th10": True, "th11": True}
-_COROLLARY_OF = {"th8": "cor1", "th9": "cor2", "th10": "cor3", "th11": "cor4"}
+def th8_th9_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
+    """Even-length coset family over GF(r^{sm}): th8 for even t, th9
+    for odd t."""
+    return _tower(("th8", "th9")[t % 2], r, s, [m], e, t, table_limit)
 
 
-def _tower_field(r, s, m_total, table_limit):
-    p, d = factor_prime_power(r)
-    return make_field(p, d * s * m_total, table_limit)
-
-
-def th8_th9_code(r, s, m, e, t, parity=None,
-                 table_limit=DEFAULT_TABLE_LIMIT):
-    """Even-length coset family over GF(r^{sm}); t's parity picks the
-    variant (even: length t r^e (1+...+r^{s(m-1)}); odd: t+1 in place
-    of t)."""
-    variant = _tower_variant(t, parity, even_id="th8", odd_id="th9")
-    _require(m >= 1 and m % 2 == 1, "m must be odd")
-    f = _tower_field(r, s, m, table_limit)
-    base = _tower_base_points(f, r, s, e, t, variant)
-    spec = CosetSpec(f, _tower_sum(r ** s, m))
-    prov = {"theorem": variant, "r": r, "s": s, "m": m, "e": e, "t": t}
-    return coset_lift(spec, base, prov)
-
-
-def th10_th11_code(r, s, m, e, t, parity=None,
-                   table_limit=DEFAULT_TABLE_LIMIT):
-    """Extended coset family over GF(r^{sm}), length T r^e (1+...) + 1
-    with T = t (t odd) or t+1 (t even)."""
-    variant = _tower_variant(t, parity, even_id="th11", odd_id="th10")
-    _require(m >= 1 and m % 2 == 1, "m must be odd")
-    f = _tower_field(r, s, m, table_limit)
-    base = _tower_base_points(f, r, s, e, t, variant)
-    spec = CosetSpec(f, _tower_sum(r ** s, m))
-    prov = {"theorem": variant, "r": r, "s": s, "m": m, "e": e, "t": t}
-    return extended_coset_lift(spec, base, prov)
-
-
-def _tower_variant(t, parity, even_id, odd_id):
-    variant = even_id if t % 2 == 0 else odd_id
-    if parity is not None:
-        stated = even_id if parity == "even" else odd_id
-        _require(parity in ("even", "odd"), "parity must be even or odd")
-        _require(stated == variant,
-                 f"parity {parity!r} contradicts t = {t}")
-    return variant
+def th10_th11_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
+    """Extended coset family over GF(r^{sm}): th10 for odd t, th11 for
+    even t."""
+    return _tower(("th11", "th10")[t % 2], r, s, [m], e, t, table_limit)
 
 
 def th8_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """th8_th9_code restricted to even t."""
-    _require(t % 2 == 0, "t must be even")
-    return th8_th9_code(r, s, m, e, t, "even", table_limit)
+    """[t r^e (1+...+r^{s(m-1)}), .] over GF(r^{sm}), t even, m odd."""
+    return _tower("th8", r, s, [m], e, t, table_limit)
 
 
 def th9_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """th8_th9_code restricted to odd t."""
-    _require(t % 2 == 1, "t must be odd")
-    return th8_th9_code(r, s, m, e, t, "odd", table_limit)
+    """As th8 with t odd and t + 1 points in the base menu."""
+    return _tower("th9", r, s, [m], e, t, table_limit)
 
 
 def th10_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """th10_th11_code restricted to odd t."""
-    _require(t % 2 == 1, "t must be odd")
-    return th10_th11_code(r, s, m, e, t, "odd", table_limit)
+    """Extended, length t r^e (1+...+r^{s(m-1)}) + 1, t odd."""
+    return _tower("th10", r, s, [m], e, t, table_limit)
 
 
 def th11_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """th10_th11_code restricted to even t."""
-    _require(t % 2 == 0, "t must be even")
-    return th10_th11_code(r, s, m, e, t, "even", table_limit)
+    """Extended, length (t+1) r^e (1+...+r^{s(m-1)}) + 1, t even."""
+    return _tower("th11", r, s, [m], e, t, table_limit)
 
 
 def iterated_lift(r, s, ms, e, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
@@ -340,36 +321,12 @@ def iterated_lift(r, s, ms, e, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     expansion per factor, innermost first.
 
     variant is one of th8/th9/th10/th11 and carries that family's
-    hypotheses.  A single factor delegates to the one-step builder, so
-    the output is identical to it.
+    hypotheses.  A single factor builds exactly the one-step code, with
+    its provenance.
     """
-    ms = [int(x) for x in ms]
-    _require(len(ms) >= 1, "need at least one tower factor")
-    _require(all(x >= 1 and x % 2 == 1 for x in ms),
-             "all tower factors must be odd")
-    if variant not in _TOWER_EXTENDED:
+    if variant not in TOWER_VARIANTS:
         raise HypothesisViolated(f"unknown tower variant {variant!r}")
-    if len(ms) == 1:
-        if _TOWER_EXTENDED[variant]:
-            return th10_th11_code(r, s, ms[0], e, t,
-                                  table_limit=table_limit)
-        return th8_th9_code(r, s, ms[0], e, t, table_limit=table_limit)
-
-    extended = _TOWER_EXTENDED[variant]
-    f = _tower_field(r, s, math.prod(ms), table_limit)
-    pts = _tower_base_points(f, r, s, e, t, variant)
-    omega = r ** s
-    for stage, mj in enumerate(ms, start=1):
-        top = omega ** mj
-        spec = CosetSpec(f, _tower_sum(omega, mj), top)
-        try:
-            pts = coset_points(spec, pts, extended)
-        except HypothesisViolated as err:
-            raise HypothesisViolated(f"stage {stage}: {err}") from err
-        omega = top
-    prov = {"theorem": _COROLLARY_OF[variant], "r": r, "s": s,
-            "ms": ms, "e": e, "t": t}
-    return build_verified_code(f, pts, extended, prov)
+    return _tower(variant, r, s, [int(x) for x in ms], e, t, table_limit)
 
 
 # ----------------------------------------------------------------------
@@ -448,25 +405,27 @@ def _assert_union_identity(field, td, indices, pts):
     j = np.arange(td.f1, dtype=np.int64)
     a_pts = (i * td.e2 * td.f1 % (field.q - 1)) + 1
     l_a = lagrange_products(field, a_pts)
-    l_s = lagrange_products(field, pts)
     scale_exp = (i[:, None] * td.e2 * (td.f1 - 1)
                  - j[None, :] * td.e1) % (field.q - 1)
     expect = field.vmul(field.from_int(td.f1),
                         field.vmul(scale_exp + 1, l_a[:, None])).ravel()
-    if field.q <= DESK_SCALE_Q:
-        ok = np.all(l_s == expect)
-    else:
-        probe = np.linspace(0, pts.size - 1, num=min(64, pts.size),
-                            dtype=np.int64)
-        ok = np.all(l_s[probe] == expect[probe])
-    if not ok:
+    if not check_transfer(field, pts, expect):
         raise VerificationFailed("coset union product identity failed")
     return a_pts, l_a
 
 
-def _square_field(r, table_limit):
-    p, d = factor_prime_power(r)
-    return make_field(p, 2 * d, table_limit)
+def _two_decomposition(r, e, f, s, t, sign, table_limit):
+    """GF(r^2) and the decomposition e, (r + sign)/s, after the
+    hypotheses th12 (sign -1, tf even) and th13 (sign +1, tf odd) share."""
+    fld = extension_field(r, 2, table_limit)
+    _require(e >= 1 and f >= 1 and e * f == fld.q - 1, "need ef = q-1")
+    _require(s >= 1 and f % s == 0 and (r + sign) % s == 0,
+             f"s must divide both f and r{sign:+d}")
+    _require(t * f % 2 == (sign > 0),
+             f"tf must be {'odd' if sign > 0 else 'even'}")
+    td = TwoDecomposition(fld, e, (r + sign) // s)
+    assert td.coset_modulus == s * (r - sign) // math.gcd(s * (r - sign), f)
+    return fld, td
 
 
 def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
@@ -478,37 +437,25 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     parity hypotheses split by variant and, for "tf+2", by whether t
     hits the coset bound D.
     """
-    fld = _square_field(r, table_limit)
-    q = fld.q
-    _require(e >= 1 and f >= 1 and e * f == q - 1, "need ef = q-1")
-    _require(s >= 1 and f % s == 0 and (r - 1) % s == 0,
-             "s must divide both f and r-1")
-    _require(t * f % 2 == 0, "tf must be even")
-    td = TwoDecomposition(fld, e, (r - 1) // s)
-    d_bound = td.coset_modulus
-    assert d_bound == s * (r + 1) // math.gcd(s * (r + 1), f)
-
+    fld, td = _two_decomposition(r, e, f, s, t, -1, table_limit)
+    indices = distinct_coset_indices(td, t)
     if variant == "tf":
         _require(e % 2 == 0, "e must be even")
         _require(((r - 1 + f * t) // s) % 2 == 0,
                  "(r-1+ft)/s must be even")
-        indices = distinct_coset_indices(td, t)
     elif variant == "tf+2":
-        if t == d_bound:
+        if t == td.coset_modulus:
             _require((f * t // s) % 2 == 0, "ft/s must be even")
             _require((t - 1) * (r + 1 - f * t // s) % 4 == 0,
                      "((t-1)/2)(r+1-ft/s) must be even")
-            indices = distinct_coset_indices(td, t)
+        elif (f // s) % 2 == 0:
+            _require((t - 1) * (r + 1) % 4 == 0,
+                     "((t-1)/2)(r+1) must be even")
         else:
-            indices = distinct_coset_indices(td, t)
-            if (f // s) % 2 == 0:
-                _require((t - 1) * (r + 1) % 4 == 0,
-                         "((t-1)/2)(r+1) must be even")
-            else:
-                _require(t % 2 == 0, "t must be even when f/s is odd")
-                if ((r + 1) // 2 + sum(indices)) % 2 == 1:
-                    indices[-1] += 1
-                    _assert_distinct(td, indices)
+            _require(t % 2 == 0, "t must be even when f/s is odd")
+            if ((r + 1) // 2 + sum(indices)) % 2 == 1:
+                indices[-1] += 1
+                _assert_distinct(td, indices)
     else:
         raise HypothesisViolated(f"unknown variant {variant!r}")
 
@@ -519,8 +466,8 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     if variant == "tf":
         return build_verified_code(fld, pts, False, prov)
     full = np.concatenate([pts, np.zeros(1, dtype=np.int64)])
-    l_full = lagrange_products(fld, full)
-    if fld.sign(fld.neg(int(l_full[-1]))) != 1:
+    l_zero = products_at(fld, full, [pts.size])
+    if fld.sign(fld.neg(int(l_zero[0]))) != 1:
         raise VerificationFailed("chi(-L(0)) = -1 on the appended zero")
     return build_verified_code(fld, full, True, prov)
 
@@ -533,15 +480,8 @@ def th13_code(r, e, f, s, t, table_limit=DEFAULT_TABLE_LIMIT):
     into the subfield GF(r) (checked via Frobenius) where they are
     squares.
     """
-    fld = _square_field(r, table_limit)
-    q = fld.q
-    _require(e >= 1 and f >= 1 and e * f == q - 1, "need ef = q-1")
-    _require(s >= 1 and f % s == 0 and (r + 1) % s == 0,
-             "s must divide both f and r+1")
-    _require(t * f % 2 == 1, "tf must be odd")
+    fld, td = _two_decomposition(r, e, f, s, t, 1, table_limit)
     assert e % 2 == 0  # q-1 = 0 mod 8 and f odd force e even
-    td = TwoDecomposition(fld, e, (r + 1) // s)
-    assert td.coset_modulus == s * (r - 1) // math.gcd(s * (r - 1), f)
     indices = distinct_coset_indices(td, t)
 
     pts = _coset_union_points(fld, td, indices)

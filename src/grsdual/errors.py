@@ -77,6 +77,12 @@ class HypothesisViolated(GrsDualError):
     """
 
 
+def _require(cond, message):
+    """Raise HypothesisViolated(message) unless cond holds."""
+    if not cond:
+        raise HypothesisViolated(message)
+
+
 class BasePointsNotInSubfield(HypothesisViolated):
     """Lift base points must lie in the stated subfield."""
 

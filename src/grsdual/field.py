@@ -75,9 +75,7 @@ def _prime_factors(n):
 
 def factor_prime_power(n):
     """Return (p, d) with n = p**d, or raise CompositeCharacteristic."""
-    if n < 2:
-        raise CompositeCharacteristic(f"{n} is not a prime power")
-    ps = _prime_factors(n)
+    ps = _prime_factors(n)  # empty for n < 2
     if len(ps) != 1:
         raise CompositeCharacteristic(f"{n} is not a prime power")
     p = ps[0]
@@ -85,8 +83,6 @@ def factor_prime_power(n):
     while n % p == 0:
         n //= p
         d += 1
-    if n != 1:
-        raise CompositeCharacteristic("not a prime power")
     return p, d
 
 
@@ -498,12 +494,23 @@ def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
     """
     if m < 1:
         raise ValueError("extension degree must be positive")
-    if p == 2 or not _is_prime(p):
-        raise CompositeCharacteristic(f"{p} is not an odd prime")
-    if p ** m > table_limit:
+    # Size first: trial division on a huge p, or p**m for a huge m, would
+    # hang; for p >= 3, m >= bit_length(limit) puts p**m past the limit.
+    if p >= 3 and (m >= table_limit.bit_length() or p ** m > table_limit):
         raise TableLimitExceeded(
             f"q = {p}**{m} exceeds the table limit {table_limit}")
+    if p == 2 or not _is_prime(p):
+        raise CompositeCharacteristic(f"{p} is not an odd prime")
     return _build_field(p, m)
+
+
+def extension_field(r, k, table_limit=DEFAULT_TABLE_LIMIT):
+    """GF(r^k) for a prime power r."""
+    if r > table_limit:  # refuse before trial division on a huge r
+        raise TableLimitExceeded(
+            f"q = {r}**{k} exceeds the table limit {table_limit}")
+    p, d = factor_prime_power(r)
+    return make_field(p, d * k, table_limit)
 
 
 class FieldElement:
@@ -666,9 +673,3 @@ def span_enc(field, r, basis_encs):
     if len(np.unique(acc)) != len(acc):
         raise DependentBasis("basis is linearly dependent over the subfield")
     return acc
-
-
-def span_subspace(field, r, basis):
-    """FieldElement version of span_enc for public use."""
-    encs = span_enc(field, r, [_enc_of(field, b) for b in basis])
-    return [field.element(e) for e in encs]

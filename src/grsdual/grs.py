@@ -25,6 +25,7 @@ consult the construction that produced it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -44,12 +45,16 @@ from .errors import (
     VerificationFailed,
     ZeroArgument,
 )
-from .field import Field, make_field, _enc_of
+from .field import DEFAULT_TABLE_LIMIT, Field, make_field, _enc_of
 
 DEFAULT_ENUM_LIMIT = 10 ** 7
 DEFAULT_MINOR_LIMIT = 10 ** 6
 DEFAULT_SAMPLE_COUNT = 1000
 DEFAULT_VERIFY_LIMIT = 10 ** 7
+
+# Transfer identities are checked on all n^2 point pairs up to this
+# field order; past it, on a fixed 64-point probe.
+DESK_SCALE_Q = 2000
 
 _SAMPLE_SEED = 0x5D5EED
 
@@ -95,6 +100,16 @@ def products_at(field, points, indices):
             raise DuplicatePoints("evaluation points are not distinct")
         out[j] = field.vprod(d)
     return out
+
+
+def check_transfer(field, pts, expect):
+    """Whether L(pts) == expect, on every point up to DESK_SCALE_Q and
+    on 64 evenly spaced points past it, in O(64 n) memory there."""
+    if field.q <= DESK_SCALE_Q:
+        return bool(np.all(lagrange_products(field, pts) == expect))
+    probe = np.linspace(0, pts.size - 1, num=min(64, pts.size),
+                        dtype=np.int64)
+    return bool(np.all(products_at(field, pts, probe) == expect[probe]))
 
 
 def check_verify_scale(k, length, limit=DEFAULT_VERIFY_LIMIT):
@@ -282,19 +297,13 @@ def check_mds(gmat, mode="exhaustive", enum_limit=DEFAULT_ENUM_LIMIT,
         count = math.comb(n, k)
         if count > minor_limit:
             raise EnumerationTooLarge(f"C({n},{k}) = {count} exceeds {minor_limit}")
-        import itertools
-        for cols in itertools.combinations(range(n), k):
-            if not linalg.is_nonsingular(f, g[:, cols]):
-                return False
-        return True
-    if mode == "sampled":
+        subsets = itertools.combinations(range(n), k)
+    elif mode == "sampled":
         rng = random.Random(_SAMPLE_SEED)
-        for _ in range(samples):
-            cols = sorted(rng.sample(range(n), k))
-            if not linalg.is_nonsingular(f, g[:, cols]):
-                return False
-        return True
-    raise ValueError(f"unknown mds mode {mode!r}")
+        subsets = (sorted(rng.sample(range(n), k)) for _ in range(samples))
+    else:
+        raise ValueError(f"unknown mds mode {mode!r}")
+    return all(linalg.is_nonsingular(f, g[:, list(cols)]) for cols in subsets)
 
 
 @dataclass(frozen=True)
@@ -333,18 +342,20 @@ class SelfDualCode:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
 
 
-def code_from_obj(obj, table_limit=None):
+def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
     """Rebuild a SelfDualCode from its wire dict, validating the field."""
-    from .field import DEFAULT_TABLE_LIMIT
-    if table_limit is None:
-        table_limit = DEFAULT_TABLE_LIMIT
     try:
         fd = obj["field"]
-        f = make_field(int(fd["p"]), int(fd["m"]), table_limit)
+        ints = [fd["p"], fd["m"], obj["k"], *fd["modulus"], *obj["a"],
+                *obj["v"]]
+        # bool is an int subclass; EvalSet's int() would truncate floats
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in ints):
+            raise SchemaError("p, m, k, modulus, a and v must be integers")
+        f = make_field(fd["p"], fd["m"], table_limit)
         if list(f.modulus) != [c % f.p for c in fd["modulus"]]:
             raise SchemaError("field modulus does not match the canonical one")
         es = EvalSet(f, obj["a"], obj["v"], bool(obj["extended"]))
-        return SelfDualCode(es, int(obj["k"]), dict(obj.get("provenance", {})))
+        return SelfDualCode(es, obj["k"], dict(obj.get("provenance", {})))
     except (KeyError, TypeError, ValueError, DuplicatePoints, ZeroArgument,
             ShapeMismatch) as exc:
         raise SchemaError(f"malformed code object: {exc}") from exc

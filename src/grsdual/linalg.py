@@ -24,10 +24,6 @@ def fold_sum(field, a, axis=-1):
     return a[..., 0]
 
 
-def dot(field, u, v):
-    return int(fold_sum(field, field.vmul(u, v)))
-
-
 def gram(field, g):
     """G @ G.T over the field; rows of g are codeword generators."""
     g = np.asarray(g, dtype=np.int64)

@@ -1,15 +1,18 @@
 """Greedy square-clique construction and the existence catalog.
 
-Two pieces share this module. The first grows a point set whose
+Three pieces share this module. The first grows a point set whose
 pairwise differences are all nonzero squares; over any field with
 q = 1 (mod 4) that is large enough, the greedy run is guaranteed to
 reach the requested size, and the resulting evaluation set satisfies
-the even-length self-dual criterion with lambda = 1. The second piece
-sweeps every construction family in the package over one field and
-aggregates the reachable even lengths into catalog rows. The only
-negative statement a row ever makes is the classical one: q = 3
-(mod 4) rules out lengths n = 2 (mod 4). Everything else that no
-family reaches is reported as unknown, never as impossible.
+the even-length self-dual criterion with lambda = 1. The second is
+FAMILIES, the one registry of construction families: each wire id's
+parameters, closed-form length, catalog parameter grid and builder.
+The command line and the catalog both read it. The third sweeps every
+family over one field and aggregates the reachable even lengths into
+catalog rows. The only negative statement a row ever makes is the
+classical one: q = 3 (mod 4) rules out lengths n = 2 (mod 4).
+Everything else that no family reaches is reported as unknown, never
+as impossible.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+# The builders are called by name from Family.build, through this
+# module's namespace.
 from .cosets import (
     iterated_lift,
     th8_code,
@@ -30,16 +36,19 @@ from .cosets import (
     th11_code,
     th12_code,
     th13_code,
+    TOWER_VARIANTS,
+    tower_length,
 )
-from .errors import GreedyFailed, HypothesisViolated, VerificationFailed
-from .field import DEFAULT_TABLE_LIMIT, make_field
+from .errors import (
+    CompositeCharacteristic,
+    GreedyFailed,
+    HypothesisViolated,
+    VerificationFailed,
+    _require,
+)
+from .field import DEFAULT_TABLE_LIMIT, extension_field
 from .grs import build_verified_code
 from .subspace import th1_code, th2_code, th3_code, th4_code
-
-
-def _require(cond, msg):
-    if not cond:
-        raise HypothesisViolated(msg)
 
 
 def square_clique_greedy(field, n):
@@ -138,36 +147,52 @@ def odd_prime_powers(limit):
     return sorted(out)
 
 
-def _prime_power(q):
-    """Split q into (p, m) with p prime, or raise."""
-    rem = q
-    p = q
-    for c in range(2, math.isqrt(q) + 1):
-        if q % c == 0:
-            p = c
-            break
-    m = 0
-    while rem % p == 0:
-        rem //= p
-        m += 1
-    if rem != 1 or m < 1:
-        raise HypothesisViolated(f"{q} is not a prime power")
-    return p, m
+def divisors(x):
+    """All positive divisors of x, ascending."""
+    small = [c for c in range(1, math.isqrt(x) + 1) if x % c == 0]
+    return small + [x // c for c in reversed(small) if c * c != x]
 
 
-def _divisors(x):
-    small, big = [], []
-    for c in range(1, math.isqrt(x) + 1):
-        if x % c == 0:
-            small.append(c)
-            if c != x // c:
-                big.append(x // c)
-    return small + big[::-1]
+def _field_of_order(q, table_limit):
+    """GF(q); a q that is no odd prime power is a failed hypothesis."""
+    try:
+        return extension_field(q, 1, table_limit)
+    except CompositeCharacteristic as exc:
+        raise HypothesisViolated(str(exc)) from None
+
+
+# ----------------------------------------------------------------------
+# the family registry
+
+@dataclass(frozen=True)
+class Family:
+    """One construction family, as the command line and catalog see it.
+
+    params names the command-line flags the builder reads.  length maps
+    a params dict to the code length without building anything.
+    grid(p, m, cap) yields the params dicts the catalog tries over
+    GF(p^m); only those with 2 <= length <= cap are built.
+    """
+
+    params: tuple
+    length: Callable
+    grid: Callable
+    builder: str
+    fixed: tuple = ()
+
+    def build(self, args, table_limit):
+        """The verified code: builder(*params, *fixed, table_limit).
+
+        The builder is looked up by name at call time, so a rebinding
+        of this module's attribute (as a profiler may do) is honored.
+        """
+        fn = globals()[self.builder]
+        return fn(*(args[k] for k in self.params), *self.fixed, table_limit)
 
 
 def _factorizations(p, big_m):
     """All (r, m) with r = p^d a prime power and r^m the full field."""
-    return [(p ** d, big_m // d) for d in _divisors(big_m)]
+    return [(p ** d, big_m // d) for d in divisors(big_m)]
 
 
 def _odd_factor_tuples(total):
@@ -175,11 +200,145 @@ def _odd_factor_tuples(total):
     if total == 1:
         yield ()
         return
-    for d in _divisors(total):
+    for d in divisors(total):
         if d >= 3 and d % 2 == 1:
             for rest in _odd_factor_tuples(total // d):
                 yield (d,) + rest
 
+
+def _lift_grid(key, ts):
+    """th1..th4: every r^m = q (only r = p when key is "p"), e < m, and
+    t in ts(r)."""
+    def grid(p, big_m, cap):
+        pairs = [(p, big_m)] if key == "p" else _factorizations(p, big_m)
+        for r, m in pairs:
+            for e in range(m):
+                for t in ts(r):
+                    yield {key: r, "m": m, "e": e, "t": t}
+    return grid
+
+
+def _tower_grid(variant, iterated):
+    """th8..th11 (one odd factor m) or cor1..cor4 (two or more odd
+    factors >= 3) for every r^(s m1 m2 ...) = q, e < s, t | r-1 of the
+    variant's parity."""
+    t_parity = TOWER_VARIANTS[variant][1]
+
+    def grid(p, big_m, cap):
+        for r, mt in _factorizations(p, big_m):
+            for prod in divisors(mt):
+                if iterated:
+                    towers = [list(ms) for ms in _odd_factor_tuples(prod)
+                              if len(ms) >= 2]
+                else:
+                    towers = [prod] if prod % 2 else []
+                for ms in towers:
+                    for e in range(mt // prod):
+                        for t in divisors(r - 1):
+                            if t % 2 == t_parity:
+                                yield {"r": r, "s": mt // prod,
+                                       "ms" if iterated else "m": ms,
+                                       "e": e, "t": t}
+    return grid
+
+
+def _towers(variant):
+    """Registry entries for one tower variant and its iterated form."""
+    corollary = TOWER_VARIANTS[variant][3]
+
+    def length(a, ms):
+        return tower_length(variant, a["r"], a["s"], ms, a["e"], a["t"])
+
+    return {
+        variant: Family(("r", "s", "m", "e", "t"),
+                        lambda a: length(a, [a["m"]]),
+                        _tower_grid(variant, False), f"{variant}_code"),
+        corollary: Family(("r", "s", "ms", "e", "t"),
+                          lambda a: length(a, a["ms"]),
+                          _tower_grid(variant, True), "iterated_lift",
+                          (variant,)),
+    }
+
+
+def _square_orders(p, big_m, cap):
+    """(r, f, e) with q = r^2, e f = q - 1 and f <= cap."""
+    if big_m % 2 == 0:
+        r = p ** (big_m // 2)
+        for f in divisors(r * r - 1):
+            if f <= cap:
+                yield r, f, (r * r - 1) // f
+
+
+def _th12_grid(p, big_m, cap):
+    for r, f, e in _square_orders(p, big_m, cap):
+        for s in divisors(math.gcd(f, r - 1)):
+            d_cap = s * (r + 1) // math.gcd(s * (r + 1), f)
+            for t in range(1, min(d_cap, cap // f) + 1):
+                if t * f % 2 == 0:
+                    for variant in ("tf", "tf+2"):
+                        yield {"r": r, "e": e, "f": f, "s": s, "t": t,
+                               "variant": variant}
+
+
+def _th13_grid(p, big_m, cap):
+    for r, f, e in _square_orders(p, big_m, cap):
+        if f % 2 == 1:
+            for s in divisors(math.gcd(f, r + 1)):
+                d_cap = s * (r - 1) // math.gcd(s * (r - 1), f)
+                for t in range(1, min(d_cap, (cap - 1) // f) + 1, 2):
+                    yield {"r": r, "e": e, "f": f, "s": s, "t": t}
+
+
+def _large_q_grid(p, big_m, cap):
+    q = p ** big_m
+    if q % 4 == 1:
+        for n in range(2, cap + 1, 2):
+            if q <= large_q_bound(n):  # the bound grows with n
+                break
+            yield {"q": q, "n": n, "permissive": False}
+
+
+def _large_q_code(q, n, permissive, table_limit):
+    return th_large_q_code(_field_of_order(q, table_limit), n, permissive)
+
+
+FAMILIES = {
+    "th1": Family(
+        ("r", "m", "e", "t"), lambda a: 2 * a["t"] * a["r"] ** a["e"],
+        _lift_grid("r", lambda r: [t for t in divisors((r - 1) // 2)
+                                   if 2 * t != r - 1]),
+        "th1_code"),
+    "th2": Family(
+        ("p", "m", "e", "t"), lambda a: (a["t"] + 1) * a["p"] ** a["e"],
+        _lift_grid("p", lambda p: range(3, p, 2)), "th2_code"),
+    "th3": Family(
+        ("p", "m", "e", "t"), lambda a: (a["t"] + 1) * a["p"] ** a["e"] + 1,
+        _lift_grid("p", lambda p: range(2, p, 2)), "th3_code"),
+    "th4": Family(
+        ("r", "m", "e", "t"), lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
+        _lift_grid("r", lambda r: [t for t in divisors(r - 1)
+                                   if t % 2 == 0]),
+        "th4_code"),
+    **_towers("th8"),
+    **_towers("th9"),
+    **_towers("th10"),
+    **_towers("th11"),
+    "th12": Family(
+        ("r", "e", "f", "s", "t", "variant"),
+        lambda a: a["t"] * a["f"] + (2 if a["variant"] == "tf+2" else 0),
+        _th12_grid, "th12_code"),
+    "th13": Family(
+        ("r", "e", "f", "s", "t"), lambda a: a["t"] * a["f"] + 1,
+        _th13_grid, "th13_code"),
+    # permissive skips the field-size bound; the catalog never sets it
+    "large_q": Family(
+        ("q", "n", "permissive"), lambda a: a["n"], _large_q_grid,
+        "_large_q_code"),
+}
+
+
+# ----------------------------------------------------------------------
+# the catalog
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -211,140 +370,18 @@ def _prov_key(prov):
     return (prov["theorem"], json.dumps(prov, sort_keys=True))
 
 
-def _sweep(fld, p, big_m, cap, table_limit):
-    """Yield (length, code) for every family hit with length <= cap."""
-    q = fld.q
-
-    def attempt(n, build):
-        if 2 <= n <= cap:
+def _hits(fld, cap, table_limit):
+    """(family, params, code) for every grid point of every family with
+    2 <= length <= cap whose hypotheses hold."""
+    for family in FAMILIES.values():
+        for params in family.grid(fld.p, fld.m, cap):
+            if not 2 <= family.length(params) <= cap:
+                continue
             try:
-                return [(n, build())]
+                code = family.build(params, table_limit)
             except HypothesisViolated:
-                return []
-        return []
-
-    for r, m in _factorizations(p, big_m):
-        half = (r - 1) // 2
-        for e in range(m):
-            re_ = r ** e
-            for t in _divisors(half):
-                if t != half:
-                    yield from attempt(
-                        2 * t * re_,
-                        lambda r=r, m=m, e=e, t=t: th1_code(r, m, e, t, table_limit),
-                    )
-            for t in _divisors(r - 1):
-                if t % 2 == 0:
-                    yield from attempt(
-                        (t + 1) * re_ + 1,
-                        lambda r=r, m=m, e=e, t=t: th4_code(r, m, e, t, table_limit),
-                    )
-
-    for e in range(big_m):
-        pe = p ** e
-        for t in range(3, p, 2):
-            yield from attempt(
-                (t + 1) * pe,
-                lambda e=e, t=t: th2_code(p, big_m, e, t, table_limit),
-            )
-        for t in range(2, p, 2):
-            yield from attempt(
-                (t + 1) * pe + 1,
-                lambda e=e, t=t: th3_code(p, big_m, e, t, table_limit),
-            )
-
-    for r, mt in _factorizations(p, big_m):
-        for m in _divisors(mt):
-            if m % 2 == 0:
                 continue
-            s = mt // m
-            e1 = (q - 1) // (r ** s - 1)
-            for e in range(s):
-                re_ = r ** e
-                for t in _divisors(r - 1):
-                    if t % 2 == 0:
-                        yield from attempt(
-                            t * re_ * e1,
-                            lambda r=r, s=s, m=m, e=e, t=t: th8_code(
-                                r, s, m, e, t, table_limit),
-                        )
-                        yield from attempt(
-                            (t + 1) * re_ * e1 + 1,
-                            lambda r=r, s=s, m=m, e=e, t=t: th11_code(
-                                r, s, m, e, t, table_limit),
-                        )
-                    else:
-                        yield from attempt(
-                            (t + 1) * re_ * e1,
-                            lambda r=r, s=s, m=m, e=e, t=t: th9_code(
-                                r, s, m, e, t, table_limit),
-                        )
-                        yield from attempt(
-                            t * re_ * e1 + 1,
-                            lambda r=r, s=s, m=m, e=e, t=t: th10_code(
-                                r, s, m, e, t, table_limit),
-                        )
-        for prod in _divisors(mt):
-            for ms in _odd_factor_tuples(prod):
-                if len(ms) < 2:
-                    continue
-                s = mt // prod
-                e1 = (q - 1) // (r ** s - 1)
-                for e in range(s):
-                    re_ = r ** e
-                    for t in _divisors(r - 1):
-                        if t % 2 == 0:
-                            plans = [("th8", t * re_ * e1),
-                                     ("th11", (t + 1) * re_ * e1 + 1)]
-                        else:
-                            plans = [("th9", (t + 1) * re_ * e1),
-                                     ("th10", t * re_ * e1 + 1)]
-                        for variant, n in plans:
-                            yield from attempt(
-                                n,
-                                lambda r=r, s=s, ms=ms, e=e, t=t, v=variant:
-                                iterated_lift(r, s, list(ms), e, t, v,
-                                              table_limit),
-                            )
-
-    if big_m % 2 == 0:
-        r2 = p ** (big_m // 2)
-        for f in _divisors(q - 1):
-            if f > cap:
-                continue
-            e = (q - 1) // f
-            for s in _divisors(math.gcd(f, r2 - 1)):
-                d_cap = s * (r2 + 1) // math.gcd(s * (r2 + 1), f)
-                for t in range(1, min(d_cap, cap // f) + 1):
-                    if (t * f) % 2 != 0:
-                        continue
-                    yield from attempt(
-                        t * f,
-                        lambda f=f, e=e, s=s, t=t: th12_code(
-                            r2, e, f, s, t, "tf", table_limit),
-                    )
-                    yield from attempt(
-                        t * f + 2,
-                        lambda f=f, e=e, s=s, t=t: th12_code(
-                            r2, e, f, s, t, "tf+2", table_limit),
-                    )
-            if f % 2 == 1:
-                for s in _divisors(math.gcd(f, r2 + 1)):
-                    d_cap = s * (r2 - 1) // math.gcd(s * (r2 - 1), f)
-                    for t in range(1, min(d_cap, (cap - 1) // f) + 1, 2):
-                        yield from attempt(
-                            t * f + 1,
-                            lambda f=f, e=e, s=s, t=t: th13_code(
-                                r2, e, f, s, t, table_limit),
-                        )
-
-    if q % 4 == 1:
-        for n in range(2, cap + 1, 2):
-            bound = large_q_bound(n)
-            if n >= 4 and bound >= q:
-                break
-            if q > bound:
-                yield n, th_large_q_code(fld, n)
+            yield family, params, code
 
 
 def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
@@ -357,12 +394,10 @@ def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
     so it raises instead of being recorded.
     """
     _require(q % 2 == 1 and q >= 3, "q must be an odd prime power")
-    p, big_m = _prime_power(q)
-    fld = make_field(p, big_m, table_limit)
-    cap = min(n_max, q + 1)
+    fld = _field_of_order(q, table_limit)
     hits = {}
-    for n, code in _sweep(fld, p, big_m, cap, table_limit):
-        hits.setdefault(n, []).append(code)
+    for _, _, code in _hits(fld, min(n_max, q + 1), table_limit):
+        hits.setdefault(code.length, []).append(code)
     entries = []
     for n in range(2, n_max + 1, 2):
         banned = q % 4 == 3 and n % 4 == 2

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DependentBasis, GrsDualError
-from .field import DEFAULT_TABLE_LIMIT, make_field, span_enc
+from .field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field, span_enc
 from .grs import lagrange_products
-from .search import _divisors, _prime_power, odd_prime_powers
+from .search import divisors, odd_prime_powers
 
 _WITNESS_CAP = 8
 
@@ -55,7 +55,7 @@ class SuiteResult:
 def _roots_product(fld, rng, res):
     # L over the m-th roots of unity equals m * x^(m-1), every m | q-1.
     q = fld.q
-    for m in _divisors(q - 1):
+    for m in divisors(q - 1):
         step = (q - 1) // m
         pts = np.arange(m, dtype=np.int64) * step + 1
         actual = lagrange_products(fld, pts)
@@ -67,7 +67,7 @@ def _roots_product(fld, rng, res):
 def _coset_derivative(fld, rng, res):
     # L over one coset of the order-f subgroup equals f * x^(f-1).
     q = fld.q
-    for f in _divisors(q - 1):
+    for f in divisors(q - 1):
         e = (q - 1) // f
         shifts = range(e) if e <= 4 else rng.sample(range(e), 4)
         for i in shifts:
@@ -84,7 +84,7 @@ def _coset_factorization(fld, rng, res):
     q = fld.q
     xs = np.arange(q, dtype=np.int64)
     for _ in range(3):
-        e1 = rng.choice(_divisors(q - 1))
+        e1 = rng.choice(divisors(q - 1))
         f1 = (q - 1) // e1
         t = rng.randint(1, min(e1, 3))
         idx = sorted(rng.sample(range(e1), t))
@@ -115,7 +115,7 @@ def _random_subspace(fld, r, dim, rng):
 def _subspace_product_character(fld, rng, res):
     # The product of the nonzero vectors of an e-dimensional space over
     # GF(r) has character sign(-1)^((r^e - 1)/2).
-    for d in _divisors(fld.m):
+    for d in divisors(fld.m):
         r = fld.p ** d
         for dim in range(fld.m // d + 1):
             for _ in range(2):
@@ -136,7 +136,7 @@ def _additive_lift_transfer(fld, rng, res):
     # L over {b*z + v} factors through L over the base points b, with a
     # constant depending only on the subspace, the shift, and the count.
     q = fld.q
-    for d in _divisors(fld.m):
+    for d in divisors(fld.m):
         r = fld.p ** d
         sub = fld.subfield_enc(r)
         for _ in range(2):
@@ -172,7 +172,7 @@ def _coset_distinctness(fld, rng, res):
     # Two cosets indexed through a second subgroup coincide exactly when
     # the index difference vanishes modulo e1/gcd(e1, e2).
     q = fld.q
-    divs = [d for d in _divisors(q - 1) if d <= 24]
+    divs = [d for d in divisors(q - 1) if d <= 24]
     for e1 in divs:
         f1 = (q - 1) // e1
         for e2 in divs:
@@ -192,7 +192,7 @@ def _odd_divisor_character(fld, rng, res):
     # Every odd divisor of q - 1 is a square when q = 1 (mod 4).
     if fld.q % 4 != 1:
         return
-    for e1 in _divisors(fld.q - 1):
+    for e1 in divisors(fld.q - 1):
         if e1 % 2 == 1:
             res.compare(fld.sign(fld.from_int(e1)), 1,
                         f"{fld.name} divisor e1={e1}")
@@ -217,10 +217,8 @@ def run_selftest(max_q=200, table_limit=DEFAULT_TABLE_LIMIT, fields=None):
     recorded as a failure rather than aborting the run.
     """
     if fields is None:
-        fields = []
-        for q in odd_prime_powers(max_q):
-            p, m = _prime_power(q)
-            fields.append(make_field(p, m, table_limit))
+        fields = [make_field(*factor_prime_power(q), table_limit)
+                  for q in odd_prime_powers(max_q)]
     results = []
     for name, fn in _SUITES:
         rng = random.Random(f"selftest:{name}")

@@ -38,25 +38,16 @@ from .errors import (
     ParityCondition,
     ShiftInSubspace,
     VerificationFailed,
+    _require,
 )
-from .field import (
-    DEFAULT_TABLE_LIMIT,
-    factor_prime_power,
-    make_field,
-    span_enc,
-)
+from .field import DEFAULT_TABLE_LIMIT, extension_field, make_field, span_enc
 from .grs import (
     EvalSet,
     build_verified_code,
+    check_transfer,
     lagrange_products,
-    products_at,
     solve_extended_multipliers,
-    solve_multipliers,
 )
-
-# Exact-identity asserts walk all n^2 point pairs; past this order we
-# spot-check a fixed sample instead of the full set.
-DESK_SCALE_Q = 2000
 
 
 def subspace_basis(field, r, e, container_order=None):
@@ -181,14 +172,7 @@ def subspace_lift(spec):
     c = _transfer_scalar(f, sub, spec.shift, base.size)
     l_base = lagrange_products(f, base)
     expect = f.vmul(c, np.repeat(l_base, sub.size))
-    if f.q <= DESK_SCALE_Q:
-        l_lift = lagrange_products(f, pts)
-        probe = np.arange(pts.size, dtype=np.int64)
-    else:
-        # all-against-all differencing is quadratic in n; spot-check
-        probe = np.linspace(0, pts.size - 1, num=min(64, pts.size), dtype=np.int64)
-        l_lift = products_at(f, pts, probe)
-    if not np.all(l_lift == expect[probe]):
+    if not check_transfer(f, pts, expect):
         raise VerificationFailed("subspace lift transfer identity failed")
     return EvalSet(f, pts)
 
@@ -207,14 +191,11 @@ def extended_subspace_lift(field, r, base_points, subspace, shift=None):
     if solve_extended_multipliers(field, base) is None:
         raise BaseNotSelfDual("base fails the extended multiplier criterion")
     sub = np.asarray(subspace, dtype=np.int64)
-    e = 0
-    while r ** e < sub.size:
-        e += 1
-    if field.q % 4 != 1 and e % 2 != 0:
-        raise ParityCondition("need q = 1 (mod 4) or even subspace dimension")
     if shift is None:
         shift = default_shift(field, sub)
     spec = SubspaceLiftSpec(field, r, tuple(base.tolist()), tuple(sub.tolist()), shift)
+    if field.q % 4 != 1 and spec.e % 2 != 0:
+        raise ParityCondition("need q = 1 (mod 4) or even subspace dimension")
     lifted = subspace_lift(spec)
     if solve_extended_multipliers(field, np.array(lifted.points)) is None:
         raise VerificationFailed("extended criterion lost in the lift")
@@ -223,11 +204,6 @@ def extended_subspace_lift(field, r, base_points, subspace, shift=None):
 
 # ----------------------------------------------------------------------
 # base point menus, each inside an arbitrary container subfield
-
-def _require(cond, message):
-    if not cond:
-        raise HypothesisViolated(message)
-
 
 def roots_of_unity(field, order):
     """beta, beta^2, ..., beta^order for beta = theta^((q-1)/order)."""
@@ -310,8 +286,7 @@ def lift_in_container(field, r, e, base, container_order, extended=False):
 
 def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     """[2 t r^e, t r^e] self-dual over GF(r^m), q = 1 (mod 4)."""
-    p, d = factor_prime_power(r)
-    f = make_field(p, d * m, table_limit)
+    f = extension_field(r, m, table_limit)
     _require(f.q % 4 == 1, "q = 1 (mod 4) fails")
     _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")
     half = (r - 1) // 2
@@ -323,29 +298,13 @@ def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     return build_verified_code(f, np.array(lifted.points), False, prov)
 
 
-def th2_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """[(t+1) p^e, .] self-dual over GF(p^m) from the run 0..t, t odd."""
+def _integer_run_code(p, m, e, t, table_limit, extended):
+    """th2 (t odd) or th3 (t even, extended) on the run 0..t in GF(p)."""
     f = make_field(p, m, table_limit)
     _require(f.q % 4 == 1, "q = 1 (mod 4) fails")
-    _require(t % 2 == 1 and 2 <= t <= p - 1, "t must be odd with 2 <= t <= p-1")
-    _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")
-    for i in range(1, (t - 1) // 2 + 1):
-        val = f.from_int(i * (t + 1 - i))
-        if f.sign(val) != 1:
-            raise HypothesisViolated(
-                f"chi({i * (t + 1 - i)}) = -1 at i = {i} "
-                f"fails the square condition")
-    base = integer_run(f, t)
-    lifted = lift_in_container(f, p, e, base, f.q)
-    prov = {"theorem": "th2", "p": p, "m": m, "e": e, "t": t}
-    return build_verified_code(f, np.array(lifted.points), False, prov)
-
-
-def th3_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """[(t+1) p^e + 1, .] extended self-dual, t even, q = 1 (mod 4)."""
-    f = make_field(p, m, table_limit)
-    _require(f.q % 4 == 1, "q = 1 (mod 4) fails")
-    _require(t % 2 == 0 and 2 <= t <= p - 1, "t must be even with 2 <= t <= p-1")
+    parity = "even" if extended else "odd"
+    _require(t % 2 == (0 if extended else 1) and 2 <= t <= p - 1,
+             f"t must be {parity} with 2 <= t <= p-1")
     _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")
     for i in range(1, t // 2 + 1):
         val = f.from_int(i * (t + 1 - i))
@@ -354,15 +313,25 @@ def th3_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
                 f"chi({i * (t + 1 - i)}) = -1 at i = {i} "
                 f"fails the square condition")
     base = integer_run(f, t)
-    lifted = lift_in_container(f, p, e, base, f.q, extended=True)
-    prov = {"theorem": "th3", "p": p, "m": m, "e": e, "t": t}
-    return build_verified_code(f, np.array(lifted.points), True, prov)
+    lifted = lift_in_container(f, p, e, base, f.q, extended=extended)
+    prov = {"theorem": "th3" if extended else "th2",
+            "p": p, "m": m, "e": e, "t": t}
+    return build_verified_code(f, np.array(lifted.points), extended, prov)
+
+
+def th2_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
+    """[(t+1) p^e, .] self-dual over GF(p^m) from the run 0..t, t odd."""
+    return _integer_run_code(p, m, e, t, table_limit, False)
+
+
+def th3_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
+    """[(t+1) p^e + 1, .] extended self-dual, t even, q = 1 (mod 4)."""
+    return _integer_run_code(p, m, e, t, table_limit, True)
 
 
 def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     """[(t+1) r^e + 1, .] extended self-dual from 0 and the t-th roots."""
-    p, d = factor_prime_power(r)
-    f = make_field(p, d * m, table_limit)
+    f = extension_field(r, m, table_limit)
     _require(t % 2 == 0 and t >= 2 and (r - 1) % t == 0,
              "t must be even and divide r-1")
     _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")

@@ -9,9 +9,11 @@ enough to read by eye, and its serialized form is frozen below.
 import copy
 import hashlib
 import json
+import time
 
 import pytest
 
+import grsdual.cosets
 from grsdual import make_field
 from grsdual.cli import main
 
@@ -154,6 +156,45 @@ def test_large_q_below_bound(capsys):
     assert "greedy search failed" in err
 
 
+def test_construct_refuses_bad_field_orders(capsys):
+    for q in ("1", "0", "-5", "15"):
+        rc, _, err = run(capsys, ["construct", "--theorem", "large_q",
+                                  "--q", q, "--n", "4"])
+        assert rc == 2
+        assert err == f"hypothesis not met: {q} is not a prime power\n"
+    # refused by size before trial division could run for minutes
+    for argv in (["large_q", "--q", "2305843009213693951", "--n", "4"],
+                 ["th1", "--r", "2305843009213693951", "--m", "1",
+                  "--e", "0", "--t", "1"]):
+        rc, _, err = run(capsys, ["construct", "--theorem", *argv])
+        assert rc == 6
+        assert "field too large" in err
+
+
+def test_verify_refuses_huge_fields_fast(tmp_path, capsys):
+    good = json.loads(T2_JSON)
+    for key, value in (("p", 2305843009213693951), ("m", 1000000000)):
+        obj = copy.deepcopy(good)
+        obj["field"][key] = value
+        code = tmp_path / "huge.json"
+        code.write_text(json.dumps(obj))
+        t0 = time.perf_counter()
+        rc, _, err = run(capsys, ["verify", "--in", str(code)])
+        assert rc == 6
+        assert "field too large" in err
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_rejects_non_integer_points(tmp_path, capsys):
+    obj = json.loads(T2_JSON)
+    obj["a"] = [0.25, 1, 2, 5]  # int() would make this the valid code
+    code = tmp_path / "float.json"
+    code.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, ["verify", "--in", str(code)])
+    assert rc == 1
+    assert "cannot load code" in err
+
+
 def test_large_q_constructs(capsys):
     rc, out, _ = run(capsys, ["construct", "--theorem", "large_q",
                               "--q", "49", "--n", "4"])
@@ -174,7 +215,12 @@ def test_iterated_lift_via_ms(capsys):
     assert len(obj["a"]) == 62
 
 
-def test_iterated_lift_too_large(capsys):
+def test_iterated_lift_too_large(capsys, monkeypatch):
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("expanded a tower the scale guard refuses")
+
+    # the refusal comes from the closed-form length, before any coset
+    monkeypatch.setattr(grsdual.cosets, "coset_points", no_expansion)
     rc, _, err = run(capsys, ["construct", "--theorem", "cor1", "--r", "5",
                               "--s", "1", "--ms", "3,3", "--e", "0",
                               "--t", "2"])

@@ -3,6 +3,7 @@ two-decomposition families th12/th13 over GF(r^2)."""
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from grsdual.cosets import (
     extended_coset_lift,
     iterated_lift,
     th8_code,
-    th8_th9_code,
     th9_code,
     th10_code,
-    th10_th11_code,
     th11_code,
     th12_code,
     th13_code,
@@ -150,8 +149,6 @@ def test_tower_parity_wrappers():
         th9_code(5, 1, 3, 0, 2)  # t must be odd
     with pytest.raises(HypothesisViolated):
         th8_code(3, 1, 2, 0, 2)  # m must be odd
-    with pytest.raises(HypothesisViolated):
-        th8_th9_code(5, 1, 3, 0, 2, parity="nonsense")
 
 
 def test_tower_e_range():
@@ -164,7 +161,9 @@ def test_tower_e_range():
 
 def test_th10_rejects_wrong_character():
     with pytest.raises(HypothesisViolated):
-        th10_th11_code(5, 1, 3, 0, 2, parity="even")  # chi(2) = chi(-2) = -1
+        th11_code(5, 1, 3, 0, 2)  # chi(2) = chi(-2) = -1
+    with pytest.raises(HypothesisViolated):
+        th10_code(7, 1, 3, 0, 1)  # chi(-1) = -1 over GF(7^3)
 
 
 def test_iterated_single_stage_matches_direct():
@@ -200,6 +199,22 @@ def test_iterated_two_stages_exceed_desk_scale():
         iterated_lift(5, 1, [3, 3], 0, 2, "th8")
     with pytest.raises(TableLimitExceeded):
         iterated_lift(5, 1, [3, 3], 0, 2, "th8", table_limit=10 ** 6)
+
+
+def test_th12_past_desk_scale_refuses_in_bounded_memory():
+    """n = 50244 over GF(317^2): the full Lagrange products would need
+    n^2 int64 entries (18.8 GiB); the probe and the single L(0) need
+    O(n) each, and the verify limit refuses the code."""
+    make_field(317, 2)  # keep the field tables out of the measurement
+    for variant in ("tf", "tf+2"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLarge):
+                th12_code(317, 2, 50244, 1, 1, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, (variant, peak)
 
 
 def test_two_decomposition_exhaustive():

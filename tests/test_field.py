@@ -21,6 +21,7 @@ from grsdual.errors import (
     ZeroArgument,
 )
 from grsdual.field import (
+    extension_field,
     quadratic_character,
     span_enc,
     sqrt,
@@ -238,6 +239,13 @@ def test_field_construction_errors():
         make_field(2, 3)
     with pytest.raises(TableLimitExceeded):
         make_field(13, 2, table_limit=100)
+    # the size check runs before trial division and before p**m
+    with pytest.raises(TableLimitExceeded):
+        make_field(2305843009213693951)
+    with pytest.raises(TableLimitExceeded):
+        make_field(3, 10 ** 9)
+    with pytest.raises(TableLimitExceeded):
+        extension_field(2305843009213693951, 1)
 
 
 def test_cross_field_elements_refuse_to_mix():

@@ -266,6 +266,14 @@ def test_code_from_obj_rejects_malformed_input():
         lambda o: o.__setitem__("a", "nonsense"),
         lambda o: o.__setitem__("field", {"p": 13}),
         lambda o: o["field"].__setitem__("modulus", [1, 1]),
+        # non-integers: int() would truncate these to valid encodings
+        lambda o: o.__setitem__("a", [0.25, 1, 2, 3]),
+        lambda o: o.__setitem__("a", [0, True, 2, 3]),
+        lambda o: o.__setitem__("v", [1.0, 6, 3, 4]),
+        lambda o: o.__setitem__("k", 2.0),
+        lambda o: o["field"].__setitem__("p", 13.0),
+        lambda o: o["field"].__setitem__("m", True),
+        lambda o: o["field"].__setitem__("modulus", [0, 1.5]),
     ):
         obj = json.loads(json.dumps(good))
         mangle(obj)
