@@ -24,6 +24,7 @@ from .errors import (
     GrsDualError,
     HypothesisViolated,
     MultipliersUnset,
+    NonPositiveDegree,
     NotASubfield,
     NotInSubgroup,
     OddLength,

@@ -245,9 +245,11 @@ def cmd_verify(args, cfg):
         else:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
+        # integers past Python's digit limit raise a plain ValueError,
+        # not JSONDecodeError
         obj = json.loads(text)
         code = code_from_obj(obj, cfg.table_limit)
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
+    except (OSError, ValueError, SchemaError) as exc:
         sys.stderr.write(f"verify: cannot load code: {exc}\n")
         return EXIT_USAGE
     gmat = code.generator_matrix()

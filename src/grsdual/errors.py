@@ -77,6 +77,10 @@ class HypothesisViolated(GrsDualError):
     """
 
 
+class NonPositiveDegree(HypothesisViolated):
+    """Extension degree of a field is below 1."""
+
+
 def _require(cond, message):
     """Raise HypothesisViolated(message) unless cond holds."""
     if not cond:

@@ -35,6 +35,7 @@ from .errors import (
     CompositeCharacteristic,
     DependentBasis,
     FieldMismatch,
+    NonPositiveDegree,
     NotASubfield,
     TableLimitExceeded,
     ZeroArgument,
@@ -493,7 +494,7 @@ def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
     representation stores three O(q) tables.
     """
     if m < 1:
-        raise ValueError("extension degree must be positive")
+        raise NonPositiveDegree(f"extension degree {m} is below 1")
     # Size first: trial division on a huge p, or p**m for a huge m, would
     # hang; for p >= 3, m >= bit_length(limit) puts p**m past the limit.
     if p >= 3 and (m >= table_limit.bit_length() or p ** m > table_limit):

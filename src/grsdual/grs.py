@@ -39,6 +39,7 @@ from .errors import (
     EnumerationTooLarge,
     EvenLength,
     MultipliersUnset,
+    NonPositiveDegree,
     OddLength,
     SchemaError,
     ShapeMismatch,
@@ -56,6 +57,9 @@ DEFAULT_VERIFY_LIMIT = 10 ** 7
 # field order; past it, on a fixed 64-point probe.
 DESK_SCALE_Q = 2000
 
+# Entries per block of point differences in lagrange_products.
+_LAGRANGE_BLOCK = 1 << 16
+
 _SAMPLE_SEED = 0x5D5EED
 
 
@@ -68,20 +72,24 @@ def _enc_points(field, points):
 def lagrange_products(field, points):
     """L(a_i) = prod_{j != i}(a_i - a_j) for every point, vectorized.
 
-    n = 1 returns the empty product [1].  Duplicate points raise.
+    Differences are formed a block of rows at a time, so memory stays
+    O(n + _LAGRANGE_BLOCK) rather than n x n.  n = 1 returns the empty
+    product [1].  Duplicate points raise.
     """
     a = _enc_points(field, points)
     n = a.size
     if n == 0:
         raise DuplicatePoints("need at least one evaluation point")
-    if n == 1:
-        return np.ones(1, dtype=np.int64)
-    d = field.vsub(a[:, None], a[None, :])
-    off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] == 0):
-        raise DuplicatePoints("evaluation points are not distinct")
-    np.fill_diagonal(d, 1)
-    return np.sum(d - 1, axis=1) % (field.q - 1) + 1
+    out = np.empty(n, dtype=np.int64)
+    rows = max(1, _LAGRANGE_BLOCK // n)
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        d = field.vsub(a[i0:i1, None], a[None, :])
+        np.fill_diagonal(d[:, i0:i1], 1)  # empty factor for the point itself
+        if np.any(d == 0):
+            raise DuplicatePoints("evaluation points are not distinct")
+        out[i0:i1] = np.sum(d - 1, axis=1) % (field.q - 1) + 1
+    return out
 
 
 def products_at(field, points, indices):
@@ -357,7 +365,7 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         es = EvalSet(f, obj["a"], obj["v"], bool(obj["extended"]))
         return SelfDualCode(es, obj["k"], dict(obj.get("provenance", {})))
     except (KeyError, TypeError, ValueError, DuplicatePoints, ZeroArgument,
-            ShapeMismatch) as exc:
+            ShapeMismatch, NonPositiveDegree) as exc:
         raise SchemaError(f"malformed code object: {exc}") from exc
 
 

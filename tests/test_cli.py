@@ -136,6 +136,17 @@ def test_verify_rejects_mangled_json(tmp_path, capsys):
     assert "cannot load code" in err
 
 
+def test_verify_rejects_integers_past_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, not JSONDecodeError
+    code = tmp_path / "huge_k.json"
+    code.write_text(T2_JSON.replace('"k":2', '"k":' + "7" * 5000))
+    rc, out, err = run(capsys, ["verify", "--in", str(code)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("verify: cannot load code: ")
+    assert err.count("\n") == 1
+
+
 def test_hypothesis_violation_exits_2(capsys):
     rc, _, err = run(capsys, ["construct", "--theorem", "th2",
                               "--p", "5", "--m", "1", "--e", "0", "--t", "3"])
@@ -169,6 +180,16 @@ def test_construct_refuses_bad_field_orders(capsys):
         rc, _, err = run(capsys, ["construct", "--theorem", *argv])
         assert rc == 6
         assert "field too large" in err
+    # a nonpositive extension degree is a failed hypothesis, not a crash
+    for argv in (["th1", "--r", "5", "--m", "0", "--e", "0", "--t", "1"],
+                 ["th1", "--r", "5", "--m", "-2", "--e", "0", "--t", "1"],
+                 ["th8", "--r", "5", "--s", "0", "--m", "3", "--e", "0",
+                  "--t", "2"]):
+        rc, out, err = run(capsys, ["construct", "--theorem", *argv])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("hypothesis not met: extension degree ")
+        assert err.count("\n") == 1
 
 
 def test_verify_refuses_huge_fields_fast(tmp_path, capsys):

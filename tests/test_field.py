@@ -16,6 +16,8 @@ from grsdual.errors import (
     CompositeCharacteristic,
     DependentBasis,
     FieldMismatch,
+    HypothesisViolated,
+    NonPositiveDegree,
     NotASubfield,
     TableLimitExceeded,
     ZeroArgument,
@@ -246,6 +248,12 @@ def test_field_construction_errors():
         make_field(3, 10 ** 9)
     with pytest.raises(TableLimitExceeded):
         extension_field(2305843009213693951, 1)
+    # a typed hypothesis failure, which the CLI maps to exit 2
+    for m in (0, -1, -10 ** 9):
+        with pytest.raises(NonPositiveDegree, match=f"degree {m} "):
+            make_field(5, m)
+    with pytest.raises(HypothesisViolated):
+        extension_field(25, 0)
 
 
 def test_cross_field_elements_refuse_to_mix():

@@ -9,11 +9,12 @@ and no multiplier vector exists.
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from grsdual import make_field
+from grsdual import grs, make_field
 from grsdual.errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -56,6 +57,37 @@ def vals(encoded):
 
 def test_lagrange_products_worked_example():
     assert vals(lagrange_products(F, encs([0, 1, 2, 3]))) == (7, 2, 11, 6)
+
+
+def test_lagrange_products_blocks_match_the_full_difference_matrix(
+        monkeypatch):
+    f = make_field(5, 3)
+    rng = np.random.default_rng(5)
+    monkeypatch.setattr(grs, "_LAGRANGE_BLOCK", 40)  # several row blocks
+    for n in (1, 2, 7, 39, 124, 125):
+        a = rng.choice(f.q, size=n, replace=False)
+        d = f.vsub(a[:, None], a[None, :])
+        np.fill_diagonal(d, 1)
+        full = np.sum(d - 1, axis=1) % (f.q - 1) + 1
+        assert np.array_equal(lagrange_products(f, a), full)
+    with pytest.raises(DuplicatePoints):
+        lagrange_products(f, np.append(a, a[70]))
+
+
+def test_lagrange_products_memory_is_linear_in_n():
+    """n = 4472 is within the verify limit; an n x n int64 difference
+    matrix alone would be 160 MB."""
+    f = make_field(3, 10)
+    a = np.random.default_rng(3).choice(f.q, size=4472, replace=False)
+    tracemalloc.start()
+    try:
+        got = lagrange_products(f, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    probe = np.arange(0, a.size, 97)
+    assert np.array_equal(got[probe], products_at(f, a, probe))
 
 
 def test_lagrange_products_brute_force():
@@ -266,6 +298,7 @@ def test_code_from_obj_rejects_malformed_input():
         lambda o: o.__setitem__("a", "nonsense"),
         lambda o: o.__setitem__("field", {"p": 13}),
         lambda o: o["field"].__setitem__("modulus", [1, 1]),
+        lambda o: o["field"].__setitem__("m", 0),
         # non-integers: int() would truncate these to valid encodings
         lambda o: o.__setitem__("a", [0.25, 1, 2, 3]),
         lambda o: o.__setitem__("a", [0, True, 2, 3]),
