@@ -12,7 +12,10 @@ g^{v(a)} H2 for every base point.  Lagrange products factor exactly:
 
 With e1 odd (so f1 is even and the stray powers of g are all squares)
 the quadratic character of L transfers unchanged, plainly or in the
-extended sense.  coset_points asserts the identity at desk scale.
+extended sense.  coset_points checks the identity on every lifted point
+and hands the checked L on to the multiplier solve.  th12/th13 take
+their unions of cosets through the same identity, with the coset and
+quotient orders swapped and the representatives given directly.
 
 The same machinery works relative to a subfield: with the ambient
 order replaced by a subfield order W, the decomposition e1 * f1 =
@@ -118,9 +121,9 @@ def coset_points(spec, base_points, extended=False):
     Plain mode takes an even-sized base satisfying the multiplier
     criterion; extended mode an odd-sized base satisfying the extended
     one, plus the character condition on e1 (automatic when q = 1 mod
-    4, which is asserted).  Returns the lifted points row-major, base
-    point outer and coset step inner, after asserting the product
-    transfer identity.
+    4, which is asserted).  Returns (points, l): the lifted points
+    row-major, base point outer and coset step inner, and L on them,
+    after checking the product transfer identity.
     """
     f = spec.field
     base = np.asarray(base_points, dtype=np.int64)
@@ -136,6 +139,16 @@ def coset_points(spec, base_points, extended=False):
     vs = np.array([spec.v_of(x) for x in base.tolist()], dtype=np.int64)
     if len(set(vs.tolist())) != vs.size:
         raise DuplicatePoints("base points repeat a coset")
+    return _coset_union(spec, vs, l_base)
+
+
+def _coset_union(spec, vs, l_base):
+    """The union of the cosets g^v <g^f1> over vs, row-major, and L on it.
+
+    L(g^(v + f1 u)) = e1 g^(v (e1 - 1)) g^(-f1 u) L_a(g^(v e1)), with
+    l_base = L_a on the points g^(v e1), is checked on every point.
+    """
+    f = spec.field
     u = np.arange(spec.e1, dtype=np.int64)
     pts = spec.gpow(vs[:, None] + spec.f1 * u[None, :]).ravel()
     scale = spec.gpow(vs[:, None] * (spec.e1 - 1) - spec.f1 * u[None, :])
@@ -143,7 +156,7 @@ def coset_points(spec, base_points, extended=False):
                     f.vmul(scale, l_base[:, None])).ravel()
     if not check_transfer(f, pts, expect):
         raise VerificationFailed("coset lift transfer identity failed")
-    return pts
+    return pts, expect
 
 
 def _check_e1(spec, extended):
@@ -162,16 +175,16 @@ def _check_e1(spec, extended):
 
 def coset_lift(spec, base_points, provenance=None):
     """Even-length self-dual code on a union of cosets."""
-    pts = coset_points(spec, base_points, extended=False)
+    pts, l = coset_points(spec, base_points, extended=False)
     prov = provenance or {"theorem": "coset_lift", "e1": spec.e1}
-    return build_verified_code(spec.field, pts, False, prov)
+    return build_verified_code(spec.field, pts, False, prov, l)
 
 
 def extended_coset_lift(spec, base_points, provenance=None):
     """Extended self-dual code on a union of cosets, odd base."""
-    pts = coset_points(spec, base_points, extended=True)
+    pts, l = coset_points(spec, base_points, extended=True)
     prov = provenance or {"theorem": "extended_coset_lift", "e1": spec.e1}
-    return build_verified_code(spec.field, pts, True, prov)
+    return build_verified_code(spec.field, pts, True, prov, l)
 
 
 # ----------------------------------------------------------------------
@@ -269,19 +282,20 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     n = tower_length(variant, r, s, ms, e, t)
     check_verify_scale(n // 2, n)
 
-    lifted = lift_in_container(f, r, e, menu, r ** s,
+    pts, l = lift_in_container(f, r, e, menu, r ** s,
                                extended=variant == "th11")
-    pts = _shift_nonzero(f, np.array(lifted.points), r ** s)
-    if extended and solve_extended_multipliers(f, pts) is None:
+    pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
+    if extended and solve_extended_multipliers(f, pts, l) is None:
         raise VerificationFailed("extended criterion lost in the tower base")
     for spec in specs:
-        pts = coset_points(spec, pts, extended)
+        if spec.e1 > 1:  # a factor m_j = 1 gives one-point cosets
+            pts, l = coset_points(spec, pts, extended)
     if len(ms) == 1:
         prov = {"theorem": variant, "m": ms[0]}
     else:
         prov = {"theorem": iterated_id, "ms": ms}
     prov.update(r=r, s=s, e=e, t=t)
-    return build_verified_code(f, pts, extended, prov)
+    return build_verified_code(f, pts, extended, prov, l)
 
 
 def th8_th9_code(r, s, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
@@ -387,31 +401,14 @@ def _assert_distinct(td, idx):
     assert len({i % mod for i in idx}) == len(idx)
 
 
-def _coset_union_points(field, td, indices):
-    """Row-major beta^{i} alpha^{j}, i over indices, j over 0..f1-1."""
-    i = np.asarray(indices, dtype=np.int64)
-    j = np.arange(td.f1, dtype=np.int64)
-    exps = (i[:, None] * td.e2 + j[None, :] * td.e1) % (field.q - 1)
-    return (exps + 1).ravel()
-
-
-def _assert_union_identity(field, td, indices, pts):
-    """L_S(beta^i alpha^j) = f1 beta^{i(f1-1)} theta^{-j e1} L_a(beta^{i f1})
-
-    with a the f1-th powers of the coset representatives.  Returns the
-    L values of a for reuse by the caller's character checks.
-    """
-    i = np.asarray(indices, dtype=np.int64)
-    j = np.arange(td.f1, dtype=np.int64)
-    a_pts = (i * td.e2 * td.f1 % (field.q - 1)) + 1
-    l_a = lagrange_products(field, a_pts)
-    scale_exp = (i[:, None] * td.e2 * (td.f1 - 1)
-                 - j[None, :] * td.e1) % (field.q - 1)
-    expect = field.vmul(field.from_int(td.f1),
-                        field.vmul(scale_exp + 1, l_a[:, None])).ravel()
-    if not check_transfer(field, pts, expect):
-        raise VerificationFailed("coset union product identity failed")
-    return a_pts, l_a
+def _scaled_cosets(td, indices):
+    """(points, l, l_a) on S = union of beta^i <theta^e1> over indices,
+    row-major: the coset engine with coset order f1, representatives
+    beta^i and l_a = L on their f1-th powers beta^(i f1)."""
+    vs = np.asarray(indices, dtype=np.int64) * td.e2
+    spec = CosetSpec(td.field, td.f1)
+    l_a = lagrange_products(td.field, spec.gpow(vs * td.f1))
+    return (*_coset_union(spec, vs, l_a), l_a)
 
 
 def _two_decomposition(r, e, f, s, t, sign, table_limit):
@@ -459,17 +456,18 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     else:
         raise HypothesisViolated(f"unknown variant {variant!r}")
 
-    pts = _coset_union_points(fld, td, indices)
-    _assert_union_identity(fld, td, indices, pts)
+    pts, l, _ = _scaled_cosets(td, indices)
     prov = {"theorem": "th12", "variant": variant, "r": r, "e": e,
             "f": f, "s": s, "t": t, "indices": list(indices)}
     if variant == "tf":
-        return build_verified_code(fld, pts, False, prov)
+        return build_verified_code(fld, pts, False, prov, l)
     full = np.concatenate([pts, np.zeros(1, dtype=np.int64)])
     l_zero = products_at(fld, full, [pts.size])
     if fld.sign(fld.neg(int(l_zero[0]))) != 1:
         raise VerificationFailed("chi(-L(0)) = -1 on the appended zero")
-    return build_verified_code(fld, full, True, prov)
+    # on S, L over S + {0} is x L_S(x)
+    return build_verified_code(fld, full, True, prov,
+                               np.concatenate([fld.vmul(pts, l), l_zero]))
 
 
 def th13_code(r, e, f, s, t, table_limit=DEFAULT_TABLE_LIMIT):
@@ -484,12 +482,11 @@ def th13_code(r, e, f, s, t, table_limit=DEFAULT_TABLE_LIMIT):
     assert e % 2 == 0  # q-1 = 0 mod 8 and f odd force e even
     indices = distinct_coset_indices(td, t)
 
-    pts = _coset_union_points(fld, td, indices)
-    a_pts, l_a = _assert_union_identity(fld, td, indices, pts)
+    pts, l, l_a = _scaled_cosets(td, indices)
     for val in l_a.tolist():
         if fld.power(val, r) != val or fld.sign(val) != 1:
             raise VerificationFailed(
                 "inner product not a subfield square")
     prov = {"theorem": "th13", "r": r, "e": e, "f": f, "s": s, "t": t,
             "indices": list(indices)}
-    return build_verified_code(fld, pts, True, prov)
+    return build_verified_code(fld, pts, True, prov, l)

@@ -12,10 +12,6 @@ class GrsDualError(Exception):
 
 # ---------------------------------------------------------------- fields
 
-class CompositeCharacteristic(GrsDualError):
-    """Characteristic is not an odd prime."""
-
-
 class TableLimitExceeded(GrsDualError):
     """Field order is above the configured discrete-log table limit."""
 
@@ -75,6 +71,10 @@ class HypothesisViolated(GrsDualError):
     that only care about "the parameters do not qualify" can catch the
     whole family here.
     """
+
+
+class CompositeCharacteristic(HypothesisViolated):
+    """Characteristic is not an odd prime, or an order no prime power."""
 
 
 class NonPositiveDegree(HypothesisViolated):

@@ -53,11 +53,8 @@ DEFAULT_MINOR_LIMIT = 10 ** 6
 DEFAULT_SAMPLE_COUNT = 1000
 DEFAULT_VERIFY_LIMIT = 10 ** 7
 
-# Transfer identities are checked on all n^2 point pairs up to this
-# field order; past it, on a fixed 64-point probe.
-DESK_SCALE_Q = 2000
-
-# Entries per block of point differences in lagrange_products.
+# Entries per block of point differences in L (lagrange_products and
+# products_at).
 _LAGRANGE_BLOCK = 1 << 16
 
 _SAMPLE_SEED = 0x5D5EED
@@ -69,63 +66,51 @@ def _enc_points(field, points):
     return np.array([_enc_of(field, x) for x in points], dtype=np.int64)
 
 
+def _products_rows(field, a, rows):
+    """L(a_i) for i in rows against all of a, a block of rows at a time,
+    so memory stays O(n + _LAGRANGE_BLOCK) rather than len(rows) x n."""
+    out = np.empty(rows.size, dtype=np.int64)
+    step = max(1, _LAGRANGE_BLOCK // max(1, a.size))
+    for s in range(0, rows.size, step):
+        idx = rows[s:s + step]
+        d = field.vsub(a[idx, None], a[None, :])
+        d[np.arange(idx.size), idx] = 1  # empty factor for the point itself
+        if np.any(d == 0):
+            raise DuplicatePoints("evaluation points are not distinct")
+        out[s:s + step] = np.sum(d - 1, axis=1) % (field.q - 1) + 1
+    return out
+
+
 def lagrange_products(field, points):
     """L(a_i) = prod_{j != i}(a_i - a_j) for every point, vectorized.
 
-    Differences are formed a block of rows at a time, so memory stays
-    O(n + _LAGRANGE_BLOCK) rather than n x n.  n = 1 returns the empty
-    product [1].  Duplicate points raise.
+    n = 1 returns the empty product [1].  Duplicate points raise.
     """
     a = _enc_points(field, points)
-    n = a.size
-    if n == 0:
+    if a.size == 0:
         raise DuplicatePoints("need at least one evaluation point")
-    out = np.empty(n, dtype=np.int64)
-    rows = max(1, _LAGRANGE_BLOCK // n)
-    for i0 in range(0, n, rows):
-        i1 = min(n, i0 + rows)
-        d = field.vsub(a[i0:i1, None], a[None, :])
-        np.fill_diagonal(d[:, i0:i1], 1)  # empty factor for the point itself
-        if np.any(d == 0):
-            raise DuplicatePoints("evaluation points are not distinct")
-        out[i0:i1] = np.sum(d - 1, axis=1) % (field.q - 1) + 1
-    return out
+    return _products_rows(field, a, np.arange(a.size))
 
 
 def products_at(field, points, indices):
-    """L(a_i) for i in indices only, in O(len(indices) * n) memory.
-
-    Spot-check companion to lagrange_products for point sets too large
-    to difference all against all.
-    """
+    """L(a_i) for i in indices only (in any order, repeats allowed)."""
     a = _enc_points(field, points)
-    idx = np.asarray(indices, dtype=np.int64)
-    out = np.empty(idx.size, dtype=np.int64)
-    for j, i in enumerate(idx.tolist()):
-        d = field.vsub(np.full(a.size, a[i], dtype=np.int64), a)
-        d[i] = 1  # empty factor for the point itself
-        if np.any(d == 0):
-            raise DuplicatePoints("evaluation points are not distinct")
-        out[j] = field.vprod(d)
-    return out
+    return _products_rows(field, a, np.asarray(indices, dtype=np.int64))
 
 
 def check_transfer(field, pts, expect):
-    """Whether L(pts) == expect, on every point up to DESK_SCALE_Q and
-    on 64 evenly spaced points past it, in O(64 n) memory there."""
-    if field.q <= DESK_SCALE_Q:
-        return bool(np.all(lagrange_products(field, pts) == expect))
-    probe = np.linspace(0, pts.size - 1, num=min(64, pts.size),
-                        dtype=np.int64)
-    return bool(np.all(products_at(field, pts, probe) == expect[probe]))
+    """Whether L(pts) == expect on every point.  A point set too large
+    to verify raises EnumerationTooLarge before any L is formed."""
+    check_verify_scale(pts.size // 2, pts.size)
+    return bool(np.all(lagrange_products(field, pts) == expect))
 
 
 def check_verify_scale(k, length, limit=DEFAULT_VERIFY_LIMIT):
     """Refuse self-duality verification beyond the configured scale.
 
     Verifying a [n, k] code materializes a k x n generator matrix and a
-    k x k Gram matrix; past k * n = limit that is no longer a desk-scale
-    computation, so fail with a typed error instead of exhausting memory.
+    k x k Gram matrix; past k * n = limit, fail with a typed error
+    instead of exhausting memory.
     """
     if k * length > limit:
         raise EnumerationTooLarge(
@@ -369,26 +354,26 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         raise SchemaError(f"malformed code object: {exc}") from exc
 
 
-def build_verified_code(field, points, extended, provenance,
-                        multipliers=None, l_values=None,
+def build_verified_code(field, points, extended, provenance, l_values=None,
                         verify_limit=DEFAULT_VERIFY_LIMIT):
     """Solve for multipliers, assemble the code, and self-check it.
 
-    Used by every construction; a failure here means the construction's
-    hypothesis checks let a bad case through, hence VerificationFailed.
+    l_values, when given, is L on the points as a lift already checked
+    it, so the multiplier solve does not form it again.  Used by every
+    construction; a failure here means the construction's hypothesis
+    checks let a bad case through, hence VerificationFailed.
     """
     pts = _enc_points(field, points)
     n_total = pts.size + (1 if extended else 0)
     check_verify_scale(n_total // 2, n_total, verify_limit)
+    if extended:
+        multipliers = solve_extended_multipliers(field, pts, l_values)
+    else:
+        solved = solve_multipliers(field, pts, l_values)
+        multipliers = None if solved is None else solved[1]
     if multipliers is None:
-        if extended:
-            multipliers = solve_extended_multipliers(field, pts, l_values)
-        else:
-            solved = solve_multipliers(field, pts, l_values)
-            multipliers = None if solved is None else solved[1]
-        if multipliers is None:
-            raise VerificationFailed(
-                "multiplier criterion failed although hypotheses hold")
+        raise VerificationFailed(
+            "multiplier criterion failed although hypotheses hold")
     es = EvalSet(field, pts, multipliers, extended)
     code = SelfDualCode(es, es.length // 2, provenance)
     if not code.verify():

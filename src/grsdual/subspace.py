@@ -12,8 +12,8 @@ points, and its Lagrange products factor through the base:
 So the quadratic character of L is constant on W iff it is constant on
 b (multiply by lam = c), and the extended criterion transfers up to the
 sign chi(prod of nonzero V) = chi(-1)^((r^e - 1)/2), which is +1 when
-q = 1 (mod 4) or e is even.  subspace_lift asserts the identity
-exactly at desk scale and the character transfer always.
+q = 1 (mod 4) or e is even.  subspace_lift checks the identity on every
+lifted point and hands the checked L on to the multiplier solve.
 
 On top of that engine, four construction families (wire ids th1..th4;
 see the README catalog for their parameter shapes):
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .field import DEFAULT_TABLE_LIMIT, extension_field, make_field, span_enc
 from .grs import (
-    EvalSet,
     build_verified_code,
     check_transfer,
     lagrange_products,
@@ -158,9 +157,9 @@ def _transfer_scalar(field, subspace, shift, t):
 def subspace_lift(spec):
     """Lift base points along cosets of the subspace.
 
-    Returns the lifted EvalSet (points only).  Asserts the Lagrange
-    transfer identity L_W(b_i zeta + v) = c * L_b(b_i) on every point
-    at desk scale, on a 64-point probe past it.
+    Returns (points, l): the lifted points and L on them, after
+    checking the Lagrange transfer identity L_W(b_i zeta + v) =
+    c * L_b(b_i) on every point.
     """
     f = spec.field
     base = np.asarray(spec.base_points, dtype=np.int64)
@@ -174,7 +173,7 @@ def subspace_lift(spec):
     expect = f.vmul(c, np.repeat(l_base, sub.size))
     if not check_transfer(f, pts, expect):
         raise VerificationFailed("subspace lift transfer identity failed")
-    return EvalSet(f, pts)
+    return pts, expect
 
 
 def extended_subspace_lift(field, r, base_points, subspace, shift=None):
@@ -183,7 +182,7 @@ def extended_subspace_lift(field, r, base_points, subspace, shift=None):
     Requires an odd number of base points satisfying the extended
     criterion, and q = 1 (mod 4) or even subspace dimension so the
     transfer sign chi(-1)^((r^e-1)/2) is +1.  The lifted criterion is
-    asserted, not just implied.
+    asserted, not just implied.  Returns (points, l) as subspace_lift.
     """
     base = np.asarray(base_points, dtype=np.int64)
     if base.size % 2 == 0:
@@ -196,10 +195,10 @@ def extended_subspace_lift(field, r, base_points, subspace, shift=None):
     spec = SubspaceLiftSpec(field, r, tuple(base.tolist()), tuple(sub.tolist()), shift)
     if field.q % 4 != 1 and spec.e % 2 != 0:
         raise ParityCondition("need q = 1 (mod 4) or even subspace dimension")
-    lifted = subspace_lift(spec)
-    if solve_extended_multipliers(field, np.array(lifted.points)) is None:
+    pts, l = subspace_lift(spec)
+    if solve_extended_multipliers(field, pts, l) is None:
         raise VerificationFailed("extended criterion lost in the lift")
-    return EvalSet(field, lifted.points, None, True)
+    return pts, l
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +269,7 @@ def lift_in_container(field, r, e, base, container_order, extended=False):
     """Default subspace + shift lift of a base menu, plain or extended.
 
     The subspace basis and the shift are both drawn from the container
-    subfield, so the lifted points never leave it.
+    subfield, so the lifted points never leave it.  Returns (points, l).
     """
     sub = default_subspace(field, r, e, container_order)
     shift = default_shift(field, sub, container_order)
@@ -293,9 +292,9 @@ def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     _require(t >= 1 and half % t == 0, "t must divide (r-1)/2")
     _require(t != half, "t = (r-1)/2 is excluded")
     base = th1_base(f, r, t)
-    lifted = lift_in_container(f, r, e, base, f.q)
+    pts, l = lift_in_container(f, r, e, base, f.q)
     prov = {"theorem": "th1", "r": r, "m": m, "e": e, "t": t}
-    return build_verified_code(f, np.array(lifted.points), False, prov)
+    return build_verified_code(f, pts, False, prov, l)
 
 
 def _integer_run_code(p, m, e, t, table_limit, extended):
@@ -313,10 +312,10 @@ def _integer_run_code(p, m, e, t, table_limit, extended):
                 f"chi({i * (t + 1 - i)}) = -1 at i = {i} "
                 f"fails the square condition")
     base = integer_run(f, t)
-    lifted = lift_in_container(f, p, e, base, f.q, extended=extended)
+    pts, l = lift_in_container(f, p, e, base, f.q, extended=extended)
     prov = {"theorem": "th3" if extended else "th2",
             "p": p, "m": m, "e": e, "t": t}
-    return build_verified_code(f, np.array(lifted.points), extended, prov)
+    return build_verified_code(f, pts, extended, prov, l)
 
 
 def th2_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
@@ -342,9 +341,9 @@ def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
              "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
     base = zero_and_roots(f, t)
     _check_zero_roots_products(f, base, t)
-    lifted = lift_in_container(f, r, e, base, f.q, extended=True)
+    pts, l = lift_in_container(f, r, e, base, f.q, extended=True)
     prov = {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
-    return build_verified_code(f, np.array(lifted.points), True, prov)
+    return build_verified_code(f, pts, True, prov, l)
 
 
 def _check_zero_roots_products(field, base, t):

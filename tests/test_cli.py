@@ -155,6 +155,17 @@ def test_hypothesis_violation_exits_2(capsys):
                    "fails the square condition\n")
 
 
+def test_composite_field_order_exits_2(capsys):
+    """A composite --r is a failed hypothesis, like a composite --q."""
+    for theorem, flags, r in (
+            ("th1", ["--m", "1", "--e", "0", "--t", "1"], "15"),
+            ("th8", ["--s", "1", "--m", "1", "--e", "0", "--t", "2"], "6")):
+        rc, out, err = run(capsys, ["construct", "--theorem", theorem,
+                                    "--r", r, *flags])
+        assert rc == 2 and out == ""
+        assert err == f"hypothesis not met: {r} is not a prime power\n"
+
+
 def test_large_q_below_bound(capsys):
     rc, _, err = run(capsys, ["construct", "--theorem", "large_q",
                               "--q", "13", "--n", "4"])

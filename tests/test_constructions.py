@@ -20,7 +20,11 @@ from grsdual.errors import (
     ShiftInSubspace,
     VerificationFailed,
 )
-from grsdual.grs import lagrange_products, solve_multipliers
+from grsdual.grs import (
+    lagrange_products,
+    solve_extended_multipliers,
+    solve_multipliers,
+)
 from grsdual.subspace import (
     SubspaceLiftSpec,
     default_shift,
@@ -232,9 +236,10 @@ def test_subspace_lift_transfer_identity():
     for _ in range(10):
         base = tuple(rng.sample(subfield, 4))
         spec = SubspaceLiftSpec(f, 5, base, tuple(int(x) for x in sub), zeta)
-        lifted = subspace_lift(spec)
-        assert len(lifted.points) == 20
-        direct = lagrange_products(f, np.array(lifted.points, dtype=np.int64))
+        pts, l = subspace_lift(spec)
+        assert pts.size == 20
+        direct = lagrange_products(f, pts)
+        assert np.array_equal(l, direct)
         base_l = lagrange_products(f, np.array(base, dtype=np.int64))
         ratio = f.vmul(direct, f.vinv(np.repeat(base_l, 5)))
         assert len(set(ratio.tolist())) == 1  # constant transfer scalar
@@ -254,16 +259,18 @@ def test_lift_in_container_degenerate_is_identity():
     # e = 0 lifts along the zero subspace: points unchanged
     f = make_field(13, 2)
     base = [f.from_int(v) for v in (0, 1, 2, 3)]
-    lifted = lift_in_container(f, 13, 0, np.array(base, dtype=np.int64), 13)
-    assert list(lifted.points) == base
+    pts, l = lift_in_container(f, 13, 0, np.array(base, dtype=np.int64), 13)
+    assert pts.tolist() == base
+    assert np.array_equal(l, lagrange_products(f, base))
 
 
 def test_extended_subspace_lift_small():
     f = make_field(13, 2)
     base = zero_and_roots(f, 2)
-    lifted = extended_subspace_lift(f, 13, base, default_subspace(f, 13, 1))
-    assert lifted.extended
-    assert len(lifted.points) == 39
+    pts, l = extended_subspace_lift(f, 13, base, default_subspace(f, 13, 1))
+    assert pts.size == 39
+    assert np.array_equal(l, lagrange_products(f, pts))
+    assert solve_extended_multipliers(f, pts, l) is not None
 
 
 def test_extended_subspace_lift_rejections():

@@ -74,10 +74,11 @@ def test_coset_points_expansion_and_identity():
     f = make_field(13)
     spec = CosetSpec(f, 3)
     base = [1, int(spec.gpow(np.array([6]))[0])]  # g^0 and g^6 = -1
-    pts = coset_points(spec, base)
+    pts, l = coset_points(spec, base)
     assert pts.size == 6
     assert len(set(pts.tolist())) == 6
     direct = lagrange_products(f, pts)
+    assert np.array_equal(l, direct)
     for i, x in enumerate(pts.tolist()):
         expect = 1
         for j, y in enumerate(pts.tolist()):
@@ -203,8 +204,8 @@ def test_iterated_two_stages_exceed_desk_scale():
 
 def test_th12_past_desk_scale_refuses_in_bounded_memory():
     """n = 50244 over GF(317^2): the full Lagrange products would need
-    n^2 int64 entries (18.8 GiB); the probe and the single L(0) need
-    O(n) each, and the verify limit refuses the code."""
+    n^2 int64 entries (18.8 GiB); the verify limit refuses the point
+    set before its L is formed."""
     make_field(317, 2)  # keep the field tables out of the measurement
     for variant in ("tf", "tf+2"):
         tracemalloc.start()

@@ -1,0 +1,25 @@
+"""Every demo script runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
+# The sweeping demos take smaller bounds so the suite stays quick.
+ARGS = {
+    "05_large_field_sweep.py": ["--max-q", "200"],
+    "06_catalog_table.py": ["--max-q", "50", "--max-n", "12"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(DEMOS, name), *ARGS.get(name, [])],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

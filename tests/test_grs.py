@@ -74,6 +74,19 @@ def test_lagrange_products_blocks_match_the_full_difference_matrix(
         lagrange_products(f, np.append(a, a[70]))
 
 
+def test_products_at_matches_lagrange_products_across_blocks(monkeypatch):
+    f = make_field(5, 3)
+    a = np.random.default_rng(7).choice(f.q, size=90, replace=False)
+    full = lagrange_products(f, a)
+    idx = [89, 0, 45, 45, 3, 88, 0, 17, 89, 60]  # unsorted, repeated
+    for block in (1, 90, 91, 200, 1 << 16):
+        monkeypatch.setattr(grs, "_LAGRANGE_BLOCK", block)
+        assert np.array_equal(products_at(f, a, idx), full[idx])
+        assert np.array_equal(lagrange_products(f, a), full)
+    with pytest.raises(DuplicatePoints):
+        products_at(f, np.append(a, a[5]), [0, 5])
+
+
 def test_lagrange_products_memory_is_linear_in_n():
     """n = 4472 is within the verify limit; an n x n int64 difference
     matrix alone would be 160 MB."""
