@@ -17,7 +17,6 @@ from grsdual import (
     lagrange_products,
     make_field,
     min_distance,
-    quadratic_character,
     solve_extended_multipliers,
     solve_multipliers,
 )
@@ -33,7 +32,7 @@ def main():
     print("even length: points", vals(pts), "over", f.name)
     l = lagrange_products(f, pts)
     print("  L values   ", vals(l))
-    print("  characters ", [quadratic_character(f, x) for x in l])
+    print("  characters ", f.vsign(l).tolist())
     lam, v = solve_multipliers(f, pts)
     print("  lambda     ", val(lam))
     print("  multipliers", vals(v))
@@ -50,8 +49,7 @@ def main():
     pts = [f.from_int(x) for x in (0, 1, 4)]
     print("\nodd length: points", vals(pts), "extend by one coordinate")
     l = lagrange_products(f, pts)
-    print("  -L characters",
-          [quadratic_character(f, x) for x in f.vneg(l)])
+    print("  -L characters", f.vsign(f.vneg(l)).tolist())
     v = solve_extended_multipliers(f, pts)
     print("  multipliers", vals(v))
     es = EvalSet(f, pts, v, extended=True)
@@ -63,7 +61,7 @@ def main():
     pts = [f.from_int(x) for x in (0, 1, 2, 4)]
     print("\ncounterexample: points", vals(pts))
     l = lagrange_products(f, pts)
-    print("  characters ", [quadratic_character(f, x) for x in l])
+    print("  characters ", f.vsign(l).tolist())
     print("  solver     ", solve_multipliers(f, pts))
 
 

@@ -19,7 +19,6 @@ from .errors import (
     E1NotOdd,
     EnumerationTooLarge,
     EvenLength,
-    FieldMismatch,
     GreedyFailed,
     GrsDualError,
     HypothesisViolated,
@@ -40,11 +39,7 @@ from .errors import (
 from .field import (
     DEFAULT_TABLE_LIMIT,
     Field,
-    FieldElement,
     make_field,
-    quadratic_character,
-    sqrt,
-    subfield_elements,
 )
 from .grs import (
     EvalSet,

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     EnumerationTooLarge,
@@ -38,6 +38,7 @@ from .grs import (
     DEFAULT_MINOR_LIMIT,
     DEFAULT_SAMPLE_COUNT,
     check_mds,
+    check_verify_scale,
     code_from_obj,
     min_distance,
 )
@@ -141,6 +142,7 @@ def _build_parser():
 
 def _load_config(args):
     cfg = CliConfig()
+    keys = {f.name for f in fields(CliConfig)}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
@@ -155,7 +157,7 @@ def _load_config(args):
             key, sep, val = ln.partition("=")
             key = key.strip()
             val = val.strip()
-            if not sep or not hasattr(cfg, key):
+            if not sep or key not in keys:
                 raise ValueError(f"bad config line: {ln!r}")
             if key == "format":
                 cfg.format = val
@@ -252,6 +254,11 @@ def cmd_verify(args, cfg):
     except (OSError, ValueError, SchemaError) as exc:
         sys.stderr.write(f"verify: cannot load code: {exc}\n")
         return EXIT_USAGE
+    try:
+        check_verify_scale(code.k, code.length)
+    except EnumerationTooLarge as exc:
+        sys.stderr.write(f"code too large to verify: {exc}\n")
+        return EXIT_TOO_LARGE
     gmat = code.generator_matrix()
     report = {"field": code.field.name, "length": code.length, "k": code.k,
               "self_dual": bool(code.verify())}

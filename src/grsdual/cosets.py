@@ -115,13 +115,14 @@ class CosetSpec:
         return k // self.e1
 
 
-def coset_points(spec, base_points, extended=False):
+def coset_points(spec, base_points, extended=False, l_base=None):
     """Expand base points to full cosets, checking the lift criteria.
 
     Plain mode takes an even-sized base satisfying the multiplier
     criterion; extended mode an odd-sized base satisfying the extended
     one, plus the character condition on e1 (automatic when q = 1 mod
-    4, which is asserted).  Returns (points, l): the lifted points
+    4, which is asserted).  l_base, when given, is L on the base as the
+    caller already holds it.  Returns (points, l): the lifted points
     row-major, base point outer and coset step inner, and L on them,
     after checking the product transfer identity.
     """
@@ -131,7 +132,8 @@ def coset_points(spec, base_points, extended=False):
     if base.size % 2 != extended:
         raise HypothesisViolated(
             f"coset lift needs an {('even', 'odd')[extended]} base")
-    l_base = lagrange_products(f, base)
+    if l_base is None:
+        l_base = lagrange_products(f, base)
     solve = solve_extended_multipliers if extended else solve_multipliers
     if solve(f, base, l_base) is None:
         raise BaseNotSelfDual("base fails the multiplier criterion")
@@ -229,21 +231,22 @@ def _shift_nonzero(field, pts, container_order):
 
 
 def _tower_menu(field, r, s, e, t, variant):
-    """Check the variant's remaining hypotheses; return its menu in GF(r)."""
+    """Check the variant's remaining hypotheses; return its menu in GF(r)
+    and L on it, or None where the menu's L is not yet formed."""
     _require(0 <= e <= s - 1, "e must satisfy 0 <= e <= s-1")
     _require(t >= 1 and (r - 1) % t == 0, "t must divide r-1")
     if variant == "th8":
         _require(1 < t < r - 1, "need 1 < t < r-1")
         _require(field.q % 4 == 1, "q = 1 (mod 4) fails")
         assert (r ** s) % 4 == 1  # forced by q = 1 mod 4 with m odd
-        return th1_base(field, r, t // 2)
+        return th1_base(field, r, t // 2), None
     if variant == "th10":
         val = field.from_int(t)
         if ((r ** e + 1) // 2) % 2 == 1:
             val = field.neg(val)
         _require(field.sign(val) == 1,
                  "chi((-1)^((r^e+1)/2) t) = -1 fails")
-        return roots_of_unity(field, t)
+        return roots_of_unity(field, t), None
     tval = field.from_int(t)
     if variant == "th9":
         _require(field.sign(field.neg(tval)) == 1, "chi(-t) = -1 fails")
@@ -254,8 +257,7 @@ def _tower_menu(field, r, s, e, t, variant):
         _require(branch1 or branch2,
                  "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
     base = zero_and_roots(field, t)
-    _check_zero_roots_products(field, base, t)
-    return base
+    return base, _check_zero_roots_products(field, base, t)
 
 
 def _tower(variant, r, s, ms, e, t, table_limit):
@@ -271,7 +273,7 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     _require(len(ms) >= 1 and all(x >= 1 and x % 2 == 1 for x in ms),
              "tower factors must be odd and there must be at least one")
     f = extension_field(r, s * math.prod(ms), table_limit)
-    menu = _tower_menu(f, r, s, e, t, variant)
+    menu, l = _tower_menu(f, r, s, e, t, variant)
     specs = []
     omega = r ** s
     for mj in ms:
@@ -282,14 +284,13 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     n = tower_length(variant, r, s, ms, e, t)
     check_verify_scale(n // 2, n)
 
-    pts, l = lift_in_container(f, r, e, menu, r ** s,
-                               extended=variant == "th11")
+    pts, l = lift_in_container(f, r, e, menu, r ** s, variant == "th11", l)
     pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
     if extended and solve_extended_multipliers(f, pts, l) is None:
         raise VerificationFailed("extended criterion lost in the tower base")
     for spec in specs:
         if spec.e1 > 1:  # a factor m_j = 1 gives one-point cosets
-            pts, l = coset_points(spec, pts, extended)
+            pts, l = coset_points(spec, pts, extended, l)
     if len(ms) == 1:
         prov = {"theorem": variant, "m": ms[0]}
     else:

@@ -28,10 +28,6 @@ class DependentBasis(GrsDualError):
     """Subspace basis vectors are linearly dependent over the subfield."""
 
 
-class FieldMismatch(GrsDualError):
-    """Arithmetic mixed elements of two different fields."""
-
-
 # ---------------------------------------------------------------- codes
 
 class DuplicatePoints(GrsDualError):

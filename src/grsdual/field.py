@@ -20,21 +20,20 @@ every encoding:
 
 Tables take O(q) memory, which is what the table limit guards; the
 default allows q up to 2**22.  Field objects are immutable once built
-and are cached per (p, m), so element identity checks against
-``x.field is y.field`` are reliable.
+and are cached per (p, m).  There is no element object: an element is
+its encoding, and arithmetic is the Field's scalar methods and their
+v-prefixed array twins.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CompositeCharacteristic,
     DependentBasis,
-    FieldMismatch,
     NonPositiveDegree,
     NotASubfield,
     TableLimitExceeded,
@@ -204,7 +203,8 @@ def _poly_eval(f, x, p):
 
 
 def _find_theta(p, m, mod, q):
-    """Smallest polynomial value with multiplicative order q - 1."""
+    """Coefficients of the smallest polynomial value with multiplicative
+    order q - 1."""
     factors = _prime_factors(q - 1)
     for value in range(2, q):
         coeffs = []
@@ -219,7 +219,7 @@ def _find_theta(p, m, mod, q):
                 ok = False
                 break
         if ok:
-            return value, coeffs
+            return coeffs
     raise RuntimeError("no primitive element found")  # pragma: no cover
 
 
@@ -276,38 +276,19 @@ class Field:
     enforces the table limit.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_theta_value", "_exp_int",
-                 "_log", "_zech", "_half", "name")
+    __slots__ = ("p", "m", "q", "modulus", "_exp_int", "_log", "_zech",
+                 "_half", "name")
 
-    def __init__(self, p, m, modulus, theta_value, tables):
+    def __init__(self, p, m, modulus, tables):
         self.p = p
         self.m = m
         self.q = p ** m
         self.modulus = tuple(modulus)
-        self._theta_value = theta_value
         self._exp_int, self._log, self._zech = tables
         self._half = (self.q - 1) // 2
         self.name = f"GF({p})" if m == 1 else f"GF({p}^{m})"
 
     # -------------------------------------------------------- elements
-
-    def element(self, enc):
-        enc = int(enc)
-        if not 0 <= enc < self.q:
-            raise ValueError(f"encoding {enc} out of range for {self.name}")
-        return FieldElement(self, enc)
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    @property
-    def theta(self):
-        return FieldElement(self, 2)
 
     def from_int(self, k):
         """The image of the integer k under Z -> GF(p) -> GF(q)."""
@@ -317,9 +298,6 @@ class Field:
     def poly_value(self, enc):
         """Base-p value of the coefficient vector of the element."""
         return 0 if enc == 0 else int(self._exp_int[enc - 1])
-
-    def elements(self):
-        return range(self.q)
 
     def descriptor(self):
         return {"p": self.p, "m": self.m,
@@ -367,11 +345,6 @@ class Field:
                 raise ZeroArgument("zero has no negative power")
             return 0
         return (a - 1) * (e % (self.q - 1)) % (self.q - 1) + 1
-
-    def log(self, a):
-        if a == 0:
-            raise ZeroArgument("zero has no discrete log")
-        return a - 1
 
     def sign(self, a):
         """Quadratic character: +1 on squares, -1 on non-squares."""
@@ -464,10 +437,6 @@ class Field:
             raise NotASubfield(f"GF({r}) is not a subfield of {self.name}")
         return (self.q - 1) // (r - 1)
 
-    def in_subfield(self, enc, r):
-        stride = self.subfield_stride(r)
-        return enc == 0 or (enc - 1) % stride == 0
-
     def subfield_enc(self, r):
         """Encodings of GF(r) inside this field: 0 then powers of the
         subfield generator, ascending exponent (= ascending encoding)."""
@@ -482,9 +451,9 @@ class Field:
 def _build_field(p, m):
     q = p ** m
     modulus = find_modulus(p, m)
-    theta_value, theta_coeffs = _find_theta(p, m, list(modulus), q)
+    theta_coeffs = _find_theta(p, m, list(modulus), q)
     tables = _build_tables(p, m, modulus, theta_coeffs, q)
-    return Field(p, m, modulus, theta_value, tables)
+    return Field(p, m, modulus, tables)
 
 
 def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
@@ -514,157 +483,12 @@ def extension_field(r, k, table_limit=DEFAULT_TABLE_LIMIT):
     return make_field(p, d * k, table_limit)
 
 
-class FieldElement:
-    """A field element: a Field reference plus its integer encoding.
-
-    Supports the usual operators against elements of the same field and
-    against plain ints (which embed through the prime subfield).  Total
-    order is by encoding; serialization is the encoding itself.
-    """
-
-    __slots__ = ("field", "enc")
-
-    def __init__(self, field, enc):
-        self.field = field
-        self.enc = int(enc)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatch(
-                    f"mixing {self.field.name} and {other.field.name}")
-            return other.enc
-        if isinstance(other, (int, np.integer)):
-            return self.field.from_int(int(other))
-        return NotImplemented
-
-    def _wrap(self, enc):
-        return FieldElement(self.field, enc)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._wrap(self.field.add(self.enc, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._wrap(self.field.sub(self.enc, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._wrap(self.field.sub(o, self.enc))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else self._wrap(self.field.mul(self.enc, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._wrap(self.field.mul(self.enc, self.field.inv(o)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self._wrap(self.field.mul(o, self.field.inv(self.enc)))
-
-    def __neg__(self):
-        return self._wrap(self.field.neg(self.enc))
-
-    def __pow__(self, e):
-        return self._wrap(self.field.power(self.enc, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.enc == other.enc
-        if isinstance(other, (int, np.integer)):
-            return self.enc == self.field.from_int(int(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.enc))
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.enc < o
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.enc <= o
-
-    def __int__(self):
-        return self.enc
-
-    def __bool__(self):
-        return self.enc != 0
-
-    @property
-    def is_zero(self):
-        return self.enc == 0
-
-    def log(self):
-        return self.field.log(self.enc)
-
-    def __repr__(self):
-        if self.enc == 0:
-            body = "0"
-        elif self.enc == 1:
-            body = "1"
-        else:
-            body = f"theta^{self.enc - 1}"
-        return f"<{self.field.name} {body}>"
-
-
-def _enc_of(field, x):
-    """Accept a FieldElement of this field or a raw encoding."""
-    if isinstance(x, FieldElement):
-        if x.field is not field:
-            raise FieldMismatch("element belongs to a different field")
-        return x.enc
-    return int(x)
-
-
-def quadratic_character(field, x):
-    """+1 if x is a nonzero square, -1 if a non-square; zero is an error."""
-    return field.sign(_enc_of(field, x))
-
-
-def sqrt(field, x):
-    """Canonical square root of x, or None when x is a non-square.
-
-    Of the two roots +/-s the one with the smaller discrete log is
-    returned, which pins the sign of every derived multiplier vector.
-    """
-    enc = field.sqrt_enc(_enc_of(field, x))
-    if enc is None:
-        return None
-    return field.element(enc) if isinstance(x, FieldElement) else enc
-
-
-def subfield_elements(field, r):
-    """The r elements of the subfield GF(r), as FieldElements.
-
-    Order is canonical: zero first, then ascending powers of the
-    subfield generator theta**((q-1)/(r-1)).
-    """
-    return [field.element(e) for e in field.subfield_enc(r)]
-
-
 def span_enc(field, r, basis_encs):
     """All GF(r)-linear combinations of the basis, as an encoding array.
 
     Coefficient vectors run in lexicographic order, the last basis
     element's coefficient varying fastest; coefficients follow the
-    subfield_elements order.  Raises DependentBasis on a collision.
+    subfield_enc order.  Raises DependentBasis on a collision.
     """
     coeffs = field.subfield_enc(r)
     acc = np.zeros(1, dtype=np.int64)

@@ -46,7 +46,7 @@ from .errors import (
     VerificationFailed,
     ZeroArgument,
 )
-from .field import DEFAULT_TABLE_LIMIT, Field, make_field, _enc_of
+from .field import DEFAULT_TABLE_LIMIT, Field, make_field
 
 DEFAULT_ENUM_LIMIT = 10 ** 7
 DEFAULT_MINOR_LIMIT = 10 ** 6
@@ -58,12 +58,6 @@ DEFAULT_VERIFY_LIMIT = 10 ** 7
 _LAGRANGE_BLOCK = 1 << 16
 
 _SAMPLE_SEED = 0x5D5EED
-
-
-def _enc_points(field, points):
-    if isinstance(points, np.ndarray):
-        return points.astype(np.int64)
-    return np.array([_enc_of(field, x) for x in points], dtype=np.int64)
 
 
 def _products_rows(field, a, rows):
@@ -86,7 +80,7 @@ def lagrange_products(field, points):
 
     n = 1 returns the empty product [1].  Duplicate points raise.
     """
-    a = _enc_points(field, points)
+    a = np.array(points, dtype=np.int64)
     if a.size == 0:
         raise DuplicatePoints("need at least one evaluation point")
     return _products_rows(field, a, np.arange(a.size))
@@ -94,7 +88,7 @@ def lagrange_products(field, points):
 
 def products_at(field, points, indices):
     """L(a_i) for i in indices only (in any order, repeats allowed)."""
-    a = _enc_points(field, points)
+    a = np.array(points, dtype=np.int64)
     return _products_rows(field, a, np.asarray(indices, dtype=np.int64))
 
 
@@ -125,7 +119,7 @@ def solve_multipliers(field, points, l_values=None):
     scalar and v_i = sqrt((lam L(a_i))^-1), or None when the character
     of L is not constant on the points.
     """
-    a = _enc_points(field, points)
+    a = np.array(points, dtype=np.int64)
     if a.size % 2:
         raise OddLength("an even number of points is required")
     l = lagrange_products(field, a) if l_values is None else l_values
@@ -147,7 +141,7 @@ def solve_extended_multipliers(field, points, l_values=None):
 
     v_i = sqrt((-L(a_i))^-1); exists iff every -L(a_i) is a square.
     """
-    a = _enc_points(field, points)
+    a = np.array(points, dtype=np.int64)
     if a.size % 2 == 0:
         raise EvenLength("an odd number of points is required")
     l = lagrange_products(field, a) if l_values is None else l_values
@@ -348,6 +342,10 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         if list(f.modulus) != [c % f.p for c in fd["modulus"]]:
             raise SchemaError("field modulus does not match the canonical one")
         es = EvalSet(f, obj["a"], obj["v"], bool(obj["extended"]))
+        # malformed, not too large to verify, however large k n is
+        if not 0 < obj["k"] <= es.length:
+            raise SchemaError(f"k = {obj['k']} out of range for length "
+                              f"{es.length}")
         return SelfDualCode(es, obj["k"], dict(obj.get("provenance", {})))
     except (KeyError, TypeError, ValueError, DuplicatePoints, ZeroArgument,
             ShapeMismatch, NonPositiveDegree) as exc:
@@ -363,7 +361,7 @@ def build_verified_code(field, points, extended, provenance, l_values=None,
     construction; a failure here means the construction's hypothesis
     checks let a bad case through, hence VerificationFailed.
     """
-    pts = _enc_points(field, points)
+    pts = np.array(points, dtype=np.int64)
     n_total = pts.size + (1 if extended else 0)
     check_verify_scale(n_total // 2, n_total, verify_limit)
     if extended:

@@ -154,12 +154,13 @@ def _transfer_scalar(field, subspace, shift, t):
     return field.mul(c, field.power(int(field.vprod(zv)), t - 1))
 
 
-def subspace_lift(spec):
+def subspace_lift(spec, l_base=None):
     """Lift base points along cosets of the subspace.
 
     Returns (points, l): the lifted points and L on them, after
     checking the Lagrange transfer identity L_W(b_i zeta + v) =
-    c * L_b(b_i) on every point.
+    c * L_b(b_i) on every point.  l_base, when given, is L_b as the
+    caller already holds it.
     """
     f = spec.field
     base = np.asarray(spec.base_points, dtype=np.int64)
@@ -169,25 +170,30 @@ def subspace_lift(spec):
         raise DuplicatePoints("lift produced a collision")
 
     c = _transfer_scalar(f, sub, spec.shift, base.size)
-    l_base = lagrange_products(f, base)
+    if l_base is None:
+        l_base = lagrange_products(f, base)
     expect = f.vmul(c, np.repeat(l_base, sub.size))
     if not check_transfer(f, pts, expect):
         raise VerificationFailed("subspace lift transfer identity failed")
     return pts, expect
 
 
-def extended_subspace_lift(field, r, base_points, subspace, shift=None):
+def extended_subspace_lift(field, r, base_points, subspace, shift=None,
+                           l_base=None):
     """Subspace lift that preserves the extended self-dual criterion.
 
     Requires an odd number of base points satisfying the extended
     criterion, and q = 1 (mod 4) or even subspace dimension so the
     transfer sign chi(-1)^((r^e-1)/2) is +1.  The lifted criterion is
-    asserted, not just implied.  Returns (points, l) as subspace_lift.
+    asserted, not just implied.  Takes l_base and returns (points, l)
+    as subspace_lift.
     """
     base = np.asarray(base_points, dtype=np.int64)
     if base.size % 2 == 0:
         raise HypothesisViolated("extended lift needs an odd base size")
-    if solve_extended_multipliers(field, base) is None:
+    if l_base is None:
+        l_base = lagrange_products(field, base)
+    if solve_extended_multipliers(field, base, l_base) is None:
         raise BaseNotSelfDual("base fails the extended multiplier criterion")
     sub = np.asarray(subspace, dtype=np.int64)
     if shift is None:
@@ -195,7 +201,7 @@ def extended_subspace_lift(field, r, base_points, subspace, shift=None):
     spec = SubspaceLiftSpec(field, r, tuple(base.tolist()), tuple(sub.tolist()), shift)
     if field.q % 4 != 1 and spec.e % 2 != 0:
         raise ParityCondition("need q = 1 (mod 4) or even subspace dimension")
-    pts, l = subspace_lift(spec)
+    pts, l = subspace_lift(spec, l_base)
     if solve_extended_multipliers(field, pts, l) is None:
         raise VerificationFailed("extended criterion lost in the lift")
     return pts, l
@@ -265,19 +271,21 @@ def zero_and_roots(field, t):
                            roots_of_unity(field, t)])
 
 
-def lift_in_container(field, r, e, base, container_order, extended=False):
+def lift_in_container(field, r, e, base, container_order, extended=False,
+                      l_base=None):
     """Default subspace + shift lift of a base menu, plain or extended.
 
     The subspace basis and the shift are both drawn from the container
-    subfield, so the lifted points never leave it.  Returns (points, l).
+    subfield, so the lifted points never leave it.  Takes l_base and
+    returns (points, l) as subspace_lift.
     """
     sub = default_subspace(field, r, e, container_order)
     shift = default_shift(field, sub, container_order)
     if extended:
-        return extended_subspace_lift(field, r, base, sub, shift)
+        return extended_subspace_lift(field, r, base, sub, shift, l_base)
     spec = SubspaceLiftSpec(field, r, tuple(base.tolist()),
                             tuple(sub.tolist()), shift)
-    return subspace_lift(spec)
+    return subspace_lift(spec, l_base)
 
 
 # ----------------------------------------------------------------------
@@ -340,15 +348,17 @@ def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     _require(branch1 or branch2,
              "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
     base = zero_and_roots(f, t)
-    _check_zero_roots_products(f, base, t)
-    pts, l = lift_in_container(f, r, e, base, f.q, extended=True)
+    l_base = _check_zero_roots_products(f, base, t)
+    pts, l = lift_in_container(f, r, e, base, f.q, True, l_base)
     prov = {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, True, prov, l)
 
 
 def _check_zero_roots_products(field, base, t):
-    """On {0} + t-th roots: L is t at each root and -1 at zero."""
+    """L on {0} + t-th roots, checked to be t at each root and -1 at
+    zero."""
     l = lagrange_products(field, base)
     t_enc = field.from_int(t)
     if int(l[0]) != field.neg(1) or not np.all(l[1:] == t_enc):
         raise VerificationFailed("closed form for L on 0 + roots failed")
+    return l

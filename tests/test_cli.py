@@ -9,11 +9,13 @@ enough to read by eye, and its serialized form is frozen below.
 import copy
 import hashlib
 import json
+import random
 import time
 
 import pytest
 
 import grsdual.cosets
+import grsdual.grs
 from grsdual import make_field
 from grsdual.cli import main
 
@@ -217,6 +219,36 @@ def test_verify_refuses_huge_fields_fast(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0
 
 
+def test_verify_refuses_codes_past_the_verify_limit(tmp_path, capsys,
+                                                    monkeypatch):
+    """A [4474,2237] code, k n just past 10^7, exits 6 as construct
+    does, before its generator matrix is formed."""
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("formed a matrix past the verify limit")
+
+    monkeypatch.setattr(grsdual.grs, "generator_matrix", no_matrix)
+    f = make_field(3, 8)
+    rng = random.Random(0x4474)
+    obj = {"field": f.descriptor(), "a": rng.sample(range(f.q), 4474),
+           "v": [rng.randrange(1, f.q) for _ in range(4474)],
+           "extended": False, "k": 2237}
+    code = tmp_path / "big.json"
+    code.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, ["verify", "--in", str(code)])
+    assert (rc, out) == (6, "")
+    assert err.startswith("code too large to verify: verifying a "
+                          "[4474,2237] code")
+    assert time.perf_counter() - t0 < 1.0
+    # a k past the length is malformed, however large k n is
+    obj = json.loads(T2_JSON)
+    obj["k"] = 3 * 10 ** 6
+    code.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, ["verify", "--in", str(code)])
+    assert rc == 1
+    assert "cannot load code: k = 3000000 out of range" in err
+
+
 def test_verify_rejects_non_integer_points(tmp_path, capsys):
     obj = json.loads(T2_JSON)
     obj["a"] = [0.25, 1, 2, 5]  # int() would make this the valid code
@@ -293,12 +325,14 @@ def test_config_format_key(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
+    # a method or dunder of the config object is no config key either
     cfg = tmp_path / "grsdual.cfg"
-    cfg.write_text("bogus = 7\n")
-    rc, _, err = run(capsys, ["selftest", "--max-q", "13",
-                              "--config", str(cfg)])
-    assert rc == 1
-    assert "bad config line" in err
+    for line in ("bogus = 7", "validate = 3", "__class__ = 3"):
+        cfg.write_text(line + "\n")
+        rc, _, err = run(capsys, ["selftest", "--max-q", "13",
+                                  "--config", str(cfg)])
+        assert rc == 1
+        assert err == f"config: bad config line: {line!r}\n"
 
 
 def test_config_rejects_bad_value(capsys):

@@ -1,5 +1,7 @@
-"""The README and the package metadata agree with the code."""
+"""The README, the package metadata and the benchmark's tracer agree
+with the code."""
 
+import importlib.util
 import os
 import re
 
@@ -34,3 +36,19 @@ def test_readme_family_table_lists_the_registry():
 def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"', _read("pyproject.toml"), re.M)
     assert grsdual.__version__ == match.group(1)
+
+
+def test_benchmark_tracer_finds_every_target():
+    """Every function the benchmark's tracer times still exists, and
+    every binding of it is wrapped: deleting or renaming one fails here
+    rather than only in a traced benchmark run."""
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert tr.unwrapped_bindings() == []
+    finally:
+        tr.uninstall()

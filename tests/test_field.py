@@ -3,42 +3,43 @@
 Ground truth for GF(13) and GF(169) is frozen from hand computation:
 2 generates GF(13)*, the squares mod 13 are {1, 3, 4, 9, 10, 12}, and
 x^2 + 3x + 1 is the first irreducible quadratic over GF(13) in
-(constant, linear) lexicographic order.
+(constant, linear) lexicographic order.  The property tests run the
+scalar ops, and each v* op against its scalar twin, on random elements
+of GF(3), GF(3^9), GF(13^3) and GF(4194301).
 """
 
-import random
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grsdual import make_field
 from grsdual.errors import (
     CompositeCharacteristic,
     DependentBasis,
-    FieldMismatch,
     HypothesisViolated,
     NonPositiveDegree,
     NotASubfield,
     TableLimitExceeded,
     ZeroArgument,
 )
-from grsdual.field import (
-    extension_field,
-    quadratic_character,
-    span_enc,
-    sqrt,
-    subfield_elements,
-)
+from grsdual.field import extension_field, span_enc
 
 F13 = make_field(13)
 QR13 = {1, 3, 4, 9, 10, 12}
+THETA = 2  # the encoding of theta
+
+# GF(4194301): the largest prime field within the default table limit
+FIELDS = [make_field(3), make_field(3, 9), make_field(13, 3),
+          make_field(4194301)]
 
 
 def test_smallest_primitive_root():
-    assert F13.theta.enc == 2
+    assert F13.from_int(2) == THETA
     f = make_field(7)
-    # 3 is the least primitive root mod 7; its enc is from_int(3)
-    assert f.theta.enc == f.from_int(3)
+    # 3 is the least primitive root mod 7
+    assert f.from_int(3) == THETA
 
 
 def test_prime_field_value_arithmetic():
@@ -73,16 +74,14 @@ def test_power_matches_repeated_multiplication():
 
 
 def test_exp_log_roundtrip():
-    # enc i, i >= 1, is theta^(i-1): log is enc - 1
+    # enc i, i >= 1, is theta^(i-1)
     for i in range(1, F13.q):
-        assert F13.log(i) == i - 1
-        assert F13.element(i).log() == i - 1
-    with pytest.raises(ZeroArgument):
-        F13.log(0)
+        assert F13.power(THETA, i - 1) == i
+        assert F13.from_int(F13.poly_value(i)) == i
 
 
-def test_quadratic_character_table():
-    squares = {v for v in range(1, 13) if quadratic_character(F13, F13.from_int(v)) == 1}
+def test_character_table():
+    squares = {v for v in range(1, 13) if F13.sign(F13.from_int(v)) == 1}
     assert squares == QR13
     for v in range(1, 13):
         want = 1 if v in QR13 else -1
@@ -121,11 +120,11 @@ def _pm(q):
 def test_sqrt_canonical_choice():
     # sqrt(theta^(2j)) = theta^j, so enc log // 2 + 1
     three = F13.from_int(3)
-    root = sqrt(F13, three)
+    root = F13.sqrt_enc(three)
     assert F13.mul(root, root) == three
     assert root == F13.from_int(4)
-    assert sqrt(F13, F13.from_int(2)) is None
-    assert sqrt(F13, 0) == 0
+    assert F13.sqrt_enc(F13.from_int(2)) is None
+    assert F13.sqrt_enc(0) == 0
     for i in range(1, F13.q):
         r = F13.sqrt_enc(i)
         if F13.sign(i) == 1:
@@ -135,16 +134,60 @@ def test_sqrt_canonical_choice():
             assert r is None
 
 
-def test_vectorized_ops_match_scalar():
-    rng = random.Random(0x713)
-    a = np.array([rng.randrange(13) for _ in range(200)], dtype=np.int64)
-    b = np.array([rng.randrange(13) for _ in range(200)], dtype=np.int64)
-    assert all(F13.vadd(a, b)[i] == F13.add(int(a[i]), int(b[i])) for i in range(200))
-    assert all(F13.vmul(a, b)[i] == F13.mul(int(a[i]), int(b[i])) for i in range(200))
-    assert all(F13.vsub(a, b)[i] == F13.sub(int(a[i]), int(b[i])) for i in range(200))
-    nz = a[a != 0]
-    assert all(F13.vinv(nz)[i] == F13.inv(int(nz[i])) for i in range(nz.size))
-    assert all(F13.vneg(a)[i] == F13.neg(int(a[i])) for i in range(200))
+def _element(f):
+    """Encodings of f, with zero drawn often."""
+    return st.one_of(st.just(0), st.integers(0, f.q - 1))
+
+
+def _value_sum(f, a, b):
+    """Digit-wise sum mod p of the base-p polynomial values of a and b."""
+    u, v, w, out = f.poly_value(a), f.poly_value(b), 1, 0
+    for _ in range(f.m):
+        out += (u + v) % f.p * w
+        u, v, w = u // f.p, v // f.p, w * f.p
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_vectorized_ops_match_scalar(f, data):
+    """Each v* op against its scalar twin, on arrays holding zeros."""
+    pairs = data.draw(st.lists(st.tuples(_element(f), _element(f)),
+                               max_size=40))
+    x = data.draw(st.integers(1, f.q - 1))
+    a, b = np.array(pairs + [(0, 0), (0, x), (x, 0)], dtype=np.int64).T
+    for vop, op in ((f.vadd, f.add), (f.vsub, f.sub), (f.vmul, f.mul)):
+        assert vop(a, b).tolist() == [op(u, v) for u, v in zip(a.tolist(),
+                                                              b.tolist())]
+    assert f.vneg(a).tolist() == [f.neg(u) for u in a.tolist()]
+    e = data.draw(st.integers(0, 3 * f.q))
+    assert f.vpow(a, e).tolist() == [f.power(u, e) for u in a.tolist()]
+    nz = a[a != 0].tolist()
+    assert f.vinv(nz).tolist() == [f.inv(u) for u in nz]
+    assert f.vsign(nz).tolist() == [f.sign(u) for u in nz]
+    assert f.vpow(nz, -e).tolist() == [f.power(u, -e) for u in nz]
+    assert int(f.vprod(nz)) == functools.reduce(f.mul, nz, 1)
+    squares = f.vmul(a, a)
+    assert f.vsqrt(squares).tolist() == [f.sqrt_enc(u)
+                                         for u in squares.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_inverse_power_sign_and_sqrt(f, data):
+    a = data.draw(_element(f))
+    b, c = (data.draw(st.integers(1, f.q - 1)) for _ in range(2))
+    e = data.draw(st.integers(0, 12))
+    assert f.mul(b, f.inv(b)) == 1
+    acc = 1
+    for _ in range(e):
+        acc = f.mul(acc, a)
+    assert f.power(a, e) == acc
+    assert f.power(b, -e) == f.inv(f.power(b, e))
+    assert f.sign(f.mul(b, c)) == f.sign(b) * f.sign(c)
+    # Euler's criterion
+    assert f.power(b, (f.q - 1) // 2) == (1 if f.sign(b) == 1 else f.neg(1))
+    assert f.sqrt_enc(f.mul(a, a)) in (a, f.neg(a))
 
 
 def test_vprod_and_vsqrt():
@@ -167,15 +210,20 @@ def test_extension_modulus_is_lexicographically_first():
     assert make_field(3, 4).name == "GF(3^4)"
 
 
-def test_extension_addition_consistency():
-    """Spot-check the Zech table: (a+b)+c == a+(b+c) and a+(-a) == 0."""
-    f = make_field(5, 2)
-    rng = random.Random(0x2525)
-    for _ in range(500):
-        a, b, c = (rng.randrange(f.q) for _ in range(3))
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.add(a, f.neg(a)) == 0
-        assert f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c))
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_extension_addition_consistency(f, data):
+    """The ring axioms on the scalar ops, and the Zech addition against
+    coefficient-wise addition of the polynomial values."""
+    a, b, c = (data.draw(_element(f)) for _ in range(3))
+    add, mul = f.add, f.mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, f.neg(a)) == 0 and f.sub(a, b) == add(a, f.neg(b))
+    assert f.poly_value(add(a, b)) == _value_sum(f, a, b)
 
 
 def test_subfield_stride_and_closure():
@@ -183,7 +231,7 @@ def test_subfield_stride_and_closure():
     assert f.subfield_stride(13) == 14
     sub = f.subfield_enc(13)
     assert list(sub) == [0, 1] + [1 + 14 * i for i in range(1, 12)]
-    assert len(subfield_elements(f, 13)) == 13
+    assert len(sub) == 13
     sset = set(int(x) for x in sub)
     for a in sset:
         for b in sset:
@@ -200,13 +248,6 @@ def test_nested_subfields():
     inner = set(f.subfield_enc(3).tolist())
     middle = set(f.subfield_enc(9).tolist())
     assert inner < middle
-
-
-def test_in_subfield():
-    f = make_field(13, 2)
-    for x in f.subfield_enc(13):
-        assert f.in_subfield(int(x), 13)
-    assert not f.in_subfield(2, 13)  # theta itself generates the big field
 
 
 def test_span_enc_order_and_dependence():
@@ -255,9 +296,3 @@ def test_field_construction_errors():
     with pytest.raises(HypothesisViolated):
         extension_field(25, 0)
 
-
-def test_cross_field_elements_refuse_to_mix():
-    a = make_field(9 // 3, 2).element(3)
-    b = make_field(13).element(3)
-    with pytest.raises(FieldMismatch):
-        a + b

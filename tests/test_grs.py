@@ -320,6 +320,8 @@ def test_code_from_obj_rejects_malformed_input():
         lambda o: o["field"].__setitem__("p", 13.0),
         lambda o: o["field"].__setitem__("m", True),
         lambda o: o["field"].__setitem__("modulus", [0, 1.5]),
+        lambda o: o.__setitem__("k", 0),
+        lambda o: o.__setitem__("k", 5),
     ):
         obj = json.loads(json.dumps(good))
         mangle(obj)

@@ -104,6 +104,27 @@ def test_final_products_formed_once():
         assert calls.count(len(code.eval_set.points)) == 1, code.provenance
 
 
+# Point counts of every L a build forms, in order.  The base's L is
+# formed once (th4, th9: by the closed-form check on 0 + roots) and
+# handed on; then each lift stage forms L once, in its identity check
+# on every point (th10, th8: the lift with e = 0, then the coset union).
+STAGE_SIZES = (
+    (lambda: th4_code(13, 3, 1, 12), [13, 169]),
+    (lambda: th3_code(13, 2, 1, 2), [3, 39]),
+    (lambda: th10_code(13, 1, 3, 0, 3), [3, 3, 549]),
+    (lambda: th8_code(13, 1, 3, 0, 4), [4, 4, 732]),
+    (lambda: th9_code(13, 1, 3, 0, 3), [4, 4, 732]),
+)
+
+
+def test_no_stage_re_forms_held_products():
+    for build, sizes in STAGE_SIZES:
+        calls, counting = _count_products()
+        with everywhere(lagrange_products, counting):
+            build()
+        assert calls == sizes
+
+
 def test_th12_appended_zero_reuses_the_union_products():
     """L on S + {0} is x L_S(x) on S plus one products_at row, so L is
     formed once on S and never on S + {0}."""
