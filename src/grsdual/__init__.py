@@ -58,12 +58,9 @@ from .grs import (
     solve_multipliers,
 )
 from .subspace import (
-    SubspaceLiftSpec,
     default_shift,
     default_subspace,
-    extended_subspace_lift,
     integer_run,
-    lift_in_container,
     roots_of_unity,
     subspace_basis,
     subspace_lift,

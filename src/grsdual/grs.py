@@ -35,6 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    CompositeCharacteristic,
     DuplicatePoints,
     EnumerationTooLarge,
     EvenLength,
@@ -338,17 +339,24 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         # bool is an int subclass; EvalSet's int() would truncate floats
         if any(isinstance(x, bool) or not isinstance(x, int) for x in ints):
             raise SchemaError("p, m, k, modulus, a and v must be integers")
+        # bool() would take "false" as true, dict() ["ab"] as {"a": "b"}
+        if not isinstance(obj["extended"], bool):
+            raise SchemaError("extended must be true or false")
+        provenance = obj.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise SchemaError("provenance must be an object")
         f = make_field(fd["p"], fd["m"], table_limit)
         if list(f.modulus) != [c % f.p for c in fd["modulus"]]:
             raise SchemaError("field modulus does not match the canonical one")
-        es = EvalSet(f, obj["a"], obj["v"], bool(obj["extended"]))
+        es = EvalSet(f, obj["a"], obj["v"], obj["extended"])
         # malformed, not too large to verify, however large k n is
         if not 0 < obj["k"] <= es.length:
             raise SchemaError(f"k = {obj['k']} out of range for length "
                               f"{es.length}")
-        return SelfDualCode(es, obj["k"], dict(obj.get("provenance", {})))
-    except (KeyError, TypeError, ValueError, DuplicatePoints, ZeroArgument,
-            ShapeMismatch, NonPositiveDegree) as exc:
+        return SelfDualCode(es, obj["k"], dict(provenance))
+    except (KeyError, TypeError, ValueError, CompositeCharacteristic,
+            DuplicatePoints, ZeroArgument, ShapeMismatch,
+            NonPositiveDegree) as exc:
         raise SchemaError(f"malformed code object: {exc}") from exc
 
 

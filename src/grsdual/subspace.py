@@ -12,8 +12,12 @@ points, and its Lagrange products factor through the base:
 So the quadratic character of L is constant on W iff it is constant on
 b (multiply by lam = c), and the extended criterion transfers up to the
 sign chi(prod of nonzero V) = chi(-1)^((r^e - 1)/2), which is +1 when
-q = 1 (mod 4) or e is even.  subspace_lift checks the identity on every
-lifted point and hands the checked L on to the multiplier solve.
+q = 1 (mod 4) or e is even.  subspace_lift is the one lift: it checks
+its preconditions once (r a subfield, b inside GF(r), zeta outside V;
+for the extended lift an odd b that meets the extended criterion and a
++1 sign), checks the identity on every lifted point, and hands the
+checked L on to the multiplier solve.  The multiplier criterion on W is
+left to build_verified_code, which solves it anyway.
 
 On top of that engine, four construction families (wire ids th1..th4;
 see the README catalog for their parameter shapes):
@@ -26,14 +30,11 @@ see the README catalog for their parameter shapes):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
     BaseNotSelfDual,
     BasePointsNotInSubfield,
-    DuplicatePoints,
     HypothesisViolated,
     ParityCondition,
     ShiftInSubspace,
@@ -100,111 +101,51 @@ def default_shift(field, subspace, container_order=None):
     raise ShiftInSubspace("subspace covers the whole container")
 
 
-@dataclass(frozen=True)
-class SubspaceLiftSpec:
-    """Validated input bundle for subspace_lift."""
+def subspace_lift(field, r, base_points, subspace, shift=None,
+                  extended=False, l_base=None):
+    """Lift base points in GF(r) along the cosets b_i * shift + V.
 
-    field: object
-    r: int
-    base_points: tuple
-    subspace: tuple
-    shift: int
-
-    def __post_init__(self):
-        f = self.field
-        pts = tuple(int(x) for x in self.base_points)
-        sub = tuple(int(x) for x in self.subspace)
-        object.__setattr__(self, "base_points", pts)
-        object.__setattr__(self, "subspace", sub)
-        if len(set(pts)) != len(pts):
-            raise DuplicatePoints("base points are not distinct")
-        stride = f.subfield_stride(self.r)  # validates r as well
-        for x in pts:
-            if x != 0 and (x - 1) % stride != 0:
-                raise BasePointsNotInSubfield(
-                    f"base point {x} is not in GF({self.r})")
-        if self.shift in set(sub):
-            raise ShiftInSubspace("shift must lie outside the subspace")
-
-    @property
-    def e(self):
-        size = len(self.subspace)
-        e = 0
-        while self.r ** e < size:
-            e += 1
-        return e
-
-
-def _lift_points(field, base, subspace, shift):
-    """Row-major b_i * shift + v_j."""
-    base = np.asarray(base, dtype=np.int64)
-    sub = np.asarray(subspace, dtype=np.int64)
-    scaled = field.vmul(base, shift)
-    return field.vadd(scaled[:, None], sub[None, :]).ravel()
-
-
-def _transfer_scalar(field, subspace, shift, t):
-    """c = prod(V setminus 0) * prod(shift + V)^(t-1)."""
-    sub = np.asarray(subspace, dtype=np.int64)
-    nz = sub[sub != 0]
-    c = 1 if nz.size == 0 else int(field.vprod(nz))
-    zv = field.vadd(shift, sub)
-    if np.any(zv == 0):  # cannot happen with shift outside V
-        raise ShiftInSubspace("shift meets the subspace")
-    return field.mul(c, field.power(int(field.vprod(zv)), t - 1))
-
-
-def subspace_lift(spec, l_base=None):
-    """Lift base points along cosets of the subspace.
-
-    Returns (points, l): the lifted points and L on them, after
-    checking the Lagrange transfer identity L_W(b_i zeta + v) =
-    c * L_b(b_i) on every point.  l_base, when given, is L_b as the
-    caller already holds it.
+    shift defaults to the smallest encoding outside V.  With extended
+    set, the base must be odd-sized and meet the extended criterion,
+    and chi(prod of nonzero V) must be +1 (q = 1 (mod 4) or even
+    dimension), so the lifted set meets it too.  l_base, when given, is
+    L_b as the caller already holds it.  Returns (points, l): the
+    lifted points row-major and L on them, after checking the transfer
+    identity L_W(b_i zeta + v) = c * L_b(b_i) on every point.
     """
-    f = spec.field
-    base = np.asarray(spec.base_points, dtype=np.int64)
-    sub = np.asarray(spec.subspace, dtype=np.int64)
-    pts = _lift_points(f, base, sub, spec.shift)
-    if len(np.unique(pts)) != pts.size:
-        raise DuplicatePoints("lift produced a collision")
-
-    c = _transfer_scalar(f, sub, spec.shift, base.size)
+    f = field
+    base = np.asarray(base_points, dtype=np.int64)
+    sub = np.asarray(subspace, dtype=np.int64)
+    stride = f.subfield_stride(r)  # validates r as well
+    outside = base[(base != 0) & ((base - 1) % stride != 0)]
+    if outside.size:
+        raise BasePointsNotInSubfield(
+            f"base point {outside[0]} is not in GF({r})")
+    if shift is None:
+        shift = default_shift(f, sub)
+    elif np.any(sub == shift):
+        raise ShiftInSubspace("shift must lie outside the subspace")
+    if extended and base.size % 2 == 0:
+        raise HypothesisViolated("extended lift needs an odd base size")
     if l_base is None:
         l_base = lagrange_products(f, base)
+    nz = sub[sub != 0]
+    v_prod = 1 if nz.size == 0 else int(f.vprod(nz))
+    if extended:
+        if solve_extended_multipliers(f, base, l_base) is None:
+            raise BaseNotSelfDual(
+                "base fails the extended multiplier criterion")
+        if f.sign(v_prod) != 1:
+            raise ParityCondition(
+                "need q = 1 (mod 4) or even subspace dimension")
+    # c = prod(V setminus 0) * prod(shift + V)^(T-1)
+    c = f.mul(v_prod,
+              f.power(int(f.vprod(f.vadd(shift, sub))), base.size - 1))
+    pts = f.vadd(f.vmul(base, shift)[:, None], sub[None, :]).ravel()
     expect = f.vmul(c, np.repeat(l_base, sub.size))
     if not check_transfer(f, pts, expect):
         raise VerificationFailed("subspace lift transfer identity failed")
     return pts, expect
-
-
-def extended_subspace_lift(field, r, base_points, subspace, shift=None,
-                           l_base=None):
-    """Subspace lift that preserves the extended self-dual criterion.
-
-    Requires an odd number of base points satisfying the extended
-    criterion, and q = 1 (mod 4) or even subspace dimension so the
-    transfer sign chi(-1)^((r^e-1)/2) is +1.  The lifted criterion is
-    asserted, not just implied.  Takes l_base and returns (points, l)
-    as subspace_lift.
-    """
-    base = np.asarray(base_points, dtype=np.int64)
-    if base.size % 2 == 0:
-        raise HypothesisViolated("extended lift needs an odd base size")
-    if l_base is None:
-        l_base = lagrange_products(field, base)
-    if solve_extended_multipliers(field, base, l_base) is None:
-        raise BaseNotSelfDual("base fails the extended multiplier criterion")
-    sub = np.asarray(subspace, dtype=np.int64)
-    if shift is None:
-        shift = default_shift(field, sub)
-    spec = SubspaceLiftSpec(field, r, tuple(base.tolist()), tuple(sub.tolist()), shift)
-    if field.q % 4 != 1 and spec.e % 2 != 0:
-        raise ParityCondition("need q = 1 (mod 4) or even subspace dimension")
-    pts, l = subspace_lift(spec, l_base)
-    if solve_extended_multipliers(field, pts, l) is None:
-        raise VerificationFailed("extended criterion lost in the lift")
-    return pts, l
 
 
 # ----------------------------------------------------------------------
@@ -271,23 +212,6 @@ def zero_and_roots(field, t):
                            roots_of_unity(field, t)])
 
 
-def lift_in_container(field, r, e, base, container_order, extended=False,
-                      l_base=None):
-    """Default subspace + shift lift of a base menu, plain or extended.
-
-    The subspace basis and the shift are both drawn from the container
-    subfield, so the lifted points never leave it.  Takes l_base and
-    returns (points, l) as subspace_lift.
-    """
-    sub = default_subspace(field, r, e, container_order)
-    shift = default_shift(field, sub, container_order)
-    if extended:
-        return extended_subspace_lift(field, r, base, sub, shift, l_base)
-    spec = SubspaceLiftSpec(field, r, tuple(base.tolist()),
-                            tuple(sub.tolist()), shift)
-    return subspace_lift(spec, l_base)
-
-
 # ----------------------------------------------------------------------
 # the four construction families
 
@@ -300,7 +224,7 @@ def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     _require(t >= 1 and half % t == 0, "t must divide (r-1)/2")
     _require(t != half, "t = (r-1)/2 is excluded")
     base = th1_base(f, r, t)
-    pts, l = lift_in_container(f, r, e, base, f.q)
+    pts, l = subspace_lift(f, r, base, default_subspace(f, r, e))
     prov = {"theorem": "th1", "r": r, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, False, prov, l)
 
@@ -320,7 +244,8 @@ def _integer_run_code(p, m, e, t, table_limit, extended):
                 f"chi({i * (t + 1 - i)}) = -1 at i = {i} "
                 f"fails the square condition")
     base = integer_run(f, t)
-    pts, l = lift_in_container(f, p, e, base, f.q, extended=extended)
+    pts, l = subspace_lift(f, p, base, default_subspace(f, p, e),
+                           extended=extended)
     prov = {"theorem": "th3" if extended else "th2",
             "p": p, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, extended, prov, l)
@@ -349,7 +274,8 @@ def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
              "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
     base = zero_and_roots(f, t)
     l_base = _check_zero_roots_products(f, base, t)
-    pts, l = lift_in_container(f, r, e, base, f.q, True, l_base)
+    pts, l = subspace_lift(f, r, base, default_subspace(f, r, e),
+                           extended=True, l_base=l_base)
     prov = {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, True, prov, l)
 

@@ -6,18 +6,24 @@ GF(13) from the even-length family is the workhorse fixture: small
 enough to read by eye, and its serialized form is frozen below.
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grsdual.cosets
 import grsdual.grs
 from grsdual import make_field
 from grsdual.cli import main
+from grsdual.errors import SchemaError, TableLimitExceeded
+from grsdual.grs import code_from_obj
+from grsdual.subspace import th1_code, th3_code
 
 T2_ARGS = ["construct", "--theorem", "th2",
            "--p", "13", "--m", "1", "--e", "0", "--t", "3"]
@@ -67,6 +73,23 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert err == ""
     assert out == ('{"d":3,"field":"GF(13)","k":2,"length":4,"mds":true,'
                    '"mode":"exhaustive","self_dual":true}\n')
+
+
+def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
+                                                monkeypatch):
+    calls = []
+    original = grsdual.grs.generator_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    code = tmp_path / "t2.json"
+    run(capsys, T2_ARGS + ["--out", str(code)])
+    monkeypatch.setattr(grsdual.grs, "generator_matrix", counting)
+    rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", "none"])
+    assert rc == 0 and json.loads(out)["self_dual"] is True
+    assert len(calls) == 1
 
 
 def test_verify_mds_modes(tmp_path, capsys):
@@ -412,3 +435,73 @@ def test_help_exits_0(capsys):
     rc, out, _ = run(capsys, ["--help"])
     assert rc == 0
     assert "construct" in out
+
+
+# Wire-format fuzzing.  Witnesses: plain GF(13), extended GF(169) and
+# plain GF(25), the last two with a nontrivial modulus.  A table limit
+# of 10^4 keeps every field a mutated p or m can ask for small; the
+# default limit is the same code path at up to 2^22 entries.
+WITNESSES = (json.loads(T2_JSON), th3_code(13, 2, 0, 2).to_obj(),
+             th1_code(5, 2, 0, 1).to_obj())
+FUZZ_LIMIT = 10 ** 4
+PATHS = ((), ("field",), ("field", "p"), ("field", "m"),
+         ("field", "modulus"), ("field", "modulus", 0), ("field", "theta"),
+         ("a",), ("a", 0), ("v",), ("v", 1), ("k",), ("extended",),
+         ("provenance",))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=3)
+    | st.integers(-4, 20) | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.sampled_from([0, 1, -1, 2 ** 63, -2 ** 63, 10 ** 4000]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mutate(obj, path, op, value):
+    """Delete, replace, nest or add a sibling key at path inside obj."""
+    if not path:
+        return value if op != "nest" else [obj]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "delete":
+        del parent[key]
+    elif op == "replace":
+        parent[key] = value
+    elif op == "nest":
+        parent[key] = [parent[key]]
+    elif isinstance(parent, dict):
+        parent["extra"] = value
+    elif isinstance(parent, list):
+        parent.append(value)
+    return obj
+
+
+@settings(max_examples=150, deadline=2000)
+@given(st.sampled_from(WITNESSES), st.data())
+def test_wire_format_fuzz(tmp_path_factory, witness, data):
+    """Only SchemaError or TableLimitExceeded escapes code_from_obj, and
+    verify exits with its documented code on the same file."""
+    obj = copy.deepcopy(witness)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(PATHS))
+        op = data.draw(st.sampled_from(("delete", "replace", "nest", "extra")))
+        try:
+            obj = _mutate(obj, path, op, data.draw(JSON_VALUES))
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed the path
+    try:
+        code_from_obj(obj, FUZZ_LIMIT)
+        expected = (0, 1, 4, 5, 6)  # loaded; verify decides
+    except SchemaError:
+        expected = (1,)
+    except TableLimitExceeded:
+        expected = (6,)
+    code = tmp_path_factory.mktemp("fuzz") / "code.json"
+    code.write_text(json.dumps(obj))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        rc = main(["verify", "--in", str(code),
+                   "--table-limit", str(FUZZ_LIMIT)])
+    assert rc in expected, (obj, sink.getvalue())

@@ -26,12 +26,9 @@ from grsdual.grs import (
     solve_multipliers,
 )
 from grsdual.subspace import (
-    SubspaceLiftSpec,
     default_shift,
     default_subspace,
-    extended_subspace_lift,
     integer_run,
-    lift_in_container,
     roots_of_unity,
     subspace_basis,
     subspace_lift,
@@ -235,8 +232,7 @@ def test_subspace_lift_transfer_identity():
     subfield = [0] + [1 + stride * i for i in range(4)]
     for _ in range(10):
         base = tuple(rng.sample(subfield, 4))
-        spec = SubspaceLiftSpec(f, 5, base, tuple(int(x) for x in sub), zeta)
-        pts, l = subspace_lift(spec)
+        pts, l = subspace_lift(f, 5, base, sub, zeta)
         assert pts.size == 20
         direct = lagrange_products(f, pts)
         assert np.array_equal(l, direct)
@@ -247,41 +243,68 @@ def test_subspace_lift_transfer_identity():
 
 def test_subspace_lift_rejects_bad_input():
     f = make_field(5, 3)
-    sub = tuple(int(x) for x in default_subspace(f, 5, 1))
-    zeta = default_shift(f, np.array(sub, dtype=np.int64))
+    sub = default_subspace(f, 5, 1)
+    zeta = default_shift(f, sub)
     with pytest.raises(BasePointsNotInSubfield):
-        SubspaceLiftSpec(f, 5, (0, 2), sub, zeta)
+        subspace_lift(f, 5, (0, 2), sub, zeta)
     with pytest.raises(ShiftInSubspace):
-        SubspaceLiftSpec(f, 5, (0, 1), sub, sub[1])
+        subspace_lift(f, 5, (0, 1), sub, int(sub[1]))
 
 
-def test_lift_in_container_degenerate_is_identity():
+def test_subspace_lift_degenerate_is_identity():
     # e = 0 lifts along the zero subspace: points unchanged
     f = make_field(13, 2)
     base = [f.from_int(v) for v in (0, 1, 2, 3)]
-    pts, l = lift_in_container(f, 13, 0, np.array(base, dtype=np.int64), 13)
+    pts, l = subspace_lift(f, 13, base, default_subspace(f, 13, 0))
     assert pts.tolist() == base
     assert np.array_equal(l, lagrange_products(f, base))
 
 
-def test_extended_subspace_lift_small():
+def test_subspace_lift_extended_small():
     f = make_field(13, 2)
     base = zero_and_roots(f, 2)
-    pts, l = extended_subspace_lift(f, 13, base, default_subspace(f, 13, 1))
+    pts, l = subspace_lift(f, 13, base, default_subspace(f, 13, 1),
+                           extended=True)
     assert pts.size == 39
     assert np.array_equal(l, lagrange_products(f, pts))
     assert solve_extended_multipliers(f, pts, l) is not None
 
 
-def test_extended_subspace_lift_rejections():
+def test_subspace_lift_extended_rejections():
     f27 = make_field(3, 3)
     base = zero_and_roots(f27, 2)
     with pytest.raises(ParityCondition):
-        extended_subspace_lift(f27, 3, base, default_subspace(f27, 3, 1))
+        subspace_lift(f27, 3, base, default_subspace(f27, 3, 1),
+                      extended=True)
     f = make_field(13, 2)
     with pytest.raises(HypothesisViolated):
-        extended_subspace_lift(f, 13, integer_run(f, 3), default_subspace(f, 13, 1))
+        subspace_lift(f, 13, integer_run(f, 3), default_subspace(f, 13, 1),
+                      extended=True)
     f3 = make_field(13, 3)
     with pytest.raises(BaseNotSelfDual):
         # 2 is a non-square in GF(13^3), so -L fails on 0,1,2
-        extended_subspace_lift(f3, 13, integer_run(f3, 2), default_subspace(f3, 13, 1))
+        subspace_lift(f3, 13, integer_run(f3, 2), default_subspace(f3, 13, 1),
+                      extended=True)
+
+
+def test_extended_lift_parity_is_the_sign_of_the_subspace_product():
+    """ParityCondition is raised exactly when chi(prod of nonzero V) =
+    -1, over every subfield r and dimension e.  The base is all of
+    GF(r), where -L = 1 meets the extended criterion."""
+    for p, m in ((3, 3), (3, 4), (7, 3), (3, 5), (13, 2)):
+        f = make_field(p, m)
+        for d in range(1, m + 1):
+            if m % d:
+                continue
+            r = p ** d
+            base = f.subfield_enc(r)
+            for e in range(m // d):
+                sub = default_subspace(f, r, e)
+                nz = sub[sub != 0]
+                sign = f.sign(int(f.vprod(nz))) if nz.size else 1
+                try:
+                    pts, _ = subspace_lift(f, r, base, sub, extended=True)
+                except ParityCondition:
+                    assert sign == -1, (f.q, r, e)
+                else:
+                    assert sign == 1 and pts.size == r ** (e + 1)

@@ -234,6 +234,11 @@ def test_two_decomposition_exhaustive():
                 for i, ci in enumerate(cosets):
                     for j, cj in enumerate(cosets):
                         assert td.same_coset(i, j) == (ci == cj)
+                # so distinct_coset_indices needs no pairwise test
+                mod = td.coset_modulus
+                assert td.same_coset(0, mod)
+                assert not any(td.same_coset(i, j)
+                               for i in range(mod) for j in range(i))
 
 
 def test_distinct_coset_indices():

@@ -322,6 +322,15 @@ def test_code_from_obj_rejects_malformed_input():
         lambda o: o["field"].__setitem__("modulus", [0, 1.5]),
         lambda o: o.__setitem__("k", 0),
         lambda o: o.__setitem__("k", 5),
+        # bool() and dict() would coerce these into a valid code
+        lambda o: o.__setitem__("extended", "false"),
+        lambda o: o.__setitem__("extended", [0]),
+        lambda o: o.__setitem__("extended", None),
+        lambda o: o.__setitem__("provenance", ["ab"]),
+        # not an odd prime: CompositeCharacteristic inside make_field
+        lambda o: o["field"].__setitem__("p", 15),
+        lambda o: o["field"].__setitem__("p", 2),
+        lambda o: o["field"].__setitem__("p", -3),
     ):
         obj = json.loads(json.dumps(good))
         mangle(obj)

@@ -12,6 +12,7 @@ import contextlib
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grsdual import grs
@@ -27,11 +28,19 @@ from grsdual.cosets import (
     th12_code,
     th13_code,
 )
-from grsdual.errors import HypothesisViolated
+from grsdual.errors import DuplicatePoints, HypothesisViolated
 from grsdual.field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field
 from grsdual.grs import check_transfer, lagrange_products
 from grsdual.search import FAMILIES, odd_prime_powers, th_large_q_code
-from grsdual.subspace import th1_code, th2_code, th3_code, th4_code
+from grsdual.cosets import coset_points
+from grsdual.subspace import (
+    default_subspace,
+    subspace_lift,
+    th1_code,
+    th2_code,
+    th3_code,
+    th4_code,
+)
 
 
 @contextlib.contextmanager
@@ -65,6 +74,19 @@ def test_check_transfer_compares_every_point():
         bad = expect.copy()
         bad[i] = bad[i] % (f.q - 1) + 1  # another nonzero value
         assert not check_transfer(f, pts, bad)
+
+
+def test_transfer_check_rejects_a_repeated_base_with_held_products():
+    """A caller-held l_base skips L on the base, so the lifts have no
+    distinctness test of their own: the identity check on the lifted
+    points is what raises."""
+    f = make_field(13, 2)
+    with pytest.raises(DuplicatePoints):
+        subspace_lift(f, 13, [1, 1], default_subspace(f, 13, 1),
+                      l_base=np.array([1, 1], dtype=np.int64))
+    with pytest.raises(DuplicatePoints):
+        coset_points(CosetSpec(make_field(13), 3), [1, 1],
+                     l_base=np.array([1, 1], dtype=np.int64))
 
 
 BUILDS = (
