@@ -382,15 +382,13 @@ class TwoDecomposition:
     def coset_modulus(self):
         return self.f2 // math.gcd(self.f2, self.f1)
 
-    def same_coset(self, i, j):
-        """Whether beta^i H and beta^j H coincide."""
-        return (self.e2 * (i - j)) % self.e1 == 0
-
 
 def distinct_coset_indices(td, t):
-    """Default index choice 0..t-1: t distinct cosets for 1 <= t <= D,
-    since D = f2/gcd(f1, f2) = e1/gcd(e1, e2) is where same_coset
-    first repeats."""
+    """Default index choice 0..t-1: t distinct cosets for 1 <= t <= D.
+
+    beta^i H = beta^j H exactly when e1 divides e2 (i - j), that is
+    when D = f2/gcd(f1, f2) = e1/gcd(e1, e2) divides i - j, so no two
+    of 0..t-1 give the same coset."""
     if t < 1 or t > td.coset_modulus:
         raise TooManyCosets(
             f"t = {t} exceeds the {td.coset_modulus} distinct cosets")

@@ -181,7 +181,10 @@ def _iter_coeff_tuples(p, m):
         yield list(tail) + [1]
 
 
+@functools.lru_cache(maxsize=None)
 def find_modulus(p, m):
+    """The canonical modulus of GF(p^m): the first monic irreducible
+    polynomial of degree m in coefficient order, as a tuple."""
     if m == 1:
         return (0, 1)
     for cand in _iter_coeff_tuples(p, m):
@@ -456,12 +459,8 @@ def _build_field(p, m):
     return Field(p, m, modulus, tables)
 
 
-def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
-    """Construct (or fetch the cached) GF(p^m).
-
-    p must be an odd prime and p**m at most table_limit, since the
-    representation stores three O(q) tables.
-    """
+def _check_field_args(p, m, table_limit):
+    """make_field's argument checks, which build nothing."""
     if m < 1:
         raise NonPositiveDegree(f"extension degree {m} is below 1")
     # Size first: trial division on a huge p, or p**m for a huge m, would
@@ -471,6 +470,22 @@ def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
             f"q = {p}**{m} exceeds the table limit {table_limit}")
     if p == 2 or not _is_prime(p):
         raise CompositeCharacteristic(f"{p} is not an odd prime")
+
+
+def canonical_modulus(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
+    """The modulus make_field(p, m) would use, after the same argument
+    checks, without building the field's tables."""
+    _check_field_args(p, m, table_limit)
+    return find_modulus(p, m)
+
+
+def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
+    """Construct (or fetch the cached) GF(p^m).
+
+    p must be an odd prime and p**m at most table_limit, since the
+    representation stores three O(q) tables.
+    """
+    _check_field_args(p, m, table_limit)
     return _build_field(p, m)
 
 

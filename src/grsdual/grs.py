@@ -21,6 +21,12 @@ with the canonical square root, so multiplier vectors are
 reproducible.  check_self_dual, min_distance and check_mds are
 independent oracles: they work off the generator matrix alone and never
 consult the construction that produced it.
+
+min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
+information-set search (M. Grassl, "Searching for linear codes with
+large minimum distance", 2006) that enumerates low-weight messages only,
+under the guard that refuses q^k past the enumeration limit.
+The `minors` and `sampled` modes test k x k minors in stacked batches.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .errors import (
     VerificationFailed,
     ZeroArgument,
 )
-from .field import DEFAULT_TABLE_LIMIT, Field, make_field
+from .field import DEFAULT_TABLE_LIMIT, Field, canonical_modulus, make_field
 
 DEFAULT_ENUM_LIMIT = 10 ** 7
 DEFAULT_MINOR_LIMIT = 10 ** 6
@@ -59,6 +65,11 @@ DEFAULT_VERIFY_LIMIT = 10 ** 7
 _LAGRANGE_BLOCK = 1 << 16
 
 _SAMPLE_SEED = 0x5D5EED
+
+# Entries per block of candidate words in min_distance, and per chunk
+# of stacked minors in check_mds.
+_DISTANCE_BLOCK = 1 << 16
+_MINOR_BLOCK = 1 << 15
 
 
 def _products_rows(field, a, rows):
@@ -242,28 +253,85 @@ def check_self_dual(gmat):
     return linalg.rank(gmat.field, g) == k
 
 
+def _information_sets(field, g):
+    """Systematic forms of g on greedily disjoint information sets.
+
+    Each form is (rows, fresh): rows is g in systematic form and fresh
+    counts its pivot columns that no earlier form used.  Columns no
+    form has used yet come first in each elimination, so every form
+    takes as many new columns as it can; forms stop when none is left.
+    Returns None when g has rank below its row count.
+    """
+    k, n = g.shape
+    used = np.zeros(n, dtype=bool)
+    forms = []
+    while True:
+        order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
+        rows, pivots = linalg.systematic(field, g, order)
+        if len(pivots) < k:
+            return None
+        fresh = int(np.count_nonzero(~used[pivots]))
+        if fresh == 0:
+            return forms
+        forms.append((rows, fresh))
+        used[pivots] = True
+
+
+def _lightest(field, rows, w):
+    """Least weight of the words sum_t c_t rows[i_t] over every support
+    i_1 < ... < i_w with c_1 = 1 and the other c_t nonzero.
+
+    Scaling does not change weight, so fixing c_1 = 1 loses no word.
+    Supports and the (q-1)^(w-1) coefficient grid are taken in blocks
+    of at most about _DISTANCE_BLOCK word entries.
+    """
+    k, n = rows.shape
+    units = field.q - 1
+    grid = units ** (w - 1)
+    g_step = max(1, min(grid, _DISTANCE_BLOCK // n))
+    s_step = max(1, _DISTANCE_BLOCK // (g_step * n))
+    supports = itertools.combinations(range(k), w)
+    best = n + 1
+    while chunk := list(itertools.islice(supports, s_step)):
+        picked = rows[np.array(chunk)][:, None]  # (supports, 1, w, n)
+        for g0 in range(0, grid, g_step):
+            idx = np.arange(g0, min(grid, g0 + g_step))[None, :, None]
+            words = picked[:, :, 0]
+            for t in range(1, w):
+                coeff = idx // units ** (t - 1) % units + 1
+                words = field.vadd(words, field.vmul(coeff, picked[:, :, t]))
+            best = min(best, int(np.count_nonzero(words, axis=2).min()))
+    return best
+
+
 def min_distance(gmat, enum_limit=DEFAULT_ENUM_LIMIT):
-    """Exact minimum distance by enumerating all q^k messages."""
+    """Exact minimum distance by the Brouwer-Zimmermann search.
+
+    Weight-w messages are enumerated in the systematic form of each
+    information set from _information_sets.  A codeword none of them
+    has produced up to w has weight above w on every information set,
+    so above w - (k - fresh_j) on the fresh columns of set j; those
+    are disjoint, so it weighs at least sum_j max(0, w + 1 - k +
+    fresh_j).  The search stops once that bound reaches the lightest
+    word found, and is complete at w = k in any case.  A rank-deficient
+    G has a zero codeword and distance 0.  q^k > enum_limit refuses,
+    whatever the search would cost.
+    """
     f = gmat.field
     g = gmat.data
     k, n = g.shape
     total = f.q ** k
     if total > enum_limit:
         raise EnumerationTooLarge(f"q^k = {total} exceeds {enum_limit}")
+    forms = _information_sets(f, g)
+    if forms is None:
+        return 0
     best = n + 1
-    chunk = 1 << 14
-    qpow = f.q ** np.arange(k, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // qpow[None, :]) % f.q
-        words = np.zeros((idx.size, n), dtype=np.int64)
-        for t in range(k):
-            words = f.vadd(words, f.vmul(msgs[:, t:t + 1], g[t][None, :]))
-        weights = np.count_nonzero(words, axis=1)
-        if start == 0:
-            weights = weights[1:]  # drop the zero message
-        if weights.size:
-            best = min(best, int(weights.min()))
+    for w in range(1, k + 1):
+        for rows, _ in forms:
+            best = min(best, _lightest(f, rows, w))
+        if sum(max(0, w + 1 - k + fresh) for _, fresh in forms) >= best:
+            break
     return best
 
 
@@ -275,6 +343,10 @@ def check_mds(gmat, mode="exhaustive", enum_limit=DEFAULT_ENUM_LIMIT,
     minors:     every k x k minor of G nonsingular (exact, C(n,k) bounded);
     sampled:    `samples` random k-column subsets nonsingular
                 (probabilistic; a pass is evidence, not proof).
+
+    Subsets go through linalg.nonsingular in chunks of about
+    _MINOR_BLOCK entries, and the first chunk with a singular minor
+    ends the test.
     """
     f = gmat.field
     g = gmat.data
@@ -291,7 +363,12 @@ def check_mds(gmat, mode="exhaustive", enum_limit=DEFAULT_ENUM_LIMIT,
         subsets = (sorted(rng.sample(range(n), k)) for _ in range(samples))
     else:
         raise ValueError(f"unknown mds mode {mode!r}")
-    return all(linalg.is_nonsingular(f, g[:, list(cols)]) for cols in subsets)
+    step = max(1, _MINOR_BLOCK // max(1, k * k))
+    while chunk := list(itertools.islice(subsets, step)):
+        cols = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)
+        if not linalg.nonsingular(f, g[:, cols].transpose(1, 0, 2)).all():
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -345,9 +422,12 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         provenance = obj.get("provenance", {})
         if not isinstance(provenance, dict):
             raise SchemaError("provenance must be an object")
-        f = make_field(fd["p"], fd["m"], table_limit)
-        if list(f.modulus) != [c % f.p for c in fd["modulus"]]:
+        # compare before make_field builds tables of up to table_limit
+        p = fd["p"]
+        modulus = canonical_modulus(p, fd["m"], table_limit)
+        if list(modulus) != [c % p for c in fd["modulus"]]:
             raise SchemaError("field modulus does not match the canonical one")
+        f = make_field(p, fd["m"], table_limit)
         es = EvalSet(f, obj["a"], obj["v"], obj["extended"])
         # malformed, not too large to verify, however large k n is
         if not 0 < obj["k"] <= es.length:

