@@ -307,8 +307,10 @@ def _lightest(field, rows, w):
 def min_distance(gmat, enum_limit=DEFAULT_ENUM_LIMIT):
     """Exact minimum distance by the Brouwer-Zimmermann search.
 
-    Weight-w messages are enumerated in the systematic form of each
-    information set from _information_sets.  A codeword none of them
+    Weight-w messages are enumerated once in each distinct systematic
+    form of the information sets from _information_sets (repeated
+    columns can give equal forms, which give equal words, but every
+    set keeps its fresh_j in the bound).  A codeword none of them
     has produced up to w has weight above w on every information set,
     so above w - (k - fresh_j) on the fresh columns of set j; those
     are disjoint, so it weighs at least sum_j max(0, w + 1 - k +
@@ -326,9 +328,10 @@ def min_distance(gmat, enum_limit=DEFAULT_ENUM_LIMIT):
     forms = _information_sets(f, g)
     if forms is None:
         return 0
+    distinct = {rows.tobytes(): rows for rows, _ in forms}.values()
     best = n + 1
     for w in range(1, k + 1):
-        for rows, _ in forms:
+        for rows in distinct:
             best = min(best, _lightest(f, rows, w))
         if sum(max(0, w + 1 - k + fresh) for _, fresh in forms) >= best:
             break

@@ -2,9 +2,13 @@
 
 Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
-entry is an integer below 2**53 (asserted before the matmuls); rank,
-systematic form and the batched minor test are Gaussian elimination in
-Zech arithmetic.
+entry is an integer below 2**53 (asserted before the matmuls).  Rank is
+proved without elimination when the leading square block has the shape
+of a GRS generator matrix, v_j * a_j**i with every v_j nonzero and the
+a_j distinct, whose determinant prod v_j * prod_{i<j} (a_j - a_i) is
+then nonzero; any other matrix falls back to Gaussian elimination, as
+do the systematic form and the batched minor test, all in Zech
+arithmetic.
 """
 
 from __future__ import annotations
@@ -126,16 +130,24 @@ def _eliminate(field, a):
 def rank(field, mat):
     """Rank over the field.
 
-    A matrix with more columns than rows has full row rank when its
-    leading square block is nonsingular, so that block is reduced
-    first; the whole matrix only when it is singular.
+    A matrix with rows <= cols whose leading square block is
+    [v_j * a_j**i] has full row rank: that block is a Vandermonde matrix
+    times diag(v), with determinant prod_j v_j * prod_{i<j} (a_j - a_i),
+    nonzero exactly when every v_j is nonzero and the a_j are distinct.
+    The block is tested entry by entry: row 0 has no zero, every later
+    row is the row above times a = row 1 / row 0, and the a_j are
+    distinct.  Any other matrix is reduced whole.
     """
     mat = np.asarray(mat, dtype=np.int64)
     if mat.size == 0:
         return 0
     rows, cols = mat.shape
-    if rows < cols and _eliminate(field, mat[:, :rows].copy()) == rows:
-        return rows
+    lead = mat[:, :rows]
+    if rows <= cols and lead[0].all():
+        a = field.vmul(lead[1], field.vinv(lead[0])) if rows > 1 else lead[0]
+        if (np.array_equal(lead[1:], field.vmul(lead[:-1], a))
+                and len(set(a.tolist())) == rows):
+            return rows
     return _eliminate(field, mat.copy())
 
 

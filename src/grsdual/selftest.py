@@ -176,16 +176,14 @@ def _coset_distinctness(fld, rng, res):
     for e1 in divs:
         f1 = (q - 1) // e1
         for e2 in divs:
-            span_count = min(2 * (e1 // np.gcd(e1, e2)), 8)
-            sets = []
-            for i in range(span_count):
-                exps = (i * e2 + e1 * np.arange(f1, dtype=np.int64)) % (q - 1)
-                sets.append(frozenset((exps + 1).tolist()))
-            for i in range(span_count):
-                for j in range(span_count):
-                    claim = (e2 * (i - j)) % e1 == 0
-                    res.compare(sets[i] == sets[j], claim,
-                                f"{fld.name} e1={e1} e2={e2} i={i} j={j}")
+            idx = np.arange(min(2 * (e1 // np.gcd(e1, e2)), 8))
+            # row i holds coset i's exponents sorted, so equal rows are
+            # equal sets
+            exps = np.sort((idx[:, None] * e2 + e1 * np.arange(f1)) % (q - 1),
+                           axis=1)
+            same = (exps[:, None] == exps[None, :]).all(axis=2)
+            claim = (e2 * (idx[:, None] - idx[None, :])) % e1 == 0
+            res.compare(same, claim, f"{fld.name} e1={e1} e2={e2} pairs")
 
 
 def _odd_divisor_character(fld, rng, res):

@@ -11,15 +11,22 @@ After a deliberate output change, re-record with
     PYTHONPATH=src python3 tests/test_golden.py
 
 and say in the change log why the bytes moved.
+
+The benchmark's own pins, perfbench/oracle.json, are replayed here too:
+they cover the large th4/th8/th10 builds, which golden.json does not.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
+import sys
 
 from grsdual.cli import main
+from grsdual.grs import check_self_dual
 from grsdual.field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field
 from grsdual.search import (
     FAMILIES,
@@ -31,6 +38,8 @@ from grsdual.search import (
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden.json")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)),
+                         "perfbench")
 
 # One line per invocation: theorem id, then its flags.  Exit 2 rows are
 # hypothesis failures, exit 6 rows hit the table or the verify limit,
@@ -143,6 +152,31 @@ def test_registry_length_matches_built_code():
             assert code.length == fam.length(params), (q, params)
             hits += 1
     assert hits > 500
+
+
+def test_benchmark_oracle_replays(tmp_path, monkeypatch):
+    """One round of every benchmark workload's mix gives the outcome
+    perfbench/oracle.json pins for each op, and every code it returns
+    passes check_self_dual."""
+    path = os.path.join(PERFBENCH, "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(PERFBENCH, "oracle.json"), encoding="utf-8") as fh:
+        oracle = json.load(fh)
+    for name, (mix, _) in workloads.WORKLOADS.items():
+        for i, op in enumerate(mix(random.Random(f"{name}:0"))):
+            src = None
+            if op.text is not None:
+                src = tmp_path / f"{name}-{i}.json"
+                src.write_text(op.text, encoding="utf-8")
+                src = str(src)
+            outcome, codes = workloads.digest(op, *workloads.run_op(op, src))
+            assert outcome == oracle[op.key]["expect"], op.key
+            for code in codes:
+                assert check_self_dual(code.generator_matrix()), op.key
 
 
 if __name__ == "__main__":

@@ -336,6 +336,26 @@ def test_min_distance_matches_brute_force(case):
     assert min_distance(GeneratorMatrix(f, g)) == brute_distance(f, g)
 
 
+def test_min_distance_enumerates_each_distinct_form_once(monkeypatch):
+    """Repeated columns give this G five systematic forms, two of them
+    distinct: each distinct form is enumerated once per level."""
+    f = make_field(3)
+    g = np.array([[1, 0, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1]])
+    forms = grs._information_sets(f, g)
+    assert len(forms) == 5
+    assert len({rows.tobytes() for rows, _ in forms}) == 2
+    levels = []
+    lightest = grs._lightest
+
+    def counted(field, rows, w):
+        levels.append(w)
+        return lightest(field, rows, w)
+
+    monkeypatch.setattr(grs, "_lightest", counted)
+    assert min_distance(GeneratorMatrix(f, g)) == 2
+    assert levels == [1, 1]
+
+
 @pytest.mark.parametrize("p, m, k", [(7, 1, 5), (5, 1, 6), (3, 2, 5)])
 def test_min_distance_finds_words_no_systematic_row_shows(p, m, k):
     """G = [I | A] with rows 0 and 1 of A equal but in two places: row 0

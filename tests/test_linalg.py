@@ -1,13 +1,13 @@
-"""The BLAS Gram, the blocked rank, the systematic form and the batched
-minor test against plain Zech-table oracles.
+"""The BLAS Gram, the rank, the systematic form and the batched minor
+test against plain Zech-table oracles.
 
 zech_gram and zech_rank below are the straightforward kernels: every
 sum is a fold of Zech additions and the row reduction touches every
 column of every row.  They share nothing with grsdual.linalg except the
 field's own vadd/vmul, so agreement is a differential check of the
 coefficient-plane Gram, its chunking and row blocking, of the
-leading-block shortcut in rank, and of the stacked elimination in
-nonsingular.
+scaled-Vandermonde rank proof and its fallback to elimination, and of
+the stacked elimination in nonsingular.
 """
 
 import tracemalloc
@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grsdual import linalg, make_field
+from grsdual.cosets import th8_code
 from grsdual.errors import TableLimitExceeded
+from grsdual.grs import (
+    EvalSet,
+    GeneratorMatrix,
+    check_self_dual,
+    generator_matrix,
+)
+from grsdual.subspace import th4_code
 
 # GF(3), GF(3^9), GF(13^3) and the largest prime below 2^22, whose
 # (p-1)^2 forces inner chunking beyond 512 columns
@@ -188,6 +196,119 @@ def test_rank_fallback_on_a_full_rank_matrix():
     assert linalg.nonsingular(f, g[None, :, 2:]).tolist() == [True]
     assert linalg.nonsingular(f, g[None, :, 1:3]).tolist() == [False]
     assert linalg.rank(f, np.zeros((0, 3), dtype=np.int64)) == 0
+
+
+def counted_rank(field, mat):
+    """(linalg.rank, number of _eliminate calls it made)."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(f, a):
+        calls.append(1)
+        return eliminate(f, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", counted)
+        r = linalg.rank(field, mat)
+    return r, len(calls)
+
+
+@st.composite
+def grs_matrices(draw, fields=FIELDS):
+    """G of a random GRS code, plain or extended, with 1 <= k <= length,
+    and the number of evaluation points."""
+    p, m = draw(st.sampled_from(fields))
+    f = make_field(p, m)
+    n = draw(st.integers(1, min(f.q, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.choice(f.q, size=n, replace=False)
+    es = EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
+    k = draw(st.integers(1, es.length))
+    return f, generator_matrix(es, k).data, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(grs_matrices())
+def test_rank_of_grs_matrices_is_proved_without_elimination(case):
+    # only an extended code with k = length has the extra column in its
+    # leading block, and only that matrix is reduced
+    f, g, n = case
+    k = g.shape[0]
+    assert zech_rank(f, g) == k
+    assert counted_rank(f, g) == (k, int(k > n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grs_matrices(), st.sampled_from(["entry", "zero", "node", "tall"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_rank_of_corrupted_grs_matrices_matches_zech_oracle(case, kind, seed):
+    f, g, n = case
+    rng = np.random.default_rng(seed)
+    k = g.shape[0]
+    lead = min(k, n)
+    i, j, j2 = rng.integers(0, k), rng.integers(0, lead), rng.integers(0, lead)
+    if kind == "entry":  # any other encoding
+        g[i, j] = (g[i, j] + rng.integers(1, f.q)) % f.q
+    elif kind == "zero":  # multiplier v_j = 0
+        g[:, j] = 0
+    elif kind == "node":  # a_j2 = a_j, with its own multiplier
+        g[:, j2] = f.vmul(g[:, j], int(rng.integers(1, f.q)))
+    else:
+        g = g.T
+    assert linalg.rank(f, g) == zech_rank(f, g)
+
+
+def test_rank_proof_on_edge_shapes_and_single_corruptions():
+    f = make_field(13)
+    g = generator_matrix(EvalSet(f, range(8), range(1, 9)), 4).data
+    square = g[:, :4]
+    assert counted_rank(f, g[:1]) == (1, 0)  # k = 1
+    assert counted_rank(f, square) == (4, 0)
+    assert counted_rank(f, g.T) == (4, 1)  # tall
+    zero = g.copy()
+    zero[:, 1] = 0
+    assert counted_rank(f, zero) == (4, 1)
+    # a repeated node: the leading block is singular, the whole matrix
+    # is not unless it is that block
+    node = g.copy()
+    node[:, 3] = f.vmul(g[:, 0], 5)
+    assert counted_rank(f, node) == (4, 1)
+    assert zech_rank(f, node[:, :4]) == 3
+    assert counted_rank(f, node[:, :4]) == (3, 1)
+    # one entry of the last row altered: det is affine in it, and its
+    # cofactor is a Vandermonde determinant, so one value is singular
+    for j in range(4):
+        tries = []
+        for c in range(f.q):
+            bad = g.copy()
+            bad[3, j] = c
+            tries.append(bad)
+        singular = [b for b in tries if zech_rank(f, b[:, :4]) < 4]
+        assert len(singular) == 1
+        assert counted_rank(f, singular[0][:, :4]) == (3, 1)
+        assert counted_rank(f, singular[0]) == (4, 1)
+
+
+def test_check_self_dual_proves_rank_without_elimination():
+    def refuse(field, a):
+        raise AssertionError("eliminated")
+
+    for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
+        f = code.field
+        gmat = code.generator_matrix()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_eliminate", refuse)
+            assert check_self_dual(gmat)
+        # adding row 0 to row 2 keeps the code, and so its zero Gram and
+        # full rank, but not the shape [v_j * a_j**i]
+        g = gmat.data.copy()
+        g[2] = f.vadd(g[2], g[0])
+        mixed = GeneratorMatrix(f, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_eliminate", refuse)
+            with pytest.raises(AssertionError, match="eliminated"):
+                check_self_dual(mixed)
+        assert check_self_dual(mixed)
 
 
 @st.composite

@@ -4,8 +4,17 @@ instance other tests share stays intact."""
 
 import copy
 
+import numpy as np
+
 from grsdual import make_field
-from grsdual.selftest import run_selftest, selftest_passed
+from grsdual.field import factor_prime_power
+from grsdual.search import divisors, odd_prime_powers
+from grsdual.selftest import (
+    SuiteResult,
+    _coset_distinctness,
+    run_selftest,
+    selftest_passed,
+)
 
 SUITE_NAMES = [
     "roots-product identity",
@@ -54,3 +63,41 @@ def test_explicit_field_list_restricts_the_run():
     small = sum(r.checks for r in results)
     full = sum(r.checks for r in run_selftest(max_q=50))
     assert 0 < small < full
+
+
+def coset_pairs(q, e1, e2):
+    """Reference for the coset-distinctness suite: (coset i == coset j,
+    the claim) for every pair, one frozenset comparison at a time."""
+    f1 = (q - 1) // e1
+    span_count = min(2 * (e1 // np.gcd(e1, e2)), 8)
+    sets = []
+    for i in range(span_count):
+        exps = (i * e2 + e1 * np.arange(f1, dtype=np.int64)) % (q - 1)
+        sets.append(frozenset((exps + 1).tolist()))
+    same = [[sets[i] == sets[j] for j in range(span_count)]
+            for i in range(span_count)]
+    claim = [[(e2 * (i - j)) % e1 == 0 for j in range(span_count)]
+             for i in range(span_count)]
+    return same, claim
+
+
+class Recorder(SuiteResult):
+    def __init__(self):
+        super().__init__("recorder")
+        self.calls = []
+
+    def compare(self, actual, expected, witness):
+        self.calls.append((np.asarray(actual).tolist(),
+                           np.asarray(expected).tolist()))
+        super().compare(actual, expected, witness)
+
+
+def test_coset_distinctness_matches_the_pairwise_reference():
+    for q in odd_prime_powers(50):
+        res = Recorder()
+        _coset_distinctness(make_field(*factor_prime_power(q)), None, res)
+        divs = [d for d in divisors(q - 1) if d <= 24]
+        expect = [coset_pairs(q, e1, e2) for e1 in divs for e2 in divs]
+        assert res.calls == expect, q
+        assert res.checks == sum(len(same) ** 2 for same, _ in expect)
+        assert res.failures == 0
