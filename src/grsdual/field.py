@@ -370,7 +370,7 @@ class Field:
         return np.asarray(xs, dtype=np.int64)
 
     def vadd(self, a, b):
-        a, b = np.broadcast_arrays(self.varray(a), self.varray(b))
+        a, b = self.varray(a), self.varray(b)
         n = self.q - 1
         d = (b - a) % n
         z = self._zech[d]
@@ -384,10 +384,15 @@ class Field:
         return np.where(a == 0, 0, (a - 1 + self._half) % (self.q - 1) + 1)
 
     def vsub(self, a, b):
-        return self.vadd(a, self.vneg(b))
+        # one Zech lookup: -b has discrete log log(b) + (q-1)/2
+        a, b = self.varray(a), self.varray(b)
+        n, h = self.q - 1, self._half
+        z = self._zech[(b + h - a) % n]
+        out = np.where(z < 0, 0, (a - 1 + z) % n + 1)
+        return np.where(b == 0, a, np.where(a == 0, (b - 1 + h) % n + 1, out))
 
     def vmul(self, a, b):
-        a, b = np.broadcast_arrays(self.varray(a), self.varray(b))
+        a, b = self.varray(a), self.varray(b)
         out = (a + b - 2) % (self.q - 1) + 1
         return np.where((a == 0) | (b == 0), 0, out)
 
@@ -398,14 +403,12 @@ class Field:
         return (1 - a) % (self.q - 1) + 1
 
     def vpow(self, a, e):
+        """a**e for an integer e or integer array e; 0**0 = 1."""
         a = self.varray(a)
-        n = self.q - 1
-        out = (a - 1) * (int(e) % n) % n + 1
-        if e == 0:
-            return np.ones_like(a)
-        if e < 0 and np.any(a == 0):
+        if np.any((e < 0) & (a == 0)):
             raise ZeroArgument("zero has no negative power")
-        return np.where(a == 0, 0, out)
+        n = self.q - 1
+        return np.where(a == 0, e == 0, (a - 1) * self.varray(e % n) % n + 1)
 
     def vsign(self, a):
         a = self.varray(a)

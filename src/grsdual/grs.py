@@ -230,13 +230,9 @@ def generator_matrix(eval_set, k):
     if not 0 < k <= eval_set.length:
         raise ShapeMismatch(f"k = {k} out of range for length {eval_set.length}")
     f = eval_set.field
-    a = np.array(eval_set.points, dtype=np.int64)
-    row = np.array(eval_set.multipliers, dtype=np.int64)
-    cols = n + (1 if eval_set.extended else 0)
-    g = np.zeros((k, cols), dtype=np.int64)
-    for i in range(k):
-        g[i, :n] = row
-        row = f.vmul(row, a)
+    g = np.zeros((k, eval_set.length), dtype=np.int64)
+    g[:, :n] = f.vmul(eval_set.multipliers,
+                      f.vpow(eval_set.points, np.arange(k)[:, None]))
     if eval_set.extended:
         g[k - 1, n] = 1
     return GeneratorMatrix(f, g)

@@ -2,18 +2,21 @@
 
 Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
-entry is an integer below 2**53 (asserted before the matmuls).  Rank is
-proved without elimination when the leading square block has the shape
-of a GRS generator matrix, v_j * a_j**i with every v_j nonzero and the
-a_j distinct, whose determinant prod v_j * prod_{i<j} (a_j - a_i) is
-then nonzero; any other matrix falls back to Gaussian elimination, as
-do the systematic form and the batched minor test, all in Zech
+entry is an integer below 2**53 (asserted before the matmuls).  The
+Gram and the rank read the shape of a GRS generator matrix, rows
+v_j * a_j**i, off the matrix entry by entry.  Where it holds, G @ G.T is
+Hankel and two of its rows give all of it, and a leading square block
+with every v_j nonzero and the a_j distinct has the nonzero determinant
+prod v_j * prod_{i<j} (a_j - a_i).  Any other matrix takes the general
+path: the blocked upper triangle of the Gram, or Gaussian elimination,
+as do the systematic form and the batched minor test, all in Zech
 arithmetic.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import TableLimitExceeded
 
@@ -42,24 +45,71 @@ def _coeff_planes(field, g, chunks, width):
     return planes
 
 
+def _products(field, left, right):
+    """Encodings of L @ R.T over the field, from the planes of L and R.
+
+    Entry (i, j) is sum_u x**u sum_{s+t=u} <c_s(L_i), c_t(R_j)>, with
+    each inner product from one exact float64 matmul per column chunk;
+    the 2m-1 sums are folded through the modulus and reduced mod p."""
+    p, m = field.p, field.m
+    (chunks, r, _, width), r2 = left.shape, right.shape[1]
+    # acc[u] adds at most m products below 2**53 per chunk, each
+    # reduced mod p first when there are several: no int64 overflow
+    acc = np.zeros((2 * m - 1, r, r2), dtype=np.int64)
+    for c in range(chunks):
+        prod = (left[c].reshape(-1, width)
+                @ right[c].reshape(-1, width).T).astype(np.int64)
+        if chunks > 1:
+            prod %= p
+        prod = prod.reshape(r, m, r2, m)
+        for s in range(m):
+            acc[s:s + m] += prod[:, s].transpose(2, 0, 1)
+    # x**u = x**(u-m) * x**m and x**m = -sum_i modulus[i] x**i
+    low = np.array(field.modulus[:m], dtype=np.int64)[:, None, None]
+    for u in range(2 * m - 2, m - 1, -1):
+        acc[u - m:u] -= low * (acc[u] % p)
+    coeffs = acc[:m] % p
+    vals = coeffs[0]
+    for s in range(1, m):
+        vals = vals + coeffs[s] * p ** s
+    return np.where(vals == 0, 0, field._log[vals] + 1)
+
+
+def _grs_nodes(field, g):
+    """a = row 1 / row 0 if g has the shape of an (extended) GRS
+    generator matrix, else None: every column with a nonzero row 0 is
+    [v_j * a_j**i], and every other column is zero above its last row.
+    Checked entry by entry, in row blocks of about _BLOCK_BYTES."""
+    k, n = g.shape
+    head = g[0] != 0
+    # a_j = g[1, j] where g[0, j] = 0, so rows 1..k-2 there must be 0
+    a = field.vmul(g[min(1, k - 1)], field.vinv(np.where(head, g[0], 1)))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for r0 in range(0, k - 1, rows):
+        r1 = min(k - 1, r0 + rows)
+        step = field.vmul(g[r0:r1], a)
+        if r1 == k - 1:  # the last row is free where row 0 is zero
+            step[-1] = np.where(head, step[-1], g[-1])
+        if not np.array_equal(step, g[r0 + 1:r1 + 1]):
+            return None
+    return a
+
+
 def gram(field, g):
     """G @ G.T over the field; rows of g are codeword generators.
 
-    With entries written as polynomials sum_s c_s x**s over GF(p), entry
-    (i, j) is sum_u x**u sum_{s+t=u} <c_s(row i), c_t(row j)>.  Every
-    such inner product comes out of one float64 matmul of coefficient
-    planes over a column chunk of width w with w * (p-1)**2 < 2**53, so
-    it is an exact integer.  The 2m-1 sums are folded through the
-    modulus, reduced mod p and mapped back to encodings.  Only the upper
-    triangle is computed, in row blocks, so no block product exceeds
-    about _BLOCK_BYTES.
-    """
+    Products are exact float64 matmuls of coefficient planes over column
+    chunks of width w with w * (p-1)**2 < 2**53.  If g has the GRS shape
+    of _grs_nodes, with c_j in the last row of its other columns, entry
+    (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
+    rows 0 and k-1 hold every S_u, and only they are computed, against
+    the planes of one row block of g at a time.  Any other g gets the
+    upper triangle, in row blocks whose products stay near _BLOCK_BYTES."""
     g = np.asarray(g, dtype=np.int64)
     k, n = g.shape
     p, m = field.p, field.m
-    out = np.zeros((k, k), dtype=np.int64)
     if k == 0 or n == 0:
-        return out
+        return np.zeros((k, k), dtype=np.int64)
     most = (_EXACT - 1) // (p - 1) ** 2  # widest exact chunk
     if most == 0:
         raise TableLimitExceeded(
@@ -67,33 +117,22 @@ def gram(field, g):
     chunks = -(-n // most)
     width = -(-n // chunks)
     assert width * (p - 1) ** 2 < _EXACT, "float64 Gram would be inexact"
+    if _grs_nodes(field, g) is not None:
+        ends = _coeff_planes(field, g[[0, k - 1]], chunks, width)
+        edge = np.empty((2, k), dtype=np.int64)
+        rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width))
+        for r0 in range(0, k, rows):
+            block = _coeff_planes(field, g[r0:r0 + rows], chunks, width)
+            edge[:, r0:r0 + rows] = _products(field, ends, block)
+        hankel = np.concatenate([edge[0], edge[1, 1:]])
+        return as_strided(hankel, (k, k), hankel.strides * 2).copy()
     planes = _coeff_planes(field, g, chunks, width)
-    low = np.array(field.modulus[:m], dtype=np.int64)[:, None, None]
+    out = np.empty((k, k), dtype=np.int64)
     rows = max(1, _BLOCK_BYTES // (8 * m * m * k))
     for r0 in range(0, k, rows):
-        r1 = min(k, r0 + rows)
-        # acc[u] adds at most m products below 2**53 per chunk, each
-        # reduced mod p first when there are several: no int64 overflow
-        acc = np.zeros((2 * m - 1, r1 - r0, k - r0), dtype=np.int64)
-        for c in range(chunks):
-            left = planes[c, r0:r1].reshape(-1, width)
-            right = planes[c, r0:].reshape(-1, width)
-            prod = (left @ right.T).astype(np.int64)
-            if chunks > 1:
-                prod %= p
-            prod = prod.reshape(r1 - r0, m, k - r0, m)
-            for s in range(m):
-                acc[s:s + m] += prod[:, s].transpose(2, 0, 1)
-        # x**u = x**(u-m) * x**m and x**m = -sum_i modulus[i] x**i
-        for u in range(2 * m - 2, m - 1, -1):
-            acc[u - m:u] -= low * (acc[u] % p)
-        coeffs = acc[:m] % p
-        vals = coeffs[0]
-        for s in range(1, m):
-            vals = vals + coeffs[s] * p ** s
-        enc = np.where(vals == 0, 0, field._log[vals] + 1)
-        out[r0:r1, r0:] = enc
-        out[r0:, r0:r1] = enc.T
+        enc = _products(field, planes[:, r0:r0 + rows], planes[:, r0:])
+        out[r0:r0 + rows, r0:] = enc
+        out[r0:, r0:r0 + rows] = enc.T
     return out
 
 
@@ -130,23 +169,18 @@ def _eliminate(field, a):
 def rank(field, mat):
     """Rank over the field.
 
-    A matrix with rows <= cols whose leading square block is
-    [v_j * a_j**i] has full row rank: that block is a Vandermonde matrix
-    times diag(v), with determinant prod_j v_j * prod_{i<j} (a_j - a_i),
-    nonzero exactly when every v_j is nonzero and the a_j are distinct.
-    The block is tested entry by entry: row 0 has no zero, every later
-    row is the row above times a = row 1 / row 0, and the a_j are
-    distinct.  Any other matrix is reduced whole.
-    """
+    If rows <= cols and the leading square block has the shape of
+    _grs_nodes with no zero in row 0 and distinct a_j, that block is
+    Vandermonde(a) * diag(v), with determinant prod_j v_j *
+    prod_{i<j} (a_j - a_i) != 0, and the rank is rows.  Any other
+    matrix is reduced whole."""
     mat = np.asarray(mat, dtype=np.int64)
     if mat.size == 0:
         return 0
     rows, cols = mat.shape
-    lead = mat[:, :rows]
-    if rows <= cols and lead[0].all():
-        a = field.vmul(lead[1], field.vinv(lead[0])) if rows > 1 else lead[0]
-        if (np.array_equal(lead[1:], field.vmul(lead[:-1], a))
-                and len(set(a.tolist())) == rows):
+    if rows <= cols and mat[0, :rows].all():
+        a = _grs_nodes(field, mat[:, :rows])
+        if a is not None and len(set(a.tolist())) == rows:
             return rows
     return _eliminate(field, mat.copy())
 

@@ -69,7 +69,7 @@ def square_clique_greedy(field, n):
         clique.append(pick)
         if len(clique) == n:
             return clique
-        d = field.vsub(encs, np.full(field.q, pick, dtype=np.int64))
+        d = field.vsub(encs, pick)
         live &= (d != 0) & (field.vsign(np.where(d == 0, 1, d)) == 1)
         nxt = np.flatnonzero(live)
         if nxt.size == 0:

@@ -59,8 +59,7 @@ def _roots_product(fld, rng, res):
         step = (q - 1) // m
         pts = np.arange(m, dtype=np.int64) * step + 1
         actual = lagrange_products(fld, pts)
-        scale = np.full(m, fld.from_int(m), dtype=np.int64)
-        expected = fld.vmul(scale, fld.vpow(pts, m - 1))
+        expected = fld.vmul(fld.from_int(m), fld.vpow(pts, m - 1))
         res.compare(actual, expected, f"{fld.name} roots m={m}")
 
 
@@ -73,8 +72,7 @@ def _coset_derivative(fld, rng, res):
         for i in shifts:
             pts = (i + e * np.arange(f, dtype=np.int64)) % (q - 1) + 1
             actual = lagrange_products(fld, pts)
-            scale = np.full(f, fld.from_int(f), dtype=np.int64)
-            expected = fld.vmul(scale, fld.vpow(pts, f - 1))
+            expected = fld.vmul(fld.from_int(f), fld.vpow(pts, f - 1))
             res.compare(actual, expected, f"{fld.name} coset f={f} i={i}")
 
 
@@ -92,12 +90,12 @@ def _coset_factorization(fld, rng, res):
         for i in idx:
             for k in range(f1):
                 s = (i + e1 * k) % (q - 1) + 1
-                lhs = fld.vmul(lhs, fld.vsub(xs, np.full(q, s, dtype=np.int64)))
+                lhs = fld.vmul(lhs, fld.vsub(xs, s))
         ys = fld.vpow(xs, f1)
         rhs = np.ones(q, dtype=np.int64)
         for i in idx:
             root = (i * f1) % (q - 1) + 1
-            rhs = fld.vmul(rhs, fld.vsub(ys, np.full(q, root, dtype=np.int64)))
+            rhs = fld.vmul(rhs, fld.vsub(ys, root))
         res.compare(lhs, rhs, f"{fld.name} union e1={e1} idx={idx}")
 
 
@@ -150,19 +148,18 @@ def _additive_lift_transfer(fld, rng, res):
             count = rng.randint(1, min(r, 4))
             base = np.asarray(sorted(rng.sample(list(map(int, sub)), count)),
                               dtype=np.int64)
-            bz = fld.vmul(base, np.full(count, zeta, dtype=np.int64))
+            bz = fld.vmul(base, zeta)
             pts = fld.vadd(bz[:, None], span[None, :]).ravel()
             if len(np.unique(pts)) != len(pts):
                 res.note(f"{fld.name} lift r={r} dim={dim}: collision")
                 continue
             nz = span[span != 0]
             prod_nz = int(fld.vprod(nz)) if nz.size else 1
-            shifted = fld.vadd(span, np.full(span.size, zeta, dtype=np.int64))
+            shifted = fld.vadd(span, zeta)
             c = fld.mul(prod_nz,
                         fld.power(int(fld.vprod(shifted)), count - 1))
             l_base = lagrange_products(fld, base)
-            expected = fld.vmul(np.repeat(l_base, span.size),
-                                np.full(count * span.size, c, dtype=np.int64))
+            expected = fld.vmul(np.repeat(l_base, span.size), c)
             actual = lagrange_products(fld, pts)
             res.compare(actual, expected,
                         f"{fld.name} lift r={r} dim={dim} T={count}")

@@ -1,9 +1,12 @@
-"""The README, the package metadata and the benchmark's tracer agree
-with the code."""
+"""The README, the package metadata, the test configuration and the
+benchmark's tracer agree with the code."""
 
 import importlib.util
 import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import grsdual
 from grsdual.cli import _build_parser
@@ -52,3 +55,34 @@ def test_benchmark_tracer_finds_every_target():
         assert tr.unwrapped_bindings() == []
     finally:
         tr.uninstall()
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    """Under this repo's pytest configuration, where warnings are errors,
+    a failing hypothesis test is one failure and the tests after it
+    still run and are reported."""
+    (tmp_path / "test_probe.py").write_text(textwrap.dedent("""
+        from hypothesis import Phase, given, settings, strategies as st
+
+
+        @settings(database=None, phases=[Phase.generate])
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+
+        def test_passes():
+            pass
+    """))
+    # of the installed plugins only hypothesis's takes part; loading it
+    # alone halves the start-up time
+    env = dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c",
+         os.path.join(ROOT, "pyproject.toml"), "--rootdir", str(tmp_path),
+         "-p", "_hypothesis_pytestplugin", "-p", "no:cacheprovider", "-q",
+         "test_probe.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out, out[-3000:]
+    assert re.search(r"^1 failed, 1 passed in ", proc.stdout, re.M), out[-3000:]

@@ -204,6 +204,57 @@ def test_vprod_and_vsqrt():
         F13.vinv(np.array([0], dtype=np.int64))
 
 
+@pytest.mark.parametrize("pm", [(3, 2), (13, 1), (5, 3)])
+def test_vsub_is_vadd_of_the_negation_on_every_pair(pm):
+    f = make_field(*pm)
+    a, b = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
+    assert np.array_equal(f.vsub(a, b), f.vadd(a, f.vneg(b)))
+
+
+@pytest.mark.parametrize("f", FIELDS[:3])
+def test_array_ops_broadcast_like_their_scalar_ops(f):
+    rng = np.random.default_rng(f.q)
+    col = rng.integers(0, f.q, size=(5, 1))
+    row = rng.integers(0, f.q, size=(1, 7))
+    col[0, 0] = row[0, 0] = 0
+    x = int(row[0, 1]) or 1
+    for vop, op in ((f.vadd, f.add), (f.vsub, f.sub), (f.vmul, f.mul)):
+        grid = vop(col, row)
+        assert grid.shape == (5, 7)
+        assert grid.tolist() == [[op(u, v) for v in row[0].tolist()]
+                                 for u in col[:, 0].tolist()]
+        for s in (0, x):  # a Python int, on either side, zero included
+            assert vop(s, row).tolist() == [[op(s, v) for v in row[0]]]
+            assert vop(col, s).tolist() == [[op(u, s)] for u in col[:, 0]]
+        for u, v in ((0, 0), (0, x), (x, 0), (x, x)):  # 0-d arrays
+            got = vop(np.array(u), np.array(v))
+            assert got.shape == () and int(got) == op(u, v)
+
+
+@pytest.mark.parametrize("f", FIELDS)
+def test_vpow_broadcasts_an_exponent_array(f):
+    rng = np.random.default_rng(f.q)
+    a = np.append(rng.integers(0, f.q, size=9), 0)
+    k = 6
+    stacked = np.stack([f.vpow(a, i) for i in range(k)])
+    assert np.array_equal(f.vpow(a, np.arange(k)[:, None]), stacked)
+    assert stacked[0].tolist() == [1] * a.size  # 0**0 = 1
+    assert f.vpow(a, np.arange(k)[:, None])[1:, -1].tolist() == [0] * (k - 1)
+    # exponents past int64, as power takes them, and negative ones
+    nz = a[a != 0]
+    for e in (10 ** 30, -(10 ** 30), f.q - 1, -(f.q - 1), -3):
+        assert f.vpow(nz, e).tolist() == [f.power(u, e) for u in nz.tolist()]
+    assert f.vpow(a, 10 ** 30).tolist() == [f.power(u, 10 ** 30)
+                                           for u in a.tolist()]
+    with pytest.raises(ZeroArgument):
+        f.vpow(a, -1)
+    with pytest.raises(ZeroArgument):
+        f.vpow(a, -np.arange(k)[:, None])
+    assert np.array_equal(f.vpow(nz, -np.arange(k)[:, None]),
+                          np.stack([f.vpow(nz, -i) for i in range(k)]))
+    assert int(f.vpow(np.array(0), 0)) == 1 and f.vpow(0, 0).shape == ()
+
+
 def test_extension_modulus_is_lexicographically_first():
     assert make_field(13, 2).modulus == (1, 3, 1)
     assert make_field(3, 2).modulus == (1, 0, 1)

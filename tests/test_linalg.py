@@ -5,9 +5,10 @@ zech_gram and zech_rank below are the straightforward kernels: every
 sum is a fold of Zech additions and the row reduction touches every
 column of every row.  They share nothing with grsdual.linalg except the
 field's own vadd/vmul, so agreement is a differential check of the
-coefficient-plane Gram, its chunking and row blocking, of the
-scaled-Vandermonde rank proof and its fallback to elimination, and of
-the stacked elimination in nonsingular.
+coefficient-plane Gram, its chunking and row blocking, of the Hankel
+Gram of GRS-shaped matrices and its fallback to the upper triangle, of
+the scaled-Vandermonde rank proof and its fallback to elimination, and
+of the stacked elimination in nonsingular.
 """
 
 import tracemalloc
@@ -222,6 +223,8 @@ def grs_matrices(draw, fields=FIELDS):
     n = draw(st.integers(1, min(f.q, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = rng.choice(f.q, size=n, replace=False)
+    if draw(st.booleans()) and 0 not in points:
+        points[rng.integers(0, n)] = 0  # the node 0: a_j**i = 0 for i > 0
     es = EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
     k = draw(st.integers(1, es.length))
     return f, generator_matrix(es, k).data, n
@@ -309,6 +312,170 @@ def test_check_self_dual_proves_rank_without_elimination():
             with pytest.raises(AssertionError, match="eliminated"):
                 check_self_dual(mixed)
         assert check_self_dual(mixed)
+
+
+def grs_shape(field, g):
+    """Whether every column is [v_j * a_j**i] with v_j != 0, or zero
+    above its last row: the shape of linalg._grs_nodes, in scalar ops."""
+    k = g.shape[0]
+    for col in g.T.tolist():
+        if col[0]:
+            a = field.mul(col[min(1, k - 1)], field.inv(col[0]))
+            if any(col[i + 1] != field.mul(col[i], a) for i in range(k - 1)):
+                return False
+        elif any(col[:k - 1]):
+            return False
+    return True
+
+
+def traced_gram(field, g):
+    """(linalg.gram, whether it took the Hankel path).
+
+    The general path forms the coefficient planes of all of g in one
+    call; the Hankel path forms those of rows 0 and k-1, then those of
+    one row block at a time."""
+    rows = []
+    planes = linalg._coeff_planes
+
+    def counted(f, a, chunks, width):
+        rows.append(a.shape[0])
+        return planes(f, a, chunks, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_coeff_planes", counted)
+        out = linalg.gram(field, g)
+    k = g.shape[0]
+    assert rows == [k] or (rows[0] == 2 and sum(rows[1:]) == k), rows
+    return out, len(rows) > 1
+
+
+def refuse_full_gram(mp, n, m, block=16):
+    """Make any plane array of more than `block` rows of a matrix with n
+    columns raise: the general Gram path forms one of all k rows."""
+    planes = linalg._coeff_planes
+
+    def small(f, a, chunks, width):
+        if a.shape[0] > block:
+            raise AssertionError("full planes")
+        return planes(f, a, chunks, width)
+
+    mp.setattr(linalg, "_BLOCK_BYTES", 8 * m * n * block)
+    mp.setattr(linalg, "_coeff_planes", small)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grs_matrices())
+def test_gram_of_grs_matrices_takes_the_hankel_path(case):
+    f, g, n = case
+    expect = zech_gram(f, g)
+    got, hankel = traced_gram(f, g)
+    assert hankel
+    assert np.array_equal(got, expect)
+    # many column chunks and row blocks, on both the shape check and
+    # the planes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_EXACT", 3 * (f.p - 1) ** 2 + 1)
+        mp.setattr(linalg, "_BLOCK_BYTES", 8 * f.m * g.shape[1] * 2)
+        got, hankel = traced_gram(f, g)
+    assert hankel
+    assert np.array_equal(got, expect)
+
+
+def corrupt(f, g, n, kind, rng):
+    """g with one defect of the given kind; n is the number of GRS
+    columns, so columns from n on are extension columns."""
+    g = g.copy()
+    k, cols = g.shape
+    if kind == "past":  # one entry of a column rank's block never reads
+        j = int(rng.integers(min(k, cols - 1), cols))
+        i = int(rng.integers(0, k))
+        g[i, j] = (g[i, j] + rng.integers(1, f.q)) % f.q
+    elif kind == "ext":  # a nonzero above the last row of a unit column
+        if cols == n:
+            g = np.hstack([g, np.zeros((k, 1), dtype=np.int64)])
+            g[k - 1, n] = rng.integers(0, f.q)
+        g[int(rng.integers(0, max(1, k - 1))), -1] = rng.integers(1, f.q)
+    elif kind == "head":  # a zero in row 0 of a GRS column
+        g[0, int(rng.integers(0, n))] = 0
+    else:
+        g = rng.integers(0, f.q, size=g.shape)
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(grs_matrices(), st.sampled_from(["past", "ext", "head", "random"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_gram_of_corrupted_grs_matrices_matches_zech_oracle(case, kind, seed):
+    # a corrupted matrix takes the general path unless it still has the
+    # shape, as every matrix with k <= 2 does
+    f, g, n = case
+    bad = corrupt(f, g, n, kind, np.random.default_rng(seed))
+    got, hankel = traced_gram(f, bad)
+    assert hankel == grs_shape(f, bad)
+    assert np.array_equal(got, zech_gram(f, bad))
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_gram_shape_check_reads_every_column(extended):
+    f = make_field(13, 2)
+    rng = np.random.default_rng(4)
+    n, k = 24, 6
+    points = rng.choice(f.q, size=n, replace=False)
+    es = EvalSet(f, points, rng.integers(1, f.q, size=n), extended)
+    g = generator_matrix(es, k).data
+    got, hankel = traced_gram(f, g)
+    assert hankel and np.array_equal(got, zech_gram(f, g))
+    for kind in ("past", "ext", "head", "random"):
+        for seed in range(3):
+            bad = corrupt(f, g, n, kind, np.random.default_rng(seed))
+            got, hankel = traced_gram(f, bad)
+            assert not hankel, (kind, seed)
+            assert not grs_shape(f, bad)
+            assert np.array_equal(got, zech_gram(f, bad)), (kind, seed)
+    # the last row of every GRS column past the leading block (that of
+    # the unit column is free)
+    for j in range(k, n):
+        bad = g.copy()
+        bad[k - 1, j] = f.add(int(bad[k - 1, j]), 1)
+        assert not traced_gram(f, bad)[1]
+        assert np.array_equal(linalg.gram(f, bad), zech_gram(f, bad))
+
+
+def test_check_self_dual_never_forms_full_gram_planes():
+    for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
+        f = code.field
+        gmat = code.generator_matrix()
+        k, n = gmat.data.shape
+        assert k > 16
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_full_gram(mp, n, f.m)
+            assert check_self_dual(gmat)
+        # row 0 added to row 2: the same code, not the shape
+        g = gmat.data.copy()
+        g[2] = f.vadd(g[2], g[0])
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_full_gram(mp, n, f.m)
+            with pytest.raises(AssertionError, match="full planes"):
+                check_self_dual(GeneratorMatrix(f, g))
+        assert check_self_dual(GeneratorMatrix(f, g))
+
+
+def test_hankel_gram_memory_stays_below_one_copy_of_g():
+    f = make_field(3, 9)
+    k, n = 1000, 2000
+    rng = np.random.default_rng(11)
+    es = EvalSet(f, rng.choice(f.q, size=n, replace=False),
+                 rng.integers(1, f.q, size=n))
+    g = generator_matrix(es, k).data
+    tracemalloc.start()
+    try:
+        got = linalg.gram(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * k * n, (peak, 8 * k * n)
+    for i, j in [(0, 0), (0, k - 1), (k - 1, k - 1), (317, 682), (999, 3)]:
+        assert got[i, j] == zech_sum(f, f.vmul(g[i], g[j]))
 
 
 @st.composite
