@@ -13,12 +13,13 @@ g^{v(a)} H2 for every base point.  Lagrange products factor exactly:
 With e1 odd (so f1 is even and the stray powers of g are all squares)
 the quadratic character of L transfers unchanged, plainly or in the
 extended sense.  coset_points checks the hypotheses on e1 and the
-base once, checks the identity on every lifted point (which also
-rejects a base that repeats a coset, as repeated points), and hands
-the checked L on to the multiplier solve.  th12/th13 take their unions
-of cosets through the same identity, with the coset and quotient
-orders swapped and the representatives given directly; the criterion
-on the union is left to build_verified_code, which solves it anyway.
+base once, rejects a base that repeats a coset as repeated points,
+and hands the closed-form L on to the multiplier solve without
+recomputing it.  th12/th13 take their unions of cosets through the
+same identity, with the coset and quotient orders swapped and the
+representatives given directly.  build_verified_code solves the
+criterion on the union and proves the Gram zero, which holds only if
+the closed form is L up to one scalar.
 
 The same machinery works relative to a subfield: with the ambient
 order replaced by a subfield order W, the decomposition e1 * f1 =
@@ -47,6 +48,7 @@ import numpy as np
 from .errors import (
     BaseNotSelfDual,
     CharacterCondition,
+    DuplicatePoints,
     E1NotOdd,
     HypothesisViolated,
     NotInSubgroup,
@@ -57,7 +59,6 @@ from .errors import (
 from .field import DEFAULT_TABLE_LIMIT, extension_field
 from .grs import (
     build_verified_code,
-    check_transfer,
     check_verify_scale,
     lagrange_products,
     products_at,
@@ -66,8 +67,6 @@ from .grs import (
 )
 from .subspace import (
     _check_zero_roots_products,
-    default_shift,
-    default_subspace,
     roots_of_unity,
     subspace_lift,
     th1_base,
@@ -127,9 +126,9 @@ def coset_points(spec, base_points, extended=False, l_base=None):
     one, plus the character condition on e1 (automatic when q = 1 mod
     4, which is asserted).  l_base, when given, is L on the base as the
     caller already holds it.  Returns (points, l): the lifted points
-    row-major, base point outer and coset step inner, and L on them,
-    after checking the product transfer identity; a base that repeats a
-    coset fails that check with DuplicatePoints.
+    row-major, base point outer and coset step inner, and the closed
+    form of L on them.  A base that repeats a coset raises
+    DuplicatePoints.
     """
     f = spec.field
     base = np.asarray(base_points, dtype=np.int64)
@@ -143,25 +142,26 @@ def coset_points(spec, base_points, extended=False, l_base=None):
     if solve(f, base, l_base) is None:
         raise BaseNotSelfDual("base fails the multiplier criterion")
 
-    vs = np.array([spec.v_of(x) for x in base.tolist()], dtype=np.int64)
-    return _coset_union(spec, vs, l_base)
+    vs = [spec.v_of(x) for x in base.tolist()]
+    if len(set(vs)) != len(vs):
+        raise DuplicatePoints("base points repeat a coset")
+    return _coset_union(spec, np.array(vs, dtype=np.int64), l_base)
 
 
 def _coset_union(spec, vs, l_base):
-    """The union of the cosets g^v <g^f1> over vs, row-major, and L on it.
+    """The union of the cosets g^v <g^f1> over vs, row-major, and L on it
+    in the closed form
 
-    L(g^(v + f1 u)) = e1 g^(v (e1 - 1)) g^(-f1 u) L_a(g^(v e1)), with
-    l_base = L_a on the points g^(v e1), is checked on every point.
+    L(g^(v + f1 u)) = e1 g^(v (e1 - 1)) g^(-f1 u) L_a(g^(v e1)),
+
+    with l_base = L_a on the points g^(v e1).
     """
     f = spec.field
     u = np.arange(spec.e1, dtype=np.int64)
     pts = spec.gpow(vs[:, None] + spec.f1 * u[None, :]).ravel()
     scale = spec.gpow(vs[:, None] * (spec.e1 - 1) - spec.f1 * u[None, :])
-    expect = f.vmul(f.from_int(spec.e1),
-                    f.vmul(scale, l_base[:, None])).ravel()
-    if not check_transfer(f, pts, expect):
-        raise VerificationFailed("coset lift transfer identity failed")
-    return pts, expect
+    return pts, f.vmul(f.from_int(spec.e1),
+                       f.vmul(scale, l_base[:, None])).ravel()
 
 
 def _check_e1(spec, extended):
@@ -268,8 +268,10 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     a dim-e subspace inside GF(r^s) and shifted off zero, expanded to
     cosets once per factor in ms, innermost first.  All hypotheses, the
     per-stage e1 checks included, precede the scale guard, which runs on
-    the closed-form length before any expansion.  One factor carries
-    the variant's provenance, more carry its iterated id's.
+    the closed-form length before any expansion; a HypothesisViolated
+    from a stage after it is a bug, hence VerificationFailed.  One
+    factor carries the variant's provenance, more carry its iterated
+    id's.
     """
     extended, parity, _, iterated_id = TOWER_VARIANTS[variant]
     _require(t % 2 == parity, f"t must be {('even', 'odd')[parity]}")
@@ -287,15 +289,14 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     n = tower_length(variant, r, s, ms, e, t)
     check_verify_scale(n // 2, n)
 
-    sub = default_subspace(f, r, e, r ** s)
-    pts, l = subspace_lift(f, r, menu, sub, default_shift(f, sub, r ** s),
-                           variant == "th11", l)
-    pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
-    if extended and solve_extended_multipliers(f, pts, l) is None:
-        raise VerificationFailed("extended criterion lost in the tower base")
-    for spec in specs:
-        if spec.e1 > 1:  # a factor m_j = 1 gives one-point cosets
-            pts, l = coset_points(spec, pts, extended, l)
+    try:
+        pts, l = subspace_lift(f, r, menu, e, r ** s, variant == "th11", l)
+        pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
+        for spec in specs:
+            if spec.e1 > 1:  # a factor m_j = 1 gives one-point cosets
+                pts, l = coset_points(spec, pts, extended, l)
+    except HypothesisViolated as exc:
+        raise VerificationFailed(f"tower stage failed: {exc}") from exc
     if len(ms) == 1:
         prov = {"theorem": variant, "m": ms[0]}
     else:

@@ -104,13 +104,6 @@ def products_at(field, points, indices):
     return _products_rows(field, a, np.asarray(indices, dtype=np.int64))
 
 
-def check_transfer(field, pts, expect):
-    """Whether L(pts) == expect on every point.  A point set too large
-    to verify raises EnumerationTooLarge before any L is formed."""
-    check_verify_scale(pts.size // 2, pts.size)
-    return bool(np.all(lagrange_products(field, pts) == expect))
-
-
 def check_verify_scale(k, length, limit=DEFAULT_VERIFY_LIMIT):
     """Refuse self-duality verification beyond the configured scale.
 
@@ -443,10 +436,13 @@ def build_verified_code(field, points, extended, provenance, l_values=None,
                         verify_limit=DEFAULT_VERIFY_LIMIT):
     """Solve for multipliers, assemble the code, and self-check it.
 
-    l_values, when given, is L on the points as a lift already checked
-    it, so the multiplier solve does not form it again.  Used by every
-    construction; a failure here means the construction's hypothesis
-    checks let a bad case through, hence VerificationFailed.
+    l_values, when given, is L on the points in a lift's closed form,
+    and is not formed again.  The zero Gram is its proof: on distinct
+    points, sum_j w_j a_j^u = 0 for u = 0..n-2 holds exactly for w
+    proportional to 1/L, so v^2 = 1/(lam l) passes only if l is L up to
+    one scalar.  Used by every construction; a failure here means the
+    construction's hypothesis checks or closed form let a bad case
+    through, hence VerificationFailed.
     """
     pts = np.array(points, dtype=np.int64)
     n_total = pts.size + (1 if extended else 0)

@@ -82,10 +82,13 @@ def large_q_bound(n):
 
     The formula is evaluated literally (so the n = 2 value is 1.0 and
     the n = 4 value is roughly 45.86); callers compare q strictly
-    greater.
+    greater.  Where it overflows a float (n >= 506) it is math.inf.
     """
-    t = (n - 3) * 2.0 ** (n - 3) + 0.5
-    return (t + math.sqrt(t * t + (n - 1) * 2.0 ** (n - 2))) ** 2
+    try:
+        t = (n - 3) * 2.0 ** (n - 3) + 0.5
+        return (t + math.sqrt(t * t + (n - 1) * 2.0 ** (n - 2))) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def clique_count_lower_bound(q, n):

@@ -12,12 +12,14 @@ points, and its Lagrange products factor through the base:
 So the quadratic character of L is constant on W iff it is constant on
 b (multiply by lam = c), and the extended criterion transfers up to the
 sign chi(prod of nonzero V) = chi(-1)^((r^e - 1)/2), which is +1 when
-q = 1 (mod 4) or e is even.  subspace_lift is the one lift: it checks
-its preconditions once (r a subfield, b inside GF(r), zeta outside V;
-for the extended lift an odd b that meets the extended criterion and a
-+1 sign), checks the identity on every lifted point, and hands the
-checked L on to the multiplier solve.  The multiplier criterion on W is
-left to build_verified_code, which solves it anyway.
+q = 1 (mod 4) or e is even.  subspace_lift is the one lift: it builds
+V and zeta itself (default_subspace, default_shift), checks its
+preconditions once (r a subfield, b distinct and inside GF(r); for the
+extended lift an odd b that meets the extended criterion and a +1
+sign), and hands the closed-form L on to the multiplier solve.  It does
+not recompute L on W: build_verified_code solves the criterion on W and
+proves the Gram zero, which holds only if the closed form is L up to
+one scalar.
 
 On top of that engine, four construction families (wire ids th1..th4;
 see the README catalog for their parameter shapes):
@@ -35,6 +37,7 @@ import numpy as np
 from .errors import (
     BaseNotSelfDual,
     BasePointsNotInSubfield,
+    DuplicatePoints,
     HypothesisViolated,
     ParityCondition,
     ShiftInSubspace,
@@ -44,7 +47,6 @@ from .errors import (
 from .field import DEFAULT_TABLE_LIMIT, extension_field, make_field, span_enc
 from .grs import (
     build_verified_code,
-    check_transfer,
     lagrange_products,
     solve_extended_multipliers,
 )
@@ -101,32 +103,32 @@ def default_shift(field, subspace, container_order=None):
     raise ShiftInSubspace("subspace covers the whole container")
 
 
-def subspace_lift(field, r, base_points, subspace, shift=None,
+def subspace_lift(field, r, base_points, e, container_order=None,
                   extended=False, l_base=None):
-    """Lift base points in GF(r) along the cosets b_i * shift + V.
+    """Lift base points in GF(r) along the cosets b_i * zeta + V.
 
-    shift defaults to the smallest encoding outside V.  With extended
-    set, the base must be odd-sized and meet the extended criterion,
-    and chi(prod of nonzero V) must be +1 (q = 1 (mod 4) or even
-    dimension), so the lifted set meets it too.  l_base, when given, is
+    V is default_subspace(field, r, e, container_order) and zeta its
+    default_shift, so V is GF(r)-linear and zeta lies outside it.  With
+    extended set, the base must be odd-sized and meet the extended
+    criterion, and chi(prod of nonzero V) must be +1 (q = 1 (mod 4) or
+    even e), so the lifted set meets it too.  l_base, when given, is
     L_b as the caller already holds it.  Returns (points, l): the
-    lifted points row-major and L on them, after checking the transfer
-    identity L_W(b_i zeta + v) = c * L_b(b_i) on every point.
+    lifted points row-major and the closed form c * L_b(b_i) of L on
+    them.
     """
     f = field
     base = np.asarray(base_points, dtype=np.int64)
-    sub = np.asarray(subspace, dtype=np.int64)
     stride = f.subfield_stride(r)  # validates r as well
     outside = base[(base != 0) & ((base - 1) % stride != 0)]
     if outside.size:
         raise BasePointsNotInSubfield(
             f"base point {outside[0]} is not in GF({r})")
-    if shift is None:
-        shift = default_shift(f, sub)
-    elif np.any(sub == shift):
-        raise ShiftInSubspace("shift must lie outside the subspace")
+    if len(set(base.tolist())) != base.size:
+        raise DuplicatePoints("base points are not distinct")
     if extended and base.size % 2 == 0:
         raise HypothesisViolated("extended lift needs an odd base size")
+    sub = default_subspace(f, r, e, container_order)
+    shift = default_shift(f, sub, container_order)
     if l_base is None:
         l_base = lagrange_products(f, base)
     nz = sub[sub != 0]
@@ -142,10 +144,7 @@ def subspace_lift(field, r, base_points, subspace, shift=None,
     c = f.mul(v_prod,
               f.power(int(f.vprod(f.vadd(shift, sub))), base.size - 1))
     pts = f.vadd(f.vmul(base, shift)[:, None], sub[None, :]).ravel()
-    expect = f.vmul(c, np.repeat(l_base, sub.size))
-    if not check_transfer(f, pts, expect):
-        raise VerificationFailed("subspace lift transfer identity failed")
-    return pts, expect
+    return pts, f.vmul(c, np.repeat(l_base, sub.size))
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +223,7 @@ def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     _require(t >= 1 and half % t == 0, "t must divide (r-1)/2")
     _require(t != half, "t = (r-1)/2 is excluded")
     base = th1_base(f, r, t)
-    pts, l = subspace_lift(f, r, base, default_subspace(f, r, e))
+    pts, l = subspace_lift(f, r, base, e)
     prov = {"theorem": "th1", "r": r, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, False, prov, l)
 
@@ -244,8 +243,7 @@ def _integer_run_code(p, m, e, t, table_limit, extended):
                 f"chi({i * (t + 1 - i)}) = -1 at i = {i} "
                 f"fails the square condition")
     base = integer_run(f, t)
-    pts, l = subspace_lift(f, p, base, default_subspace(f, p, e),
-                           extended=extended)
+    pts, l = subspace_lift(f, p, base, e, extended=extended)
     prov = {"theorem": "th3" if extended else "th2",
             "p": p, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, extended, prov, l)
@@ -274,8 +272,7 @@ def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
              "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
     base = zero_and_roots(f, t)
     l_base = _check_zero_roots_products(f, base, t)
-    pts, l = subspace_lift(f, r, base, default_subspace(f, r, e),
-                           extended=True, l_base=l_base)
+    pts, l = subspace_lift(f, r, base, e, extended=True, l_base=l_base)
     prov = {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, True, prov, l)
 

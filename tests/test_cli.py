@@ -193,10 +193,12 @@ def test_composite_field_order_exits_2(capsys):
 
 
 def test_large_q_below_bound(capsys):
-    rc, _, err = run(capsys, ["construct", "--theorem", "large_q",
-                              "--q", "13", "--n", "4"])
-    assert rc == 2
-    assert "clique bound" in err
+    # from n = 506 the literal bound overflows a float and reads as inf
+    for n in ("4", "506", "2000"):
+        rc, _, err = run(capsys, ["construct", "--theorem", "large_q",
+                                  "--q", "13", "--n", n])
+        assert rc == 2
+        assert "hypothesis not met" in err and "clique bound" in err
     # permissive mode skips the bound and lets the search itself fail
     rc, _, err = run(capsys, ["construct", "--theorem", "large_q",
                               "--q", "13", "--n", "4", "--permissive"])

@@ -226,13 +226,11 @@ def test_subspace_lift_transfer_identity():
     against direct recomputation for random bases."""
     f = make_field(5, 3)
     rng = random.Random(0xBA5E)
-    sub = default_subspace(f, 5, 1)
-    zeta = default_shift(f, sub)
     stride = f.subfield_stride(5)
     subfield = [0] + [1 + stride * i for i in range(4)]
     for _ in range(10):
         base = tuple(rng.sample(subfield, 4))
-        pts, l = subspace_lift(f, 5, base, sub, zeta)
+        pts, l = subspace_lift(f, 5, base, 1)
         assert pts.size == 20
         direct = lagrange_products(f, pts)
         assert np.array_equal(l, direct)
@@ -243,19 +241,20 @@ def test_subspace_lift_transfer_identity():
 
 def test_subspace_lift_rejects_bad_input():
     f = make_field(5, 3)
-    sub = default_subspace(f, 5, 1)
-    zeta = default_shift(f, sub)
     with pytest.raises(BasePointsNotInSubfield):
-        subspace_lift(f, 5, (0, 2), sub, zeta)
+        subspace_lift(f, 5, (0, 2), 1)
+    with pytest.raises(DuplicatePoints):
+        subspace_lift(f, 5, (0, 1, 0), 1)
+    # V = GF(5^3) leaves no shift outside it
     with pytest.raises(ShiftInSubspace):
-        subspace_lift(f, 5, (0, 1), sub, int(sub[1]))
+        subspace_lift(f, 5, (0, 1), 3)
 
 
 def test_subspace_lift_degenerate_is_identity():
     # e = 0 lifts along the zero subspace: points unchanged
     f = make_field(13, 2)
     base = [f.from_int(v) for v in (0, 1, 2, 3)]
-    pts, l = subspace_lift(f, 13, base, default_subspace(f, 13, 0))
+    pts, l = subspace_lift(f, 13, base, 0)
     assert pts.tolist() == base
     assert np.array_equal(l, lagrange_products(f, base))
 
@@ -263,8 +262,7 @@ def test_subspace_lift_degenerate_is_identity():
 def test_subspace_lift_extended_small():
     f = make_field(13, 2)
     base = zero_and_roots(f, 2)
-    pts, l = subspace_lift(f, 13, base, default_subspace(f, 13, 1),
-                           extended=True)
+    pts, l = subspace_lift(f, 13, base, 1, extended=True)
     assert pts.size == 39
     assert np.array_equal(l, lagrange_products(f, pts))
     assert solve_extended_multipliers(f, pts, l) is not None
@@ -274,17 +272,14 @@ def test_subspace_lift_extended_rejections():
     f27 = make_field(3, 3)
     base = zero_and_roots(f27, 2)
     with pytest.raises(ParityCondition):
-        subspace_lift(f27, 3, base, default_subspace(f27, 3, 1),
-                      extended=True)
+        subspace_lift(f27, 3, base, 1, extended=True)
     f = make_field(13, 2)
     with pytest.raises(HypothesisViolated):
-        subspace_lift(f, 13, integer_run(f, 3), default_subspace(f, 13, 1),
-                      extended=True)
+        subspace_lift(f, 13, integer_run(f, 3), 1, extended=True)
     f3 = make_field(13, 3)
     with pytest.raises(BaseNotSelfDual):
         # 2 is a non-square in GF(13^3), so -L fails on 0,1,2
-        subspace_lift(f3, 13, integer_run(f3, 2), default_subspace(f3, 13, 1),
-                      extended=True)
+        subspace_lift(f3, 13, integer_run(f3, 2), 1, extended=True)
 
 
 def test_extended_lift_parity_is_the_sign_of_the_subspace_product():
@@ -303,7 +298,7 @@ def test_extended_lift_parity_is_the_sign_of_the_subspace_product():
                 nz = sub[sub != 0]
                 sign = f.sign(int(f.vprod(nz))) if nz.size else 1
                 try:
-                    pts, _ = subspace_lift(f, r, base, sub, extended=True)
+                    pts, _ = subspace_lift(f, r, base, e, extended=True)
                 except ParityCondition:
                     assert sign == -1, (f.q, r, e)
                 else:

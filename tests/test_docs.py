@@ -9,6 +9,7 @@ import sys
 import textwrap
 
 import grsdual
+from grsdual import cli
 from grsdual.cli import _build_parser
 from grsdual.search import FAMILIES
 
@@ -34,6 +35,18 @@ def test_readme_family_table_lists_the_registry():
     ids = [ln.split("|")[1].strip() for ln in rows[2:]]  # skip the header
     assert sorted(ids) == sorted(FAMILIES)
     assert sorted(_theorem_choices()) == sorted(FAMILIES)
+
+
+def test_exit_codes_are_documented_exactly():
+    """The README exit-code table and the cli module docstring each list
+    every EXIT_* value once, and no other code."""
+    codes = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+    assert len(set(codes)) == len(codes)
+    table = _read("README.md").split("Exit codes:")[1].split("\n## ")[0]
+    readme = [int(c) for c in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)]
+    doc = [int(c) for c in re.findall(r"^\s+(\d+)  \S", cli.__doc__, re.M)]
+    assert readme == codes
+    assert doc == codes
 
 
 def test_version_matches_pyproject():

@@ -25,6 +25,9 @@ from grsdual.search import (
 def test_large_q_bound_values():
     assert large_q_bound(2) == 1.0
     assert abs(large_q_bound(4) - 45.86000936329382) < 1e-9
+    # past a float's range the bound is infinite, not an OverflowError
+    assert math.isfinite(large_q_bound(505))
+    assert large_q_bound(506) == large_q_bound(2000) == math.inf
 
 
 def test_large_q_bound_is_increasing():
