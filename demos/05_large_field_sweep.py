@@ -34,6 +34,10 @@ def main():
 
     qs = [q for q in odd_prime_powers(args.max_q)
           if q % 4 == 1 and q > bound]
+    if not qs:
+        print(f"\nno field q = 1 (mod 4) up to --max-q {args.max_q} "
+              f"exceeds the bound")
+        return
     print(f"\nsweeping {len(qs)} fields, "
           f"{bound:.2f} < q <= {args.max_q} ...")
     t0 = time.perf_counter()

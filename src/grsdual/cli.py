@@ -18,6 +18,7 @@ identical bytes on stdout and in files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,6 +88,7 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     # SUPPRESS keeps a value parsed before the subcommand from being
     # clobbered by the subparser's defaults.

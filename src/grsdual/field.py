@@ -280,7 +280,7 @@ class Field:
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp_int", "_log", "_zech",
-                 "_half", "name")
+                 "_half", "name", "_digits")
 
     def __init__(self, p, m, modulus, tables):
         self.p = p
@@ -290,6 +290,7 @@ class Field:
         self._exp_int, self._log, self._zech = tables
         self._half = (self.q - 1) // 2
         self.name = f"GF({p})" if m == 1 else f"GF({p}^{m})"
+        self._digits = None
 
     # -------------------------------------------------------- elements
 
@@ -301,6 +302,18 @@ class Field:
     def poly_value(self, enc):
         """Base-p value of the coefficient vector of the element."""
         return 0 if enc == 0 else int(self._exp_int[enc - 1])
+
+    def digits(self):
+        """Row s: the x**s coefficient of every encoding (0 at 0), in the
+        smallest dtype holding p-1.  Built on first use and kept."""
+        if self._digits is None:
+            vals = np.concatenate([[0], self._exp_int])
+            table = np.empty((self.m, self.q),
+                             dtype=np.min_scalar_type(self.p - 1))
+            for s in range(self.m):
+                vals, table[s] = np.divmod(vals, self.p)
+            self._digits = table
+        return self._digits
 
     def descriptor(self):
         return {"p": self.p, "m": self.m,
@@ -392,9 +405,15 @@ class Field:
         return np.where(b == 0, a, np.where(a == 0, (b - 1 + h) % n + 1, out))
 
     def vmul(self, a, b):
+        # s = (a-1) + (b-1) < 2(q-1), so as uint64 min(s, s-(q-1)) = s % (q-1)
         a, b = self.varray(a), self.varray(b)
-        out = (a + b - 2) % (self.q - 1) + 1
-        return np.where((a == 0) | (b == 0), 0, out)
+        s = np.asarray(a + b - 2).view(np.uint64)
+        np.minimum(s, s - np.uint64(self.q - 1), out=s)
+        s += 1
+        for x in (a, b):
+            if np.count_nonzero(x) < x.size:
+                np.copyto(s, 0, where=x == 0)
+        return s.view(np.int64)
 
     def vinv(self, a):
         a = self.varray(a)
@@ -407,8 +426,12 @@ class Field:
         a = self.varray(a)
         if np.any((e < 0) & (a == 0)):
             raise ZeroArgument("zero has no negative power")
-        n = self.q - 1
-        return np.where(a == 0, e == 0, (a - 1) * self.varray(e % n) % n + 1)
+        out = np.asarray((a - 1) * self.varray(e % (self.q - 1)))
+        out %= self.q - 1
+        out += 1
+        if np.count_nonzero(a) < a.size:
+            np.copyto(out, e == 0, where=a == 0)
+        return out
 
     def vsign(self, a):
         a = self.varray(a)
@@ -427,7 +450,7 @@ class Field:
     def vprod(self, a, axis=None):
         """Product of nonzero encodings along an axis, in log space."""
         a = self.varray(a)
-        if np.any(a == 0):
+        if np.count_nonzero(a) < a.size:
             raise ZeroArgument("vprod expects nonzero entries")
         return np.sum(a - 1, axis=axis) % (self.q - 1) + 1
 

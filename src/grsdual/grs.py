@@ -81,9 +81,10 @@ def _products_rows(field, a, rows):
         idx = rows[s:s + step]
         d = field.vsub(a[idx, None], a[None, :])
         d[np.arange(idx.size), idx] = 1  # empty factor for the point itself
-        if np.any(d == 0):
-            raise DuplicatePoints("evaluation points are not distinct")
-        out[s:s + step] = np.sum(d - 1, axis=1) % (field.q - 1) + 1
+        try:
+            out[s:s + step] = field.vprod(d, axis=1)
+        except ZeroArgument:
+            raise DuplicatePoints("evaluation points are not distinct") from None
     return out
 
 
@@ -223,9 +224,13 @@ def generator_matrix(eval_set, k):
     if not 0 < k <= eval_set.length:
         raise ShapeMismatch(f"k = {k} out of range for length {eval_set.length}")
     f = eval_set.field
+    a, v = f.varray(eval_set.points), f.varray(eval_set.multipliers)
     g = np.zeros((k, eval_set.length), dtype=np.int64)
-    g[:, :n] = f.vmul(eval_set.multipliers,
-                      f.vpow(eval_set.points, np.arange(k)[:, None]))
+    # in row blocks, so the kernels' temporaries stay small beside G
+    rows = max(1, linalg._BLOCK_BYTES // (8 * n))
+    for r0 in range(0, k, rows):
+        i = np.arange(r0, min(k, r0 + rows))[:, None]
+        g[r0:r0 + rows, :n] = f.vmul(v, f.vpow(a, i))
     if eval_set.extended:
         g[k - 1, n] = 1
     return GeneratorMatrix(f, g)

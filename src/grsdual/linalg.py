@@ -22,26 +22,24 @@ from .errors import TableLimitExceeded
 
 # float64 holds every integer below this exactly
 _EXACT = 2 ** 53
-# target size of one row block's plane product, in bytes
-_BLOCK_BYTES = 1 << 21
+# bytes per row block of G, of its planes or of their products: cache-sized
+_BLOCK_BYTES = 1 << 18
 
 
 def _coeff_planes(field, g, chunks, width):
     """Coefficient planes of g as float64, shape (chunks, k, m, width).
 
-    Plane s holds the coefficient of x**s of every entry; the column
-    axis is cut into chunks of the given width, zero-padded at the end.
+    Plane s holds the coefficient of x**s of every entry, read from the
+    field's digit table; the column axis is cut into chunks of the given
+    width, zero-padded at the end.
     """
-    p, m = field.p, field.m
     k, n = g.shape
-    vals = np.zeros((k, chunks * width), dtype=np.int64)
-    nz = g != 0
-    vals[:, :n][nz] = field._exp_int[g[nz] - 1]
-    vals = vals.reshape(k, chunks, width).transpose(1, 0, 2)
-    planes = np.empty((chunks, k, m, width), dtype=np.float64)
-    for s in range(m):
-        planes[:, :, s, :] = vals % p
-        vals = vals // p
+    if chunks * width > n:
+        g = np.pad(g, ((0, 0), (0, chunks * width - n)))
+    idx = g.reshape(k, chunks, width).transpose(1, 0, 2)
+    planes = np.empty((chunks, k, field.m, width), dtype=np.float64)
+    for s, digit in enumerate(field.digits()):
+        planes[:, :, s, :] = digit[idx]
     return planes
 
 
@@ -68,11 +66,8 @@ def _products(field, left, right):
     low = np.array(field.modulus[:m], dtype=np.int64)[:, None, None]
     for u in range(2 * m - 2, m - 1, -1):
         acc[u - m:u] -= low * (acc[u] % p)
-    coeffs = acc[:m] % p
-    vals = coeffs[0]
-    for s in range(1, m):
-        vals = vals + coeffs[s] * p ** s
-    return np.where(vals == 0, 0, field._log[vals] + 1)
+    vals = p ** np.arange(m) @ (acc[:m] % p).transpose(1, 0, 2)
+    return field._log[vals] + 1  # _log[0] is -1, so 0 stays 0
 
 
 def _grs_nodes(field, g):

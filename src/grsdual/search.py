@@ -96,13 +96,12 @@ def clique_count_lower_bound(q, n):
 
     Counts elements extending a fixed (n-1)-clique; positive whenever
     q exceeds large_q_bound(n), which is what makes the greedy run
-    above the bound total.
+    above the bound total.  Finite for every finite q, inf at q = inf.
     """
-    return (
-        q / 2.0 ** (n - 1)
-        - ((n - 3) / 2.0 + 1.0 / 2 ** (n - 1)) * math.sqrt(q)
-        - (n - 1) / 2.0
-    )
+    if q == math.inf:
+        return math.inf
+    half = math.ldexp(1.0, 1 - n)  # 2**(1-n), or 0.0 past a float's range
+    return q * half - ((n - 3) / 2.0 + half) * math.sqrt(q) - (n - 1) / 2.0
 
 
 def th_large_q_code(field, n, permissive=False):

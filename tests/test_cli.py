@@ -17,6 +17,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grsdual.cli as cli
 import grsdual.cosets
 import grsdual.field
 import grsdual.grs
@@ -448,6 +449,37 @@ def test_usage_errors_exit_1(capsys):
     rc, _, err = run(capsys, ["construct", "--theorem", "nosuch"])
     assert rc == 1
     assert "invalid choice" in err
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys,
+                                                         monkeypatch):
+    """main reuses one parser; each call in a mixed run must print and
+    exit exactly as a call on a freshly built parser does."""
+    code = tmp_path / "t2.json"
+    code.write_text(T2_JSON + "\n")
+    verify = ["verify", "--in", str(code)]
+    calls = [
+        T2_ARGS + ["--format", "text"],
+        T2_ARGS,
+        verify + ["--mds", "none", "--format", "text"],
+        verify + ["--samples", "0"],
+        verify + ["--mds", "sampled", "--samples", "7"],
+        verify,
+        ["--format", "text", "catalog", "--q", "13", "--max-n", "8"],
+        ["catalog", "--q", "13", "--max-n", "8"],
+        verify + ["--mds", "minors", "--enum-limit", "1"],
+        ["construct", "--theorem", "th2"],
+        ["selftest", "--max-q", "13", "--format", "text"],
+        verify + ["--mds", "nosuch"],
+        verify + ["--mds", "exhaustive"],
+    ]
+    cached = [run(capsys, argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run(capsys, argv) for argv in calls]
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1,
+                                           0, 1, 0]
 
 
 def test_help_exits_0(capsys):

@@ -1,0 +1,251 @@
+"""The division-free kernels against the divmod bodies they replaced.
+
+ref_vmul, ref_vpow and ref_coeff_planes below are the plain kernels:
+the modulus q-1 through int64 %, and the coefficient planes through m
+rounds of % p and // p on the base-p value of every entry.  They live
+here only, as oracles for Field.vmul, Field.vpow, linalg._coeff_planes
+(which reads the field's digit table) and generator_matrix (which calls
+the field kernels in row blocks).  The module also bounds the memory of
+generator_matrix and checks that the digit table waits for a Gram.
+"""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from grsdual import linalg, make_field
+from grsdual.errors import ZeroArgument
+from grsdual.field import _build_field
+from grsdual.grs import EvalSet, generator_matrix
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# m = 1 and m > 1; p = 251 and 257 on either side of the uint8 digit
+# boundary; the largest prime below 2^22 needs uint32 digits
+FIELDS = [(3, 1), (13, 1), (3, 9), (13, 3), (251, 1), (257, 2),
+          (4194301, 1)]
+
+
+def ref_vmul(field, a, b):
+    a, b = field.varray(a), field.varray(b)
+    out = (a + b - 2) % (field.q - 1) + 1
+    return np.where((a == 0) | (b == 0), 0, out)
+
+
+def ref_vpow(field, a, e):
+    a = field.varray(a)
+    if np.any((e < 0) & (a == 0)):
+        raise ZeroArgument("zero has no negative power")
+    n = field.q - 1
+    return np.where(a == 0, e == 0, (a - 1) * field.varray(e % n) % n + 1)
+
+
+def ref_coeff_planes(field, g, chunks, width):
+    p, m = field.p, field.m
+    k, n = g.shape
+    vals = np.zeros((k, chunks * width), dtype=np.int64)
+    nz = g != 0
+    vals[:, :n][nz] = field._exp_int[g[nz] - 1]
+    vals = vals.reshape(k, chunks, width).transpose(1, 0, 2)
+    planes = np.empty((chunks, k, m, width), dtype=np.float64)
+    for s in range(m):
+        planes[:, :, s, :] = vals % p
+        vals = vals // p
+    return planes
+
+
+def scalar_grid(op, a, b):
+    """op on every pair of the broadcast of a and b, as an int64 array."""
+    a, b = np.asarray(a), np.asarray(b)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = [op(int(x), int(y)) for x, y in np.broadcast(a, b)]
+    return np.array(out, dtype=np.int64).reshape(shape)
+
+
+@st.composite
+def operands(draw, shapes):
+    """A field and two operands of one of the given shape pairs; "int"
+    is a Python int.  Zeros are drawn on either side."""
+    f = make_field(*draw(st.sampled_from(FIELDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    k, n = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+
+    def operand(shape):
+        if shape == "int":
+            return 0 if rng.random() < zeros else int(rng.integers(1, f.q))
+        shape = tuple(k if d == "k" else n if d == "n" else d for d in shape)
+        x = rng.integers(1, f.q, size=shape)
+        x[rng.random(shape) < zeros] = 0
+        return x
+
+    left, right = draw(st.sampled_from(shapes))
+    return f, operand(left), operand(right)
+
+
+MUL_SHAPES = [("int", "int"), ((), ()), ((), "int"), ("int", ("k", "n")),
+              (("k", "n"), "int"), (("k", 1), (1, "n")), ((1, "n"), ("k", 1)),
+              (("n",), ("k", "n")), (("k", "n"), ("k", "n"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands(MUL_SHAPES))
+def test_vmul_matches_the_divmod_kernel_and_mul(case):
+    f, a, b = case
+    before = [np.array(a, copy=True), np.array(b, copy=True)]
+    got = f.vmul(a, b)
+    expect = scalar_grid(f.mul, a, b)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.shape == expect.shape and np.array_equal(got, expect)
+    ref = ref_vmul(f, a, b)
+    assert ref.shape == got.shape and np.array_equal(ref, got)
+    # the kernel works in place on its own buffer only
+    assert np.array_equal(before[0], a) and np.array_equal(before[1], b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands([("int", "int"), ((), "int"), (("n",), "int"),
+                 (("k", "n"), "int"), (("n",), ("k", 1)),
+                 (("k", 1), (1, "n")), (("k", "n"), ("k", "n"))]),
+       st.sampled_from([0, 1, -1, 10 ** 30, -(10 ** 30)]),
+       st.booleans())
+def test_vpow_matches_the_divmod_kernel_and_power(case, shift, negate):
+    # operands draws encodings; as exponents they are shifted by a
+    # multiple of q - 1 or past int64 (Python ints only) and negated
+    f, a, e = case
+    if isinstance(e, int) or abs(shift) == 1:  # int64 arrays stay in range
+        e = e + shift * (f.q - 1)
+    if negate:
+        e = -e
+    try:
+        expect = scalar_grid(f.power, a, e)
+    except ZeroArgument:
+        with pytest.raises(ZeroArgument):
+            f.vpow(a, e)
+        with pytest.raises(ZeroArgument):
+            ref_vpow(f, a, e)
+        return
+    got = f.vpow(a, e)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.shape == expect.shape and np.array_equal(got, expect)
+    ref = ref_vpow(f, a, e)
+    assert ref.shape == got.shape and np.array_equal(ref, got)
+
+
+@pytest.mark.parametrize("p, m, dtype", [
+    (3, 9, np.uint8), (251, 1, np.uint8), (257, 2, np.uint16),
+    (4194301, 1, np.uint32)])
+def test_the_digit_table_takes_the_smallest_dtype(p, m, dtype):
+    digits = make_field(p, m).digits()
+    assert digits.dtype == dtype and digits.shape == (m, p ** m)
+    assert not digits[:, 0].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 6), st.integers(1, 40),
+       st.integers(1, 40), st.sampled_from([0.0, 0.3, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+def test_coeff_planes_match_the_divmod_kernel(fm, k, n, chunks, zeros, seed):
+    f = make_field(*fm)
+    rng = np.random.default_rng(seed)
+    g = rng.integers(1, f.q, size=(k, n))
+    g[rng.random(g.shape) < zeros] = 0
+    chunks = min(chunks, n)
+    width = -(-n // chunks)
+    got = linalg._coeff_planes(f, g, chunks, width)
+    ref = ref_coeff_planes(f, g, chunks, width)
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("fm", FIELDS)
+def test_gram_over_many_chunks_matches_the_divmod_planes(fm, monkeypatch):
+    f = make_field(*fm)
+    rng = np.random.default_rng(f.q)
+    g = rng.integers(0, f.q, size=(6, 29))
+    es = EvalSet(f, rng.choice(f.q, size=min(f.q, 29), replace=False),
+                 rng.integers(1, f.q, size=min(f.q, 29)))
+    grs = generator_matrix(es, min(6, es.n)).data
+    # chunks of at most 3 columns, on a general and a Hankel Gram
+    monkeypatch.setattr(linalg, "_EXACT", 3 * (f.p - 1) ** 2 + 1)
+    fast = [linalg.gram(f, g), linalg.gram(f, grs)]
+    monkeypatch.setattr(linalg, "_coeff_planes", ref_coeff_planes)
+    slow = [linalg.gram(f, g), linalg.gram(f, grs)]
+    for x, y in zip(fast, slow):
+        assert np.array_equal(x, y)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 12), st.booleans(),
+       st.booleans(), st.integers(1, 3), st.data())
+def test_generator_matrix_matches_the_scalar_formula(fm, n, node0, extended,
+                                                     block, data):
+    f = make_field(*fm)
+    n = min(n, f.q)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.choice(f.q, size=n, replace=False)
+    if node0 and 0 not in a:
+        a[rng.integers(0, n)] = 0
+    v = rng.integers(1, f.q, size=n)
+    es = EvalSet(f, a, v, extended)
+    k = data.draw(st.integers(1, es.length))
+    expect = np.zeros((k, es.length), dtype=np.int64)
+    for i in range(k):
+        for j in range(n):
+            expect[i, j] = f.mul(int(v[j]), f.power(int(a[j]), i))
+    if extended:
+        expect[k - 1, n] = 1
+    with pytest.MonkeyPatch.context() as mp:  # `block` rows at a time
+        mp.setattr(linalg, "_BLOCK_BYTES", 8 * n * block)
+        got = generator_matrix(es, k).data
+    assert np.array_equal(got, expect)
+    assert np.array_equal(generator_matrix(es, k).data, expect)
+    ref = ref_vmul(f, v, ref_vpow(f, a, np.arange(k)[:, None]))
+    assert np.array_equal(got[:, :n], ref)
+
+
+def test_generator_matrix_costs_about_one_copy_of_g():
+    """[2000,1000] over GF(3^9) with the node 0 and the unit column:
+    the divmod kernels on the whole matrix peaked at 4.12 copies."""
+    f = make_field(3, 9)
+    rng = np.random.default_rng(2000)
+    n, k = 1999, 1000
+    a = rng.choice(f.q, size=n, replace=False)
+    a[0] = 0
+    es = EvalSet(f, a, rng.integers(1, f.q, size=n), True)
+    tracemalloc.start()
+    try:
+        g = generator_matrix(es, k).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (k, 2000) and g[k - 1, n] == 1
+    assert peak <= 1.5 * 8 * k * 2000, peak / (8 * k * 2000)
+
+
+def test_the_digit_table_is_built_once_by_the_first_gram():
+    f = _build_field.__wrapped__(7, 2)  # a fresh GF(49), not the cached one
+    assert f._digits is None
+    g = np.random.default_rng(49).integers(0, f.q, size=(3, 8))
+    linalg.gram(f, g)
+    table = f._digits
+    assert table is not None and table.shape == (2, 49)
+    linalg.gram(f, g)
+    assert f._digits is table
+
+
+def test_make_field_builds_no_digit_table():
+    # a fresh interpreter: the cached GF(5^9) of this session may have
+    # met a Gram in another test
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from grsdual import make_field; "
+         "assert make_field(5, 9)._digits is None"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

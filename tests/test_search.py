@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,22 @@ def test_count_lower_bound_positive_above_threshold():
         assert abs(root) < 1e-6  # the bound itself is the root
         for q in (b * 1.01, b * 2, b * 10, b * 1000):
             assert clique_count_lower_bound(q, n) > 0
+
+
+def test_count_lower_bound_is_finite_wherever_q_is():
+    """Past a float's range (n >= 506 has an infinite bound, n >= 1025
+    an unrepresentable 2**(n-1)) the count stays a finite float whose
+    sign says whether q exceeds the bound; at q = inf it is inf."""
+    for n in (4, 505, 506, 1024, 1025, 2000):
+        bound = large_q_bound(n)
+        assert clique_count_lower_bound(math.inf, n) == math.inf
+        qs = [5.0, 13.0, 1e12, 1e300, sys.float_info.max]
+        if math.isfinite(bound):
+            qs += [bound * 0.99, bound * 1.01]
+        for q in qs:
+            count = clique_count_lower_bound(q, n)
+            assert math.isfinite(count), (q, n)
+            assert (count > 0) == (q > bound), (q, n)
 
 
 def test_greedy_clique_frozen_case():
