@@ -293,6 +293,9 @@ def cmd_catalog(args, cfg):
     except HypothesisViolated as exc:
         sys.stderr.write(f"catalog: {exc}\n")
         return EXIT_USAGE
+    except EnumerationTooLarge as exc:
+        sys.stderr.write(f"catalog too large: {exc}\n")
+        return EXIT_TOO_LARGE
     if cfg.format == "json":
         _write(args.out, catalog_to_jsonl(entries))
     else:

@@ -66,7 +66,7 @@ from .grs import (
     solve_multipliers,
 )
 from .subspace import (
-    _check_zero_roots_products,
+    _check_zero_roots_character,
     roots_of_unity,
     subspace_lift,
     th1_base,
@@ -234,33 +234,28 @@ def _shift_nonzero(field, pts, container_order):
 
 
 def _tower_menu(field, r, s, e, t, variant):
-    """Check the variant's remaining hypotheses; return its menu in GF(r)
-    and L on it, or None where the menu's L is not yet formed."""
+    """Check the variant's remaining hypotheses; return its menu in GF(r)."""
     _require(0 <= e <= s - 1, "e must satisfy 0 <= e <= s-1")
     _require(t >= 1 and (r - 1) % t == 0, "t must divide r-1")
     if variant == "th8":
         _require(1 < t < r - 1, "need 1 < t < r-1")
         _require(field.q % 4 == 1, "q = 1 (mod 4) fails")
         assert (r ** s) % 4 == 1  # forced by q = 1 mod 4 with m odd
-        return th1_base(field, r, t // 2), None
+        return th1_base(field, r, t // 2)
     if variant == "th10":
         val = field.from_int(t)
         if ((r ** e + 1) // 2) % 2 == 1:
             val = field.neg(val)
         _require(field.sign(val) == 1,
                  "chi((-1)^((r^e+1)/2) t) = -1 fails")
-        return roots_of_unity(field, t), None
-    tval = field.from_int(t)
+        return roots_of_unity(field, t)
     if variant == "th9":
-        _require(field.sign(field.neg(tval)) == 1, "chi(-t) = -1 fails")
+        _require(field.sign(field.neg(field.from_int(t))) == 1,
+                 "chi(-t) = -1 fails")
     else:
         _require(1 <= t < r - 1, "need 1 <= t < r-1")
-        branch1 = field.sign(tval) == 1 and field.q % 4 == 1
-        branch2 = field.sign(field.neg(tval)) == 1 and e % 2 == 0
-        _require(branch1 or branch2,
-                 "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
-    base = zero_and_roots(field, t)
-    return base, _check_zero_roots_products(field, base, t)
+        _check_zero_roots_character(field, e, t)
+    return zero_and_roots(field, t)
 
 
 def _tower(variant, r, s, ms, e, t, table_limit):
@@ -278,7 +273,7 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     _require(len(ms) >= 1 and all(x >= 1 and x % 2 == 1 for x in ms),
              "tower factors must be odd and there must be at least one")
     f = extension_field(r, s * math.prod(ms), table_limit)
-    menu, l = _tower_menu(f, r, s, e, t, variant)
+    menu = _tower_menu(f, r, s, e, t, variant)
     specs = []
     omega = r ** s
     for mj in ms:
@@ -290,7 +285,7 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     check_verify_scale(n // 2, n)
 
     try:
-        pts, l = subspace_lift(f, r, menu, e, r ** s, variant == "th11", l)
+        pts, l = subspace_lift(f, r, menu, e, r ** s, variant == "th11")
         pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
         for spec in specs:
             if spec.e1 > 1:  # a factor m_j = 1 gives one-point cosets

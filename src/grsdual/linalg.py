@@ -8,9 +8,9 @@ v_j * a_j**i, off the matrix entry by entry.  Where it holds, G @ G.T is
 Hankel and two of its rows give all of it, and a leading square block
 with every v_j nonzero and the a_j distinct has the nonzero determinant
 prod v_j * prod_{i<j} (a_j - a_i).  Any other matrix takes the general
-path: the blocked upper triangle of the Gram, or Gaussian elimination,
-as do the systematic form and the batched minor test, all in Zech
-arithmetic.
+path: the same row-block Gram loop against the planes of all of it, and
+the rank of its systematic form.  The systematic form and the batched
+minor test run in Zech arithmetic.
 """
 
 from __future__ import annotations
@@ -94,12 +94,13 @@ def gram(field, g):
     """G @ G.T over the field; rows of g are codeword generators.
 
     Products are exact float64 matmuls of coefficient planes over column
-    chunks of width w with w * (p-1)**2 < 2**53.  If g has the GRS shape
-    of _grs_nodes, with c_j in the last row of its other columns, entry
+    chunks of width w with w * (p-1)**2 < 2**53, taken against the
+    planes of one row block of g at a time.  If g has the GRS shape of
+    _grs_nodes, with c_j in the last row of its other columns, entry
     (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
-    rows 0 and k-1 hold every S_u, and only they are computed, against
-    the planes of one row block of g at a time.  Any other g gets the
-    upper triangle, in row blocks whose products stay near _BLOCK_BYTES."""
+    rows 0 and k-1 hold every S_u, and only they are computed.  Any
+    other g gets every row, the row blocks against the planes of all of
+    it."""
     g = np.asarray(g, dtype=np.int64)
     k, n = g.shape
     p, m = field.p, field.m
@@ -112,53 +113,17 @@ def gram(field, g):
     chunks = -(-n // most)
     width = -(-n // chunks)
     assert width * (p - 1) ** 2 < _EXACT, "float64 Gram would be inexact"
-    if _grs_nodes(field, g) is not None:
-        ends = _coeff_planes(field, g[[0, k - 1]], chunks, width)
-        edge = np.empty((2, k), dtype=np.int64)
-        rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width))
-        for r0 in range(0, k, rows):
-            block = _coeff_planes(field, g[r0:r0 + rows], chunks, width)
-            edge[:, r0:r0 + rows] = _products(field, ends, block)
-        hankel = np.concatenate([edge[0], edge[1, 1:]])
-        return as_strided(hankel, (k, k), hankel.strides * 2).copy()
-    planes = _coeff_planes(field, g, chunks, width)
-    out = np.empty((k, k), dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // (8 * m * m * k))
+    hankel = _grs_nodes(field, g) is not None
+    left = _coeff_planes(field, g[[0, k - 1]] if hankel else g, chunks, width)
+    out = np.empty((left.shape[1], k), dtype=np.int64)
+    rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width))
     for r0 in range(0, k, rows):
-        enc = _products(field, planes[:, r0:r0 + rows], planes[:, r0:])
-        out[r0:r0 + rows, r0:] = enc
-        out[r0:, r0:r0 + rows] = enc.T
-    return out
-
-
-def _eliminate(field, a):
-    """Rank of a, which is overwritten.
-
-    Each pivot updates only the rows below it and the columns right of
-    it, and the pivot row is not normalized: nothing reads the rest
-    again.
-    """
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], c:] = a[[piv, r], c:]
-        # the swapped-down row was zero in column c, so these are the rest
-        below = nz[1:] + r
-        if below.size and c + 1 < cols:
-            factors = field.vmul(field.vneg(a[below, c]),
-                                 field.inv(int(a[r, c])))
-            a[below, c + 1:] = field.vadd(
-                a[below, c + 1:],
-                field.vmul(factors[:, None], a[r, c + 1:][None, :]))
-        r += 1
-    return r
+        block = _coeff_planes(field, g[r0:r0 + rows], chunks, width)
+        out[:, r0:r0 + rows] = _products(field, left, block)
+    if not hankel:
+        return out
+    edge = np.concatenate([out[0], out[1, 1:]])
+    return as_strided(edge, (k, k), edge.strides * 2).copy()
 
 
 def rank(field, mat):
@@ -168,7 +133,8 @@ def rank(field, mat):
     _grs_nodes with no zero in row 0 and distinct a_j, that block is
     Vandermonde(a) * diag(v), with determinant prod_j v_j *
     prod_{i<j} (a_j - a_i) != 0, and the rank is rows.  Any other
-    matrix is reduced whole."""
+    matrix is brought to systematic form whole, over the natural column
+    order."""
     mat = np.asarray(mat, dtype=np.int64)
     if mat.size == 0:
         return 0
@@ -177,7 +143,7 @@ def rank(field, mat):
         a = _grs_nodes(field, mat[:, :rows])
         if a is not None and len(set(a.tolist())) == rows:
             return rows
-    return _eliminate(field, mat.copy())
+    return len(systematic(field, mat, range(cols))[1])
 
 
 def systematic(field, g, order):

@@ -40,6 +40,7 @@ from .cosets import (
     tower_length,
 )
 from .errors import (
+    EnumerationTooLarge,
     GreedyFailed,
     HypothesisViolated,
     VerificationFailed,
@@ -385,8 +386,14 @@ def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
     which build_verified_code has verified, as the certificate. A hit
     on a length the nonexistence rule forbids cannot come from a
     correct construction, so it raises instead of being recorded.
+    Every length past q + 1 is a row without a code, and a field within
+    the table limit has q + 1 <= table_limit + 1, so a longer n_max is
+    refused before any field is built.
     """
     _require(q % 2 == 1 and q >= 3, "q must be an odd prime power")
+    if n_max > table_limit + 1:
+        raise EnumerationTooLarge(
+            f"n_max = {n_max} exceeds the table limit {table_limit} + 1")
     fld = extension_field(q, 1, table_limit)
     hits = {}
     for _, _, code in _hits(fld, min(n_max, q + 1), table_limit):

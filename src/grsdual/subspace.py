@@ -41,7 +41,6 @@ from .errors import (
     HypothesisViolated,
     ParityCondition,
     ShiftInSubspace,
-    VerificationFailed,
     _require,
 )
 from .field import DEFAULT_TABLE_LIMIT, extension_field, make_field, span_enc
@@ -104,15 +103,14 @@ def default_shift(field, subspace, container_order=None):
 
 
 def subspace_lift(field, r, base_points, e, container_order=None,
-                  extended=False, l_base=None):
+                  extended=False):
     """Lift base points in GF(r) along the cosets b_i * zeta + V.
 
     V is default_subspace(field, r, e, container_order) and zeta its
     default_shift, so V is GF(r)-linear and zeta lies outside it.  With
     extended set, the base must be odd-sized and meet the extended
     criterion, and chi(prod of nonzero V) must be +1 (q = 1 (mod 4) or
-    even e), so the lifted set meets it too.  l_base, when given, is
-    L_b as the caller already holds it.  Returns (points, l): the
+    even e), so the lifted set meets it too.  Returns (points, l): the
     lifted points row-major and the closed form c * L_b(b_i) of L on
     them.
     """
@@ -129,8 +127,7 @@ def subspace_lift(field, r, base_points, e, container_order=None,
         raise HypothesisViolated("extended lift needs an odd base size")
     sub = default_subspace(f, r, e, container_order)
     shift = default_shift(f, sub, container_order)
-    if l_base is None:
-        l_base = lagrange_products(f, base)
+    l_base = lagrange_products(f, base)
     nz = sub[sub != 0]
     v_prod = 1 if nz.size == 0 else int(f.vprod(nz))
     if extended:
@@ -265,23 +262,18 @@ def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     _require(t % 2 == 0 and t >= 2 and (r - 1) % t == 0,
              "t must be even and divide r-1")
     _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")
-    t_val = f.from_int(t)
-    branch1 = f.sign(t_val) == 1 and f.q % 4 == 1
-    branch2 = f.sign(f.neg(t_val)) == 1 and e % 2 == 0
-    _require(branch1 or branch2,
-             "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")
+    _check_zero_roots_character(f, e, t)
     base = zero_and_roots(f, t)
-    l_base = _check_zero_roots_products(f, base, t)
-    pts, l = subspace_lift(f, r, base, e, extended=True, l_base=l_base)
+    pts, l = subspace_lift(f, r, base, e, extended=True)
     prov = {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
     return build_verified_code(f, pts, True, prov, l)
 
 
-def _check_zero_roots_products(field, base, t):
-    """L on {0} + t-th roots, checked to be t at each root and -1 at
-    zero."""
-    l = lagrange_products(field, base)
-    t_enc = field.from_int(t)
-    if int(l[0]) != field.neg(1) or not np.all(l[1:] == t_enc):
-        raise VerificationFailed("closed form for L on 0 + roots failed")
-    return l
+def _check_zero_roots_character(field, e, t):
+    """The character hypothesis of the extended lift of 0 + t-th roots
+    (th4, th11) along a dim-e subspace."""
+    t_val = field.from_int(t)
+    branch1 = field.sign(t_val) == 1 and field.q % 4 == 1
+    branch2 = field.sign(field.neg(t_val)) == 1 and e % 2 == 0
+    _require(branch1 or branch2,
+             "need chi(t) = chi(-1) = 1, or chi(-t) = 1 with e even")

@@ -419,6 +419,32 @@ def test_catalog_deterministic(capsys):
     assert first == second
 
 
+def test_catalog_refuses_lengths_past_every_buildable_field(capsys):
+    # a field within the table limit has q + 1 <= table limit + 1, and
+    # every longer row holds no code
+    rc, out, err = run(capsys, ["catalog", "--q", "3", "--max-n", "1002",
+                                "--table-limit", "1000"])
+    assert (rc, out) == (6, "")
+    assert "n_max = 1002 exceeds the table limit 1000 + 1" in err
+    rc, out, _ = run(capsys, ["catalog", "--q", "3", "--max-n", "1000",
+                              "--table-limit", "1000"])
+    assert rc == 0
+    assert len(out.splitlines()) == 500
+    # at q = table limit, the length q + 1 is still listed
+    rc, out, _ = run(capsys, ["catalog", "--q", "7", "--max-n", "8",
+                              "--table-limit", "7", "--format", "text"])
+    assert rc == 0
+    assert out.splitlines()[-1] == "q=7 n=8 constructed th4"
+    # refused before any field is built: 3^21 is past the table limit
+    for q in (3, 3 ** 21):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["catalog", "--q", str(q),
+                                    "--max-n", str(10 ** 12)])
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (6, "")
+        assert "catalog too large" in err
+
+
 def test_selftest_clean_run(capsys):
     rc, out, err = run(capsys, ["selftest", "--max-q", "13"])
     assert rc == 0

@@ -6,9 +6,9 @@ sum is a fold of Zech additions and the row reduction touches every
 column of every row.  They share nothing with grsdual.linalg except the
 field's own vadd/vmul, so agreement is a differential check of the
 coefficient-plane Gram, its chunking and row blocking, of the Hankel
-Gram of GRS-shaped matrices and its fallback to the upper triangle, of
-the scaled-Vandermonde rank proof and its fallback to elimination, and
-of the stacked elimination in nonsingular.
+Gram of GRS-shaped matrices and its fallback to every row, of the
+scaled-Vandermonde rank proof and its fallback to the systematic form,
+and of the stacked elimination in nonsingular.
 """
 
 import tracemalloc
@@ -200,16 +200,16 @@ def test_rank_fallback_on_a_full_rank_matrix():
 
 
 def counted_rank(field, mat):
-    """(linalg.rank, number of _eliminate calls it made)."""
+    """(linalg.rank, number of systematic forms it took)."""
     calls = []
-    eliminate = linalg._eliminate
+    form = linalg.systematic
 
-    def counted(f, a):
+    def counted(f, a, order):
         calls.append(1)
-        return eliminate(f, a)
+        return form(f, a, order)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_eliminate", counted)
+        mp.setattr(linalg, "systematic", counted)
         r = linalg.rank(field, mat)
     return r, len(calls)
 
@@ -293,14 +293,14 @@ def test_rank_proof_on_edge_shapes_and_single_corruptions():
 
 
 def test_check_self_dual_proves_rank_without_elimination():
-    def refuse(field, a):
+    def refuse(field, a, order):
         raise AssertionError("eliminated")
 
     for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
         f = code.field
         gmat = code.generator_matrix()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_eliminate", refuse)
+            mp.setattr(linalg, "systematic", refuse)
             assert check_self_dual(gmat)
         # adding row 0 to row 2 keeps the code, and so its zero Gram and
         # full rank, but not the shape [v_j * a_j**i]
@@ -308,7 +308,7 @@ def test_check_self_dual_proves_rank_without_elimination():
         g[2] = f.vadd(g[2], g[0])
         mixed = GeneratorMatrix(f, g)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "_eliminate", refuse)
+            mp.setattr(linalg, "systematic", refuse)
             with pytest.raises(AssertionError, match="eliminated"):
                 check_self_dual(mixed)
         assert check_self_dual(mixed)
@@ -331,22 +331,30 @@ def grs_shape(field, g):
 def traced_gram(field, g):
     """(linalg.gram, whether it took the Hankel path).
 
-    The general path forms the coefficient planes of all of g in one
-    call; the Hankel path forms those of rows 0 and k-1, then those of
-    one row block at a time."""
-    rows = []
-    planes = linalg._coeff_planes
+    The Hankel path is the one where _grs_nodes finds the shape.  Its
+    left operand is the coefficient planes of rows 0 and k-1, the
+    general path's those of all of g; both then form those of one row
+    block at a time, over every row."""
+    rows, shape = [], []
+    planes, nodes = linalg._coeff_planes, linalg._grs_nodes
 
     def counted(f, a, chunks, width):
         rows.append(a.shape[0])
         return planes(f, a, chunks, width)
 
+    def found(f, a):
+        a_nodes = nodes(f, a)
+        shape.append(a_nodes is not None)
+        return a_nodes
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_coeff_planes", counted)
+        mp.setattr(linalg, "_grs_nodes", found)
         out = linalg.gram(field, g)
     k = g.shape[0]
-    assert rows == [k] or (rows[0] == 2 and sum(rows[1:]) == k), rows
-    return out, len(rows) > 1
+    assert len(shape) == 1, shape
+    assert rows[0] == (2 if shape[0] else k) and sum(rows[1:]) == k, rows
+    return out, shape[0]
 
 
 def refuse_full_gram(mp, n, m, block=16):
@@ -410,9 +418,17 @@ def test_gram_of_corrupted_grs_matrices_matches_zech_oracle(case, kind, seed):
     # shape, as every matrix with k <= 2 does
     f, g, n = case
     bad = corrupt(f, g, n, kind, np.random.default_rng(seed))
+    expect = zech_gram(f, bad)
     got, hankel = traced_gram(f, bad)
     assert hankel == grs_shape(f, bad)
-    assert np.array_equal(got, zech_gram(f, bad))
+    assert np.array_equal(got, expect)
+    # many column chunks and row blocks on either path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_EXACT", 3 * (f.p - 1) ** 2 + 1)
+        mp.setattr(linalg, "_BLOCK_BYTES", 8 * f.m * bad.shape[1] * 2)
+        got, again = traced_gram(f, bad)
+    assert again == hankel
+    assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("extended", [False, True])

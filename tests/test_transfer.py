@@ -120,12 +120,8 @@ def test_a_flipped_character_in_a_tower_stage_is_a_bug():
 
 
 def test_transfer_check_rejects_a_repeated_base_with_held_products():
-    """A caller-held l_base skips L on the base, so each lift checks its
-    base (or its coset coordinates) for repeats itself."""
-    f = make_field(13, 2)
-    with pytest.raises(DuplicatePoints):
-        subspace_lift(f, 13, [1, 1], 1,
-                      l_base=np.array([1, 1], dtype=np.int64))
+    """A caller-held l_base skips L on the base, so the coset lift checks
+    its coset coordinates for repeats itself."""
     with pytest.raises(DuplicatePoints):
         coset_points(CosetSpec(make_field(13), 3), [1, 1],
                      l_base=np.array([1, 1], dtype=np.int64))
@@ -174,9 +170,8 @@ def test_final_products_formed_once():
             assert all(c < n for c in calls), (code.provenance, calls)
 
 
-# Point counts of every L a build forms, in order: only the base's, once
-# (th4, th9: by the closed-form check on 0 + roots), handed on to every
-# lift stage.
+# Point counts of every L a build forms, in order: only the base's, once,
+# by the subspace lift, handed on to every coset stage.
 STAGE_SIZES = (
     (lambda: th4_code(13, 3, 1, 12), [13]),
     (lambda: th3_code(13, 2, 1, 2), [3]),
