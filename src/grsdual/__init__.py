@@ -73,10 +73,8 @@ from .subspace import (
 )
 from .cosets import (
     CosetSpec,
-    TwoDecomposition,
     coset_lift,
     coset_points,
-    distinct_coset_indices,
     extended_coset_lift,
     iterated_lift,
     th8_code,

@@ -58,12 +58,11 @@ from .errors import (
 )
 from .field import DEFAULT_TABLE_LIMIT, extension_field
 from .grs import (
+    _criterion,
     build_verified_code,
     check_verify_scale,
     lagrange_products,
     products_at,
-    solve_extended_multipliers,
-    solve_multipliers,
 )
 from .subspace import (
     _check_zero_roots_character,
@@ -138,8 +137,7 @@ def coset_points(spec, base_points, extended=False, l_base=None):
             f"coset lift needs an {('even', 'odd')[extended]} base")
     if l_base is None:
         l_base = lagrange_products(f, base)
-    solve = solve_extended_multipliers if extended else solve_multipliers
-    if solve(f, base, l_base) is None:
+    if _criterion(f, l_base, extended) is None:
         raise BaseNotSelfDual("base fails the multiplier criterion")
 
     vs = [spec.v_of(x) for x in base.tolist()]
@@ -348,71 +346,32 @@ def iterated_lift(r, s, ms, e, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
 # ----------------------------------------------------------------------
 # two-decomposition families over GF(r^2)
 
-@dataclass(frozen=True)
-class TwoDecomposition:
-    """Two factorizations q - 1 = e1 f1 = e2 f2 of the same group.
-
-    Cosets of H = <theta^e1> scaled by powers of beta = theta^e2 are
-    distinct exactly when the powers differ modulo D = f2/gcd(f2, f1).
-    """
-
-    field: object
-    e1: int
-    e2: int
-
-    def __post_init__(self):
-        group = self.field.q - 1
-        for e in (self.e1, self.e2):
-            if e < 1 or group % e != 0:
-                raise HypothesisViolated(f"{e} does not divide q-1")
-
-    @property
-    def f1(self):
-        return (self.field.q - 1) // self.e1
-
-    @property
-    def f2(self):
-        return (self.field.q - 1) // self.e2
-
-    @property
-    def coset_modulus(self):
-        return self.f2 // math.gcd(self.f2, self.f1)
-
-
-def distinct_coset_indices(td, t):
-    """Default index choice 0..t-1: t distinct cosets for 1 <= t <= D.
-
-    beta^i H = beta^j H exactly when e1 divides e2 (i - j), that is
-    when D = f2/gcd(f1, f2) = e1/gcd(e1, e2) divides i - j, so no two
-    of 0..t-1 give the same coset."""
-    if t < 1 or t > td.coset_modulus:
-        raise TooManyCosets(
-            f"t = {t} exceeds the {td.coset_modulus} distinct cosets")
-    return list(range(t))
-
-
-def _scaled_cosets(td, indices):
-    """(points, l) on S = union of beta^i <theta^e1> over indices,
-    row-major: the coset engine with coset order f1, representatives
-    beta^i and L_a on their f1-th powers beta^(i f1)."""
-    vs = np.asarray(indices, dtype=np.int64) * td.e2
-    spec = CosetSpec(td.field, td.f1)
-    return _coset_union(spec, vs,
-                        lagrange_products(td.field, spec.gpow(vs * td.f1)))
+def _scaled_cosets(fld, f, e2, indices):
+    """(points, l) on S = union of beta^i <theta^e> over indices, with
+    beta = theta^e2 and ef = q - 1, row-major: the coset engine with
+    coset order f, representatives beta^i and L_a on their f-th powers
+    beta^(i f)."""
+    vs = np.asarray(indices, dtype=np.int64) * e2
+    spec = CosetSpec(fld, f)
+    return _coset_union(spec, vs, lagrange_products(fld, spec.gpow(vs * f)))
 
 
 def _two_decomposition(r, e, f, s, t, sign, table_limit):
-    """GF(r^2) and the decomposition e, (r + sign)/s, after the
-    hypotheses th12 (sign -1, tf even) and th13 (sign +1, tf odd) share."""
+    """GF(r^2), e2 = (r + sign)/s and the number D of distinct cosets
+    beta^i H, H = <theta^e> and beta = theta^e2, after the hypotheses
+    th12 (sign -1, tf even) and th13 (sign +1, tf odd) share.  beta^i H
+    = beta^j H iff e | e2 (i - j), iff D = f2/gcd(f2, f) divides i - j,
+    f2 = (q-1)/e2 = s(r - sign); so indices 0..t-1 need 1 <= t <= D."""
     fld = extension_field(r, 2, table_limit)
     _require(e >= 1 and f >= 1 and e * f == fld.q - 1, "need ef = q-1")
     _require(s >= 1 and f % s == 0 and (r + sign) % s == 0,
              f"s must divide both f and r{sign:+d}")
     _require(t * f % 2 == (sign > 0),
              f"tf must be {'odd' if sign > 0 else 'even'}")
-    td = TwoDecomposition(fld, e, (r + sign) // s)
-    assert td.coset_modulus == s * (r - sign) // math.gcd(s * (r - sign), f)
-    return fld, td
+    d = s * (r - sign) // math.gcd(s * (r - sign), f)
+    if t < 1 or t > d:
+        raise TooManyCosets(f"t = {t} exceeds the {d} distinct cosets")
+    return fld, (r + sign) // s, d
 
 
 def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
@@ -424,14 +383,14 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     parity hypotheses split by variant and, for "tf+2", by whether t
     hits the coset bound D.
     """
-    fld, td = _two_decomposition(r, e, f, s, t, -1, table_limit)
-    indices = distinct_coset_indices(td, t)
+    fld, e2, d = _two_decomposition(r, e, f, s, t, -1, table_limit)
+    indices = list(range(t))
     if variant == "tf":
         _require(e % 2 == 0, "e must be even")
         _require(((r - 1 + f * t) // s) % 2 == 0,
                  "(r-1+ft)/s must be even")
     elif variant == "tf+2":
-        if t == td.coset_modulus:
+        if t == d:
             _require((f * t // s) % 2 == 0, "ft/s must be even")
             _require((t - 1) * (r + 1 - f * t // s) % 4 == 0,
                      "((t-1)/2)(r+1-ft/s) must be even")
@@ -445,7 +404,7 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     else:
         raise HypothesisViolated(f"unknown variant {variant!r}")
 
-    pts, l = _scaled_cosets(td, indices)
+    pts, l = _scaled_cosets(fld, f, e2, indices)
     prov = {"theorem": "th12", "variant": variant, "r": r, "e": e,
             "f": f, "s": s, "t": t, "indices": list(indices)}
     if variant == "tf":
@@ -466,11 +425,11 @@ def th13_code(r, e, f, s, t, table_limit=DEFAULT_TABLE_LIMIT):
     multiplier solve in build_verified_code checks the resulting
     criterion on S.
     """
-    fld, td = _two_decomposition(r, e, f, s, t, 1, table_limit)
+    fld, e2, _ = _two_decomposition(r, e, f, s, t, 1, table_limit)
     assert e % 2 == 0  # q-1 = 0 mod 8 and f odd force e even
-    indices = distinct_coset_indices(td, t)
+    indices = list(range(t))
 
-    pts, l = _scaled_cosets(td, indices)
+    pts, l = _scaled_cosets(fld, f, e2, indices)
     prov = {"theorem": "th13", "r": r, "e": e, "f": f, "s": s, "t": t,
             "indices": list(indices)}
     return build_verified_code(fld, pts, True, prov, l)

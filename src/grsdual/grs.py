@@ -105,17 +105,45 @@ def products_at(field, points, indices):
     return _products_rows(field, a, np.asarray(indices, dtype=np.int64))
 
 
-def check_verify_scale(k, length, limit=DEFAULT_VERIFY_LIMIT):
-    """Refuse self-duality verification beyond the configured scale.
+def check_verify_scale(k, length):
+    """Refuse self-duality verification beyond the verify limit.
 
     Verifying a [n, k] code materializes a k x n generator matrix and a
-    k x k Gram matrix; past k * n = limit, fail with a typed error
-    instead of exhausting memory.
+    k x k Gram matrix; past k * n = DEFAULT_VERIFY_LIMIT, fail with a
+    typed error instead of exhausting memory.
     """
-    if k * length > limit:
+    if k * length > DEFAULT_VERIFY_LIMIT:
         raise EnumerationTooLarge(
             f"verifying a [{length},{k}] code needs a {k} x {length} "
-            f"matrix, past the verify limit of {limit} entries")
+            f"matrix, past the verify limit of {DEFAULT_VERIFY_LIMIT} "
+            f"entries")
+
+
+def _criterion(field, l, extended):
+    """lam with every lam L(a_i) a square: 1 or theta (encoding 2) when
+    the character of L is constant, -1 when extended; else None."""
+    signs = field.vsign(l)
+    for lam in (field.neg(1),) if extended else (1, 2):
+        if np.all(signs == field.sign(lam)):
+            return lam
+    return None
+
+
+def _solve(field, points, l_values, extended):
+    """(lam, v) with v_i = sqrt((lam L(a_i))^-1) for the lam of
+    _criterion, or None; the parity of n must match extended."""
+    a = np.array(points, dtype=np.int64)
+    if a.size % 2 != extended:
+        raise (OddLength, EvenLength)[extended](
+            f"an {('even', 'odd')[extended]} number of points is required")
+    l = lagrange_products(field, a) if l_values is None else l_values
+    lam = _criterion(field, l, extended)
+    if lam is None:
+        return None
+    lam_l = field.vmul(lam, l)
+    v = field.vsqrt(field.vinv(lam_l))
+    assert np.all(field.vmul(field.vmul(v, v), lam_l) == 1)
+    return lam, v
 
 
 def solve_multipliers(field, points, l_values=None):
@@ -125,21 +153,7 @@ def solve_multipliers(field, points, l_values=None):
     scalar and v_i = sqrt((lam L(a_i))^-1), or None when the character
     of L is not constant on the points.
     """
-    a = np.array(points, dtype=np.int64)
-    if a.size % 2:
-        raise OddLength("an even number of points is required")
-    l = lagrange_products(field, a) if l_values is None else l_values
-    signs = field.vsign(l)
-    if np.all(signs == 1):
-        lam = 1
-    elif np.all(signs == -1):
-        lam = 2  # theta, the canonical non-square
-    else:
-        return None
-    w = field.vinv(field.vmul(lam, l))
-    v = field.vsqrt(w)
-    assert np.all(field.vmul(field.vmul(v, v), field.vmul(lam, l)) == 1)
-    return lam, v
+    return _solve(field, points, l_values, False)
 
 
 def solve_extended_multipliers(field, points, l_values=None):
@@ -147,16 +161,8 @@ def solve_extended_multipliers(field, points, l_values=None):
 
     v_i = sqrt((-L(a_i))^-1); exists iff every -L(a_i) is a square.
     """
-    a = np.array(points, dtype=np.int64)
-    if a.size % 2 == 0:
-        raise EvenLength("an odd number of points is required")
-    l = lagrange_products(field, a) if l_values is None else l_values
-    neg_l = field.vneg(l)
-    if not np.all(field.vsign(neg_l) == 1):
-        return None
-    v = field.vsqrt(field.vinv(neg_l))
-    assert np.all(field.vmul(field.vmul(v, v), neg_l) == 1)
-    return v
+    solved = _solve(field, points, l_values, True)
+    return None if solved is None else solved[1]
 
 
 @dataclass(frozen=True)
@@ -408,11 +414,14 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
     """Rebuild a SelfDualCode from its wire dict, validating the field."""
     try:
         fd = obj["field"]
-        ints = [fd["p"], fd["m"], obj["k"], *fd["modulus"], *obj["a"],
-                *obj["v"]]
+        ints = [fd["p"], fd["m"], fd["theta"], obj["k"], *fd["modulus"],
+                *obj["a"], *obj["v"]]
         # bool is an int subclass; EvalSet's int() would truncate floats
         if any(isinstance(x, bool) or not isinstance(x, int) for x in ints):
-            raise SchemaError("p, m, k, modulus, a and v must be integers")
+            raise SchemaError(
+                "p, m, theta, k, modulus, a and v must be integers")
+        if fd["theta"] != 2:
+            raise SchemaError("theta must be 2, the generator's encoding")
         # bool() would take "false" as true, dict() ["ab"] as {"a": "b"}
         if not isinstance(obj["extended"], bool):
             raise SchemaError("extended must be true or false")
@@ -422,7 +431,7 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         # compare before make_field builds tables of up to table_limit
         p = fd["p"]
         modulus = canonical_modulus(p, fd["m"], table_limit)
-        if list(modulus) != [c % p for c in fd["modulus"]]:
+        if list(modulus) != fd["modulus"]:  # each coefficient in [0, p)
             raise SchemaError("field modulus does not match the canonical one")
         f = make_field(p, fd["m"], table_limit)
         es = EvalSet(f, obj["a"], obj["v"], obj["extended"])
@@ -437,8 +446,7 @@ def code_from_obj(obj, table_limit=DEFAULT_TABLE_LIMIT):
         raise SchemaError(f"malformed code object: {exc}") from exc
 
 
-def build_verified_code(field, points, extended, provenance, l_values=None,
-                        verify_limit=DEFAULT_VERIFY_LIMIT):
+def build_verified_code(field, points, extended, provenance, l_values=None):
     """Solve for multipliers, assemble the code, and self-check it.
 
     l_values, when given, is L on the points in a lift's closed form,
@@ -451,7 +459,7 @@ def build_verified_code(field, points, extended, provenance, l_values=None,
     """
     pts = np.array(points, dtype=np.int64)
     n_total = pts.size + (1 if extended else 0)
-    check_verify_scale(n_total // 2, n_total, verify_limit)
+    check_verify_scale(n_total // 2, n_total)
     if extended:
         multipliers = solve_extended_multipliers(field, pts, l_values)
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DependentBasis, GrsDualError
+from .errors import DependentBasis, GrsDualError, TableLimitExceeded
 from .field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field, span_enc
 from .grs import lagrange_products
 from .search import divisors, odd_prime_powers
@@ -209,9 +209,13 @@ def run_selftest(max_q=200, table_limit=DEFAULT_TABLE_LIMIT, fields=None):
 
     A caller may inject its own field list (the fault-injection hook
     used by the test suite); any exception a corrupted field raises is
-    recorded as a failure rather than aborting the run.
+    recorded as a failure rather than aborting the run.  A max_q past
+    the table limit is refused before the sieve up to max_q runs.
     """
     if fields is None:
+        if max_q > table_limit:
+            raise TableLimitExceeded(
+                f"max_q = {max_q} exceeds the table limit {table_limit}")
         fields = [make_field(*factor_prime_power(q), table_limit)
                   for q in odd_prime_powers(max_q)]
     results = []

@@ -44,39 +44,30 @@ from .errors import (
     _require,
 )
 from .field import DEFAULT_TABLE_LIMIT, extension_field, make_field, span_enc
-from .grs import (
-    build_verified_code,
-    lagrange_products,
-    solve_extended_multipliers,
-)
+from .grs import _criterion, build_verified_code, lagrange_products
 
 
 def subspace_basis(field, r, e, container_order=None):
-    """First e of the greedy GF(r)-basis of the container subfield.
+    """The powers 1, g, ..., g^(e-1) of the container's canonical
+    generator g.
 
-    The basis is read off the powers 1, g, g^2, ... of the container's
-    canonical generator, keeping each power that is independent of the
-    ones already kept.  Deterministic by construction.
+    Over GF(r) = GF(p^d_r), a generator g of the container GF(p^d_c)
+    has degree c = lcm(d_r, d_c)/d_r (Lidl-Niederreiter, ch. 2): the
+    least c with g^(r^c) = g.  So its first c powers are GF(r)-
+    independent, and e > c is refused.
     """
     if container_order is None:
         container_order = field.q
-    if e == 0:
-        return np.zeros(0, dtype=np.int64)
     # theta^stride generates the container's multiplicative group; for
     # the full field the stride is 1 and this is theta itself.
-    gen = field.subfield_stride(container_order) + 1
-    basis = []
-    seen = {0}
-    power = 1  # g^0
-    while len(basis) < e:
-        if power not in seen:
-            basis.append(power)
-            seen = set(span_enc(field, r, basis).tolist())
-        power = field.mul(power, gen)
-        if len(basis) < e and power == 1:
-            raise HypothesisViolated(
-                f"subspace dimension {e} exceeds the container over GF({r})")
-    return np.array(basis, dtype=np.int64)
+    stride = field.subfield_stride(container_order)
+    field.subfield_stride(r)  # validates r as well
+    c = next(c for c in range(1, field.m + 1)
+             if (r ** c - 1) % (container_order - 1) == 0)
+    if e > c:
+        raise HypothesisViolated(
+            f"subspace dimension {e} exceeds the container over GF({r})")
+    return np.arange(e, dtype=np.int64) * stride % (field.q - 1) + 1
 
 
 def default_subspace(field, r, e, container_order=None):
@@ -128,10 +119,9 @@ def subspace_lift(field, r, base_points, e, container_order=None,
     sub = default_subspace(f, r, e, container_order)
     shift = default_shift(f, sub, container_order)
     l_base = lagrange_products(f, base)
-    nz = sub[sub != 0]
-    v_prod = 1 if nz.size == 0 else int(f.vprod(nz))
+    v_prod = int(f.vprod(sub[sub != 0]))  # 1 for the empty product
     if extended:
-        if solve_extended_multipliers(f, base, l_base) is None:
+        if _criterion(f, l_base, True) is None:
             raise BaseNotSelfDual(
                 "base fails the extended multiplier criterion")
         if f.sign(v_prod) != 1:

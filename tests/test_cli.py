@@ -302,6 +302,32 @@ def test_verify_rejects_non_integer_points(tmp_path, capsys):
     assert "cannot load code" in err
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("theta", 7), ("theta", None), ("theta", _MISSING), ("theta", True),
+     ("modulus", [13, 1]), ("modulus", [-13, 14])],
+    ids=["theta-7", "theta-null", "theta-missing", "theta-true",
+         "modulus-13-1", "modulus-minus13-14"])
+def test_verify_rejects_a_loose_field_block(tmp_path, capsys, key, value):
+    """theta must be the JSON integer 2 and each modulus coefficient lie
+    in [0, p); read loosely, each of these files is the valid code."""
+    obj = json.loads(T2_JSON)
+    if value is _MISSING:
+        del obj["field"][key]
+    else:
+        obj["field"][key] = value
+    with pytest.raises(SchemaError):
+        code_from_obj(obj)
+    code = tmp_path / "field.json"
+    code.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, ["verify", "--in", str(code)])
+    assert rc == 1
+    assert "cannot load code" in err
+
+
 def test_large_q_constructs(capsys):
     rc, out, _ = run(capsys, ["construct", "--theorem", "large_q",
                               "--q", "49", "--n", "4"])
@@ -451,6 +477,17 @@ def test_selftest_clean_run(capsys):
     assert err == ""
     for line in out.splitlines():
         assert line.endswith("checks, 0 failures")
+
+
+def test_selftest_refuses_max_q_past_the_table_limit(capsys):
+    """Exit 6 before the sieve up to max_q is allocated or any field is
+    built, so the refusal costs nothing however large max_q is."""
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["selftest", "--max-q", str(10 ** 8),
+                                "--table-limit", "100"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (6, "")
+    assert "max_q = 100000000 exceeds the table limit 100" in err
 
 
 def test_selftest_reports_injected_fault(capsys):

@@ -6,11 +6,13 @@ rejections) plus the lift transfer identity on random inputs.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from grsdual import make_field
+from grsdual.field import span_enc
 from grsdual.errors import (
     BaseNotSelfDual,
     BasePointsNotInSubfield,
@@ -212,6 +214,55 @@ def test_subspace_basis_and_default_subspace():
     for a in sset:
         for b in sset:
             assert f.add(a, b) in sset
+
+
+def greedy_subspace_basis(field, r, e, container_order=None):
+    """Reference: keep each power 1, g, g^2, ... of the container's
+    generator g that lies outside the GF(r)-span of those kept, until e
+    are kept; refuse e once the powers come back round to 1."""
+    if container_order is None:
+        container_order = field.q
+    if e == 0:
+        return np.zeros(0, dtype=np.int64)
+    gen = field.subfield_stride(container_order) + 1
+    basis = []
+    seen = {0}
+    power = 1  # g^0
+    while len(basis) < e:
+        if power not in seen:
+            basis.append(power)
+            seen = set(span_enc(field, r, basis).tolist())
+        power = field.mul(power, gen)
+        if len(basis) < e and power == 1:
+            raise HypothesisViolated(
+                f"subspace dimension {e} exceeds the container over GF({r})")
+    return np.array(basis, dtype=np.int64)
+
+
+def test_subspace_basis_matches_the_greedy_basis():
+    """The closed-form basis equals the greedy one for every field up to
+    GF(3^9) below, every subfield r and container (GF(r) inside the
+    container or not) and every e up to c + 1, refusal included."""
+    cases = 0
+    for p, top in ((3, 9), (5, 4), (7, 3), (11, 2), (13, 2)):
+        for m in range(1, top + 1):
+            f = make_field(p, m)
+            subs = [p ** d for d in range(1, m + 1) if m % d == 0]
+            for r in subs:
+                for w in subs:
+                    for e in range(m + 2):
+                        try:
+                            want = greedy_subspace_basis(f, r, e, w)
+                        except HypothesisViolated as exc:
+                            with pytest.raises(HypothesisViolated,
+                                               match=re.escape(str(exc))):
+                                subspace_basis(f, r, e, w)
+                            cases += 1
+                            break
+                        got = subspace_basis(f, r, e, w)
+                        assert got.tolist() == want.tolist(), (f, r, w, e)
+                        cases += 1
+    assert cases > 300
 
 
 def test_default_shift_avoids_subspace():

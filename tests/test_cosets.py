@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from grsdual import make_field
+from grsdual.field import extension_field
 from grsdual.cosets import (
     CosetSpec,
-    TwoDecomposition,
+    _two_decomposition,
     coset_lift,
     coset_points,
-    distinct_coset_indices,
     extended_coset_lift,
     iterated_lift,
     th8_code,
@@ -218,42 +218,62 @@ def test_th12_past_desk_scale_refuses_in_bounded_memory():
         assert peak < 64 * 2 ** 20, (variant, peak)
 
 
-def same_coset(td, i, j):
-    """Reference predicate: whether beta^i H and beta^j H coincide."""
-    return (td.e2 * (i - j)) % td.e1 == 0
+def literal_coset_count(f, e, e2):
+    """Reference: the number of distinct cosets beta^i H, H = <theta^e>
+    and beta = theta^e2, from literal coset-set equality."""
+    order = f.q - 1
+    group = [(i * e) % order + 1 for i in range(order // e)]
+    cosets = [frozenset(group)]
+    while True:
+        beta_i = (len(cosets) * e2) % order + 1
+        coset = frozenset(f.mul(beta_i, x) for x in group)
+        if coset == cosets[0]:  # beta^i H repeats with period D
+            break
+        cosets.append(coset)
+    assert len(set(cosets)) == len(cosets)
+    return len(cosets)
 
 
 def test_two_decomposition_exhaustive():
-    """same_coset must agree with literal coset-set equality, where
-    H = <theta^e1> is scaled by powers of beta = theta^e2."""
-    for p, m in ((5, 2), (13, 1), (3, 2)):
-        f = make_field(p, m)
-        order = f.q - 1
-        divisors = [d for d in range(1, order + 1) if order % d == 0]
-        for e1 in divisors:
-            group = [(i * e1) % order + 1 for i in range(order // e1)]
-            for e2 in divisors:
-                td = TwoDecomposition(f, e1, e2)
-                cosets = [frozenset(f.mul((i * e2) % order + 1, x) for x in group)
-                          for i in range(min(order // e2 + 2, 8))]
-                for i, ci in enumerate(cosets):
-                    for j, cj in enumerate(cosets):
-                        assert same_coset(td, i, j) == (ci == cj)
-                # so distinct_coset_indices needs no pairwise test
-                mod = td.coset_modulus
-                assert same_coset(td, 0, mod)
-                assert not any(same_coset(td, i, j)
-                               for i in range(mod) for j in range(i))
+    """_two_decomposition's D agrees with literal coset-set equality for
+    every th12/th13 shape over GF(r^2), r <= 13: t up to D is accepted,
+    and t = D + 1, or D + 2 where only that has tf's parity, refused."""
+    for r in (3, 5, 7, 9, 11, 13):
+        fld = extension_field(r, 2)
+        order = fld.q - 1
+        for sign, f in itertools.product((-1, 1), range(1, order + 1)):
+            if order % f:
+                continue
+            e = order // f
+            for s in range(1, f + 1):
+                if f % s or (r + sign) % s:
+                    continue
+                want = literal_coset_count(fld, e, (r + sign) // s)
+                for t in range(max(1, want - 1), want + 3):
+                    args = (r, e, f, s, t, sign, fld.q)
+                    if t * f % 2 != (sign > 0):
+                        continue  # tf's parity, checked before D
+                    if t <= want:
+                        assert _two_decomposition(*args) == (
+                            fld, (r + sign) // s, want)
+                    else:
+                        with pytest.raises(TooManyCosets):
+                            _two_decomposition(*args)
 
 
 def test_distinct_coset_indices():
-    f = make_field(5, 2)
-    td = TwoDecomposition(f, 6, 4)
-    assert td.coset_modulus == 3
-    assert distinct_coset_indices(td, 1) == [0]
-    assert distinct_coset_indices(td, 3) == [0, 1, 2]
+    """th12/th13 take the cosets of indices 0..t-1 for 1 <= t <= D and
+    refuse t = 0 and t = D + 1 with TooManyCosets."""
+    assert th12_code(5, 6, 4, 2, 1, "tf").provenance["indices"] == [0]
+    code = th12_code(5, 6, 4, 2, 3, "tf")  # D = 3
+    assert code.provenance["indices"] == [0, 1, 2]
+    for t in (0, 4):
+        with pytest.raises(TooManyCosets):
+            th12_code(5, 6, 4, 2, t, "tf")
+    code = th13_code(5, 8, 3, 3, 3)  # D = 3 * 4 / gcd(12, 3) = 4
+    assert code.provenance["indices"] == [0, 1, 2]
     with pytest.raises(TooManyCosets):
-        distinct_coset_indices(td, 4)
+        th13_code(5, 8, 3, 3, 5)
 
 
 def test_th12_family_over_gf25():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 
 import grsdual
 from grsdual import cli
@@ -47,6 +48,13 @@ def test_exit_codes_are_documented_exactly():
     doc = [int(c) for c in re.findall(r"^\s+(\d+)  \S", cli.__doc__, re.M)]
     assert readme == codes
     assert doc == codes
+
+
+def test_readme_lists_the_config_keys():
+    """The README names exactly the keys --config accepts, in order."""
+    sentence = _read("README.md").split("The config keys are")[1]
+    keys = re.findall(r"`(\w+)`", sentence.split(";")[0])
+    assert keys == [f.name for f in fields(cli.CliConfig)]
 
 
 def test_version_matches_pyproject():

@@ -506,9 +506,10 @@ def test_build_verified_code_failure_is_typed():
 def test_build_verified_code_scale_guard():
     check_verify_scale(100, 200)
     with pytest.raises(EnumerationTooLarge):
-        check_verify_scale(3000, 6000, limit=10 ** 6)
+        check_verify_scale(3000, 6000)
+    # [4474,2237] is past the limit; refused before any multiplier work
     with pytest.raises(EnumerationTooLarge):
-        build_verified_code(F, encs([0, 1, 2, 3]), False, {}, verify_limit=1)
+        build_verified_code(make_field(3, 8), np.arange(4474), False, {})
 
 
 def test_to_obj_wire_shape():
