@@ -36,6 +36,9 @@ Families built on top (wire ids match the command line):
              cosets of the order-f subgroup, scaled by powers of
              beta = theta^{(r-1)/s};
   th13:      length tf + 1 (extended, tf odd) with beta = theta^{(r+1)/s}.
+
+tower_admits, th12_admits and th13_admits hold their hypotheses, build
+nothing, and run first in the builders.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def coset_points(spec, base_points, extended=False, l_base=None):
     """
     f = spec.field
     base = np.asarray(base_points, dtype=np.int64)
-    _check_e1(spec, extended)
+    _check_e1(f, spec.e1, extended)
     if base.size % 2 != extended:
         raise HypothesisViolated(
             f"coset lift needs an {('even', 'odd')[extended]} base")
@@ -162,18 +165,16 @@ def _coset_union(spec, vs, l_base):
                        f.vmul(scale, l_base[:, None])).ravel()
 
 
-def _check_e1(spec, extended):
+def _check_e1(f, e1, extended):
     """The coset-lift hypotheses that depend on e1 alone."""
-    f = spec.field
-    if spec.e1 % 2 == 0:
-        raise E1NotOdd(f"e1 = {spec.e1} must be odd")
+    if e1 % 2 == 0:
+        raise E1NotOdd(f"e1 = {e1} must be odd")
     if extended:
-        e1_sign = f.sign(f.from_int(spec.e1))
+        e1_sign = f.sign(f.from_int(e1))
         if f.q % 4 == 1:
             assert e1_sign == 1  # odd divisor of q-1 is then a square
         elif e1_sign != 1:
-            raise CharacterCondition(
-                f"chi({spec.e1}) = -1 and q is 3 mod 4")
+            raise CharacterCondition(f"chi({e1}) = -1 and q is 3 mod 4")
 
 
 def coset_lift(spec, base_points, provenance=None):
@@ -231,70 +232,77 @@ def _shift_nonzero(field, pts, container_order):
     raise HypothesisViolated("point set covers the whole container")
 
 
-def _tower_menu(field, r, s, e, t, variant):
-    """Check the variant's remaining hypotheses; return its menu in GF(r)."""
+def _tower_shape(variant, ms, t):
+    """The tower hypotheses that need no field (which ms sizes)."""
+    parity = TOWER_VARIANTS[variant][1]
+    _require(t % 2 == parity, f"t must be {('even', 'odd')[parity]}")
+    _require(len(ms) >= 1 and all(x >= 1 and x % 2 == 1 for x in ms),
+             "tower factors must be odd and there must be at least one")
+
+
+def tower_admits(variant, a, f):
+    """The hypotheses of a tower code on a = {r, s, m or ms, e, t} over
+    f = GF(r^(s m1 m2 ...)), the per-stage e1 checks and the scale guard
+    on the closed-form length included."""
+    extended, _, _, iterated_id = TOWER_VARIANTS[variant]
+    r, s, e, t = a["r"], a["s"], a["e"], a["t"]
+    ms = [a["m"]] if "m" in a else list(a["ms"])
+    _tower_shape(variant, ms, t)
     _require(0 <= e <= s - 1, "e must satisfy 0 <= e <= s-1")
     _require(t >= 1 and (r - 1) % t == 0, "t must divide r-1")
     if variant == "th8":
         _require(1 < t < r - 1, "need 1 < t < r-1")
-        _require(field.q % 4 == 1, "q = 1 (mod 4) fails")
+        _require(f.q % 4 == 1, "q = 1 (mod 4) fails")
         assert (r ** s) % 4 == 1  # forced by q = 1 mod 4 with m odd
-        return th1_base(field, r, t // 2)
-    if variant == "th10":
-        val = field.from_int(t)
+    elif variant == "th10":
+        val = f.from_int(t)
         if ((r ** e + 1) // 2) % 2 == 1:
-            val = field.neg(val)
-        _require(field.sign(val) == 1,
-                 "chi((-1)^((r^e+1)/2) t) = -1 fails")
-        return roots_of_unity(field, t)
-    if variant == "th9":
-        _require(field.sign(field.neg(field.from_int(t))) == 1,
-                 "chi(-t) = -1 fails")
+            val = f.neg(val)
+        _require(f.sign(val) == 1, "chi((-1)^((r^e+1)/2) t) = -1 fails")
+    elif variant == "th9":
+        _require(f.sign(f.neg(f.from_int(t))) == 1, "chi(-t) = -1 fails")
     else:
         _require(1 <= t < r - 1, "need 1 <= t < r-1")
-        _check_zero_roots_character(field, e, t)
-    return zero_and_roots(field, t)
-
-
-def _tower(variant, r, s, ms, e, t, table_limit):
-    """Tower code over GF(r^{s m1 m2 ...}): the variant's menu, lifted by
-    a dim-e subspace inside GF(r^s) and shifted off zero, expanded to
-    cosets once per factor in ms, innermost first.  All hypotheses, the
-    per-stage e1 checks included, precede the scale guard, which runs on
-    the closed-form length before any expansion; a HypothesisViolated
-    from a stage after it is a bug, hence VerificationFailed.  One
-    factor carries the variant's provenance, more carry its iterated
-    id's.
-    """
-    extended, parity, _, iterated_id = TOWER_VARIANTS[variant]
-    _require(t % 2 == parity, f"t must be {('even', 'odd')[parity]}")
-    _require(len(ms) >= 1 and all(x >= 1 and x % 2 == 1 for x in ms),
-             "tower factors must be odd and there must be at least one")
-    f = extension_field(r, s * math.prod(ms), table_limit)
-    menu = _tower_menu(f, r, s, e, t, variant)
-    specs = []
+        _check_zero_roots_character(f, e, t)
     omega = r ** s
     for mj in ms:
-        specs.append(CosetSpec(f, _tower_sum(omega, mj), omega ** mj))
+        _check_e1(f, _tower_sum(omega, mj), extended)
         omega **= mj
-    for spec in specs:
-        _check_e1(spec, extended)
     n = tower_length(variant, r, s, ms, e, t)
     check_verify_scale(n // 2, n)
-
-    try:
-        pts, l = subspace_lift(f, r, menu, e, r ** s, variant == "th11")
-        pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
-        for spec in specs:
-            if spec.e1 > 1:  # a factor m_j = 1 gives one-point cosets
-                pts, l = coset_points(spec, pts, extended, l)
-    except HypothesisViolated as exc:
-        raise VerificationFailed(f"tower stage failed: {exc}") from exc
     if len(ms) == 1:
         prov = {"theorem": variant, "m": ms[0]}
     else:
         prov = {"theorem": iterated_id, "ms": ms}
     prov.update(r=r, s=s, e=e, t=t)
+    return prov
+
+
+def _tower(variant, r, s, ms, e, t, table_limit):
+    """Tower code over GF(r^{s m1 m2 ...}): the variant's menu, lifted by
+    a dim-e subspace inside GF(r^s) and shifted off zero, expanded to
+    cosets once per factor in ms, innermost first.  tower_admits runs
+    before any expansion; a HypothesisViolated from a stage after it is
+    a bug, hence VerificationFailed.
+    """
+    extended = TOWER_VARIANTS[variant][0]
+    _tower_shape(variant, ms, t)
+    f = extension_field(r, s * math.prod(ms), table_limit)
+    prov = tower_admits(variant, dict(r=r, s=s, ms=ms, e=e, t=t), f)
+    menu = (th1_base(f, r, t // 2) if variant == "th8"
+            else roots_of_unity(f, t) if variant == "th10"
+            else zero_and_roots(f, t))
+    try:
+        pts, l = subspace_lift(f, r, menu, e, r ** s, variant == "th11")
+        pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
+        omega = r ** s
+        for mj in ms:
+            if mj > 1:  # a factor m_j = 1 gives one-point cosets
+                spec = CosetSpec(f, _tower_sum(omega, mj), omega ** mj)
+                pts, l = coset_points(spec, pts, extended, l)
+            omega **= mj
+    except HypothesisViolated as exc:
+        raise VerificationFailed(f"tower stage failed: {exc}") from exc
     return build_verified_code(f, pts, extended, prov, l)
 
 
@@ -356,34 +364,36 @@ def _scaled_cosets(fld, f, e2, indices):
     return _coset_union(spec, vs, lagrange_products(fld, spec.gpow(vs * f)))
 
 
-def _two_decomposition(r, e, f, s, t, sign, table_limit):
-    """GF(r^2), e2 = (r + sign)/s and the number D of distinct cosets
-    beta^i H, H = <theta^e> and beta = theta^e2, after the hypotheses
-    th12 (sign -1, tf even) and th13 (sign +1, tf odd) share.  beta^i H
-    = beta^j H iff e | e2 (i - j), iff D = f2/gcd(f2, f) divides i - j,
-    f2 = (q-1)/e2 = s(r - sign); so indices 0..t-1 need 1 <= t <= D."""
-    fld = extension_field(r, 2, table_limit)
+def coset_count(r, f, s, sign):
+    """D, the number of distinct cosets beta^i H of H = <theta^e> over
+    GF(r^2), ef = r^2 - 1 and beta = theta^e2, e2 = (r + sign)/s: beta^i
+    H = beta^j H iff e | e2 (i - j), iff D = f2/gcd(f2, f) divides
+    i - j, f2 = (q-1)/e2 = s(r - sign)."""
+    return s * (r - sign) // math.gcd(s * (r - sign), f)
+
+
+def _two_decomposition(fld, r, e, f, s, t, sign):
+    """D after the hypotheses th12 (sign -1, tf even) and th13 (sign +1,
+    tf odd) share over fld = GF(r^2): indices 0..t-1 need 1 <= t <= D."""
     _require(e >= 1 and f >= 1 and e * f == fld.q - 1, "need ef = q-1")
     _require(s >= 1 and f % s == 0 and (r + sign) % s == 0,
              f"s must divide both f and r{sign:+d}")
     _require(t * f % 2 == (sign > 0),
              f"tf must be {'odd' if sign > 0 else 'even'}")
-    d = s * (r - sign) // math.gcd(s * (r - sign), f)
+    d = coset_count(r, f, s, sign)
     if t < 1 or t > d:
         raise TooManyCosets(f"t = {t} exceeds the {d} distinct cosets")
-    return fld, (r + sign) // s, d
+    return d
 
 
-def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
-    """Self-dual codes of length tf or tf+2 over GF(r^2).
-
-    S is a union of t cosets of the order-f subgroup, scaled by powers
-    of beta = theta^{(r-1)/s}.  variant "tf" builds the plain code on
-    S; variant "tf+2" appends 0 and builds the extended code.  The
-    parity hypotheses split by variant and, for "tf+2", by whether t
-    hits the coset bound D.
-    """
-    fld, e2, d = _two_decomposition(r, e, f, s, t, -1, table_limit)
+def th12_admits(a, fld):
+    """th12's hypotheses on a = {r, e, f, s, t, variant} over fld =
+    GF(r^2): the parity ones split by variant and, for "tf+2", by
+    whether t hits the coset bound D, below which the indices may take
+    a parity bump."""
+    r, e, f, s, t, variant = (a[k] for k in ("r", "e", "f", "s", "t",
+                                             "variant"))
+    d = _two_decomposition(fld, r, e, f, s, t, -1)
     indices = list(range(t))
     if variant == "tf":
         _require(e % 2 == 0, "e must be even")
@@ -403,10 +413,21 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
                 indices[-1] += 1  # index t < D: still t distinct cosets
     else:
         raise HypothesisViolated(f"unknown variant {variant!r}")
+    return {"theorem": "th12", "variant": variant, "r": r, "e": e, "f": f,
+            "s": s, "t": t, "indices": indices}
 
-    pts, l = _scaled_cosets(fld, f, e2, indices)
-    prov = {"theorem": "th12", "variant": variant, "r": r, "e": e,
-            "f": f, "s": s, "t": t, "indices": list(indices)}
+
+def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
+    """Self-dual codes of length tf or tf+2 over GF(r^2).
+
+    S is a union of t cosets of the order-f subgroup, scaled by powers
+    of beta = theta^{(r-1)/s}.  variant "tf" builds the plain code on
+    S; variant "tf+2" appends 0 and builds the extended code.
+    """
+    fld = extension_field(r, 2, table_limit)
+    prov = th12_admits({"r": r, "e": e, "f": f, "s": s, "t": t,
+                        "variant": variant}, fld)
+    pts, l = _scaled_cosets(fld, f, (r - 1) // s, prov["indices"])
     if variant == "tf":
         return build_verified_code(fld, pts, False, prov, l)
     full = np.concatenate([pts, np.zeros(1, dtype=np.int64)])
@@ -414,6 +435,15 @@ def th12_code(r, e, f, s, t, variant, table_limit=DEFAULT_TABLE_LIMIT):
     # on S, L over S + {0} is x L_S(x)
     return build_verified_code(fld, full, True, prov,
                                np.concatenate([fld.vmul(pts, l), l_zero]))
+
+
+def th13_admits(a, fld):
+    """th13's hypotheses on a = {r, e, f, s, t} over fld = GF(r^2)."""
+    r, e, f, s, t = (a[k] for k in ("r", "e", "f", "s", "t"))
+    _two_decomposition(fld, r, e, f, s, t, 1)
+    assert e % 2 == 0  # q-1 = 0 mod 8 and f odd force e even
+    return {"theorem": "th13", "r": r, "e": e, "f": f, "s": s, "t": t,
+            "indices": list(range(t))}
 
 
 def th13_code(r, e, f, s, t, table_limit=DEFAULT_TABLE_LIMIT):
@@ -425,11 +455,7 @@ def th13_code(r, e, f, s, t, table_limit=DEFAULT_TABLE_LIMIT):
     multiplier solve in build_verified_code checks the resulting
     criterion on S.
     """
-    fld, e2, _ = _two_decomposition(r, e, f, s, t, 1, table_limit)
-    assert e % 2 == 0  # q-1 = 0 mod 8 and f odd force e even
-    indices = list(range(t))
-
-    pts, l = _scaled_cosets(fld, f, e2, indices)
-    prov = {"theorem": "th13", "r": r, "e": e, "f": f, "s": s, "t": t,
-            "indices": list(indices)}
+    fld = extension_field(r, 2, table_limit)
+    prov = th13_admits({"r": r, "e": e, "f": f, "s": s, "t": t}, fld)
+    pts, l = _scaled_cosets(fld, f, (r + 1) // s, prov["indices"])
     return build_verified_code(fld, pts, True, prov, l)

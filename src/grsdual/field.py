@@ -382,38 +382,51 @@ class Field:
     def varray(self, xs):
         return np.asarray(xs, dtype=np.int64)
 
+    def _log_sum(self, s):
+        """s % (q-1) + 1 for int64 0 <= s < 2(q-1), in place: as uint64,
+        min(s, s - (q-1)) is s % (q-1)."""
+        s = np.asarray(s).view(np.uint64)
+        np.minimum(s, s - np.uint64(self.q - 1), out=s)
+        s += 1
+        return s.view(np.int64)
+
     def vadd(self, a, b):
         a, b = self.varray(a), self.varray(b)
-        n = self.q - 1
-        d = (b - a) % n
-        z = self._zech[d]
-        out = np.where(z < 0, 0, (a - 1 + z) % n + 1)
-        out = np.where(a == 0, b, out)
-        out = np.where(b == 0, a, out)
+        z = self._zech.take(b - a, mode="wrap")
+        out = self._log_sum(z + (a - 1))
+        np.copyto(out, 0, where=z < 0)
+        if np.count_nonzero(a) < a.size:
+            np.copyto(out, b, where=a == 0)
+        if np.count_nonzero(b) < b.size:
+            np.copyto(out, a, where=b == 0)
         return out
 
     def vneg(self, a):
         a = self.varray(a)
-        return np.where(a == 0, 0, (a - 1 + self._half) % (self.q - 1) + 1)
+        out = self._log_sum(a + (self._half - 1))
+        if np.count_nonzero(a) < a.size:
+            np.copyto(out, 0, where=a == 0)
+        return out
 
     def vsub(self, a, b):
         # one Zech lookup: -b has discrete log log(b) + (q-1)/2
         a, b = self.varray(a), self.varray(b)
-        n, h = self.q - 1, self._half
-        z = self._zech[(b + h - a) % n]
-        out = np.where(z < 0, 0, (a - 1 + z) % n + 1)
-        return np.where(b == 0, a, np.where(a == 0, (b - 1 + h) % n + 1, out))
+        z = self._zech.take(b + (self._half - a), mode="wrap")
+        out = self._log_sum(z + (a - 1))
+        np.copyto(out, 0, where=z < 0)
+        if np.count_nonzero(a) < a.size:  # -b there; b = 0 is set below
+            np.copyto(out, self._log_sum(b + (self._half - 1)), where=a == 0)
+        if np.count_nonzero(b) < b.size:
+            np.copyto(out, a, where=b == 0)
+        return out
 
     def vmul(self, a, b):
-        # s = (a-1) + (b-1) < 2(q-1), so as uint64 min(s, s-(q-1)) = s % (q-1)
         a, b = self.varray(a), self.varray(b)
-        s = np.asarray(a + b - 2).view(np.uint64)
-        np.minimum(s, s - np.uint64(self.q - 1), out=s)
-        s += 1
+        s = self._log_sum(a + b - 2)
         for x in (a, b):
             if np.count_nonzero(x) < x.size:
                 np.copyto(s, 0, where=x == 0)
-        return s.view(np.int64)
+        return s
 
     def vinv(self, a):
         a = self.varray(a)

@@ -116,7 +116,10 @@ def gram(field, g):
     hankel = _grs_nodes(field, g) is not None
     left = _coeff_planes(field, g[[0, k - 1]] if hankel else g, chunks, width)
     out = np.empty((left.shape[1], k), dtype=np.int64)
-    rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width))
+    # at least 8 rows where G has 16 m of them: one-row blocks of a long
+    # G cost a round each, and 8 rows of planes stay below half of G
+    rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width),
+               min(8, k // (2 * m)))
     for r0 in range(0, k, rows):
         block = _coeff_planes(field, g[r0:r0 + rows], chunks, width)
         out[:, r0:r0 + rows] = _products(field, left, block)

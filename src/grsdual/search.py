@@ -22,10 +22,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import cosets, subspace
 # The builders are called by name from Family.build, through this
 # module's namespace.
 from .cosets import (
@@ -105,6 +107,17 @@ def clique_count_lower_bound(q, n):
     return q * half - ((n - 3) / 2.0 + half) * math.sqrt(q) - (n - 1) / 2.0
 
 
+def _large_q_admits(a, field):
+    """large_q's hypotheses on a = {n, permissive} over field."""
+    n = a["n"]
+    _require(field.q % 4 == 1, "q = 1 (mod 4) fails")
+    _require(n >= 2 and n % 2 == 0, "n must be even and at least 2")
+    if not a["permissive"]:
+        bound = large_q_bound(n)
+        _require(field.q > bound, f"q <= clique bound {bound:.2f} for n = {n}")
+    return {"theorem": "large_q", "n": n}
+
+
 def th_large_q_code(field, n, permissive=False):
     """Self-dual [n, n/2] code on a greedy square clique.
 
@@ -114,11 +127,7 @@ def th_large_q_code(field, n, permissive=False):
     mode; below it the greedy run may legitimately come up short, and
     that surfaces as GreedyFailed rather than a precondition error.
     """
-    _require(field.q % 4 == 1, "q = 1 (mod 4) fails")
-    _require(n >= 2 and n % 2 == 0, "n must be even and at least 2")
-    if not permissive:
-        bound = large_q_bound(n)
-        _require(field.q > bound, f"q <= clique bound {bound:.2f} for n = {n}")
+    prov = _large_q_admits({"n": n, "permissive": permissive}, field)
     pts = square_clique_greedy(field, n)
     if pts is None:
         raise GreedyFailed(f"no square clique of size {n} in {field.name}")
@@ -127,7 +136,7 @@ def th_large_q_code(field, n, permissive=False):
     d = field.vsub(arr[jj], arr[ii])
     if np.any(d == 0) or np.any(field.vsign(d) != 1):
         raise GreedyFailed("clique failed the pairwise-square re-check")
-    return build_verified_code(field, pts, False, {"theorem": "large_q", "n": n})
+    return build_verified_code(field, pts, False, prov)
 
 
 def odd_prime_powers(limit):
@@ -165,13 +174,17 @@ class Family:
     params names the command-line flags the builder reads.  length maps
     a params dict to the code length without building anything.
     grid(p, m, cap) yields the params dicts the catalog tries over
-    GF(p^m); only those with 2 <= length <= cap are built.
+    GF(p^m); only those with 2 <= length <= cap are tried.
+    admits(params, field) runs the family's hypothesis checks over
+    GF(q) = field, building nothing, and returns the provenance of the
+    code the builder would make; the builder calls it first.
     """
 
     params: tuple
     length: Callable
     grid: Callable
     builder: str
+    admits: Callable
     fixed: tuple = ()
 
     def build(self, args, table_limit):
@@ -246,11 +259,12 @@ def _towers(variant):
     return {
         variant: Family(("r", "s", "m", "e", "t"),
                         lambda a: length(a, [a["m"]]),
-                        _tower_grid(variant, False), f"{variant}_code"),
+                        _tower_grid(variant, False), f"{variant}_code",
+                        partial(cosets.tower_admits, variant)),
         corollary: Family(("r", "s", "ms", "e", "t"),
                           lambda a: length(a, a["ms"]),
                           _tower_grid(variant, True), "iterated_lift",
-                          (variant,)),
+                          partial(cosets.tower_admits, variant), (variant,)),
     }
 
 
@@ -266,7 +280,7 @@ def _square_orders(p, big_m, cap):
 def _th12_grid(p, big_m, cap):
     for r, f, e in _square_orders(p, big_m, cap):
         for s in divisors(math.gcd(f, r - 1)):
-            d_cap = s * (r + 1) // math.gcd(s * (r + 1), f)
+            d_cap = cosets.coset_count(r, f, s, -1)
             for t in range(1, min(d_cap, cap // f) + 1):
                 if t * f % 2 == 0:
                     for variant in ("tf", "tf+2"):
@@ -278,7 +292,7 @@ def _th13_grid(p, big_m, cap):
     for r, f, e in _square_orders(p, big_m, cap):
         if f % 2 == 1:
             for s in divisors(math.gcd(f, r + 1)):
-                d_cap = s * (r - 1) // math.gcd(s * (r - 1), f)
+                d_cap = cosets.coset_count(r, f, s, 1)
                 for t in range(1, min(d_cap, (cap - 1) // f) + 1, 2):
                     yield {"r": r, "e": e, "f": f, "s": s, "t": t}
 
@@ -301,18 +315,20 @@ FAMILIES = {
         ("r", "m", "e", "t"), lambda a: 2 * a["t"] * a["r"] ** a["e"],
         _lift_grid("r", lambda r: [t for t in divisors((r - 1) // 2)
                                    if 2 * t != r - 1]),
-        "th1_code"),
+        "th1_code", subspace.th1_admits),
     "th2": Family(
         ("p", "m", "e", "t"), lambda a: (a["t"] + 1) * a["p"] ** a["e"],
-        _lift_grid("p", lambda p: range(3, p, 2)), "th2_code"),
+        _lift_grid("p", lambda p: range(3, p, 2)), "th2_code",
+        subspace.integer_run_admits),
     "th3": Family(
         ("p", "m", "e", "t"), lambda a: (a["t"] + 1) * a["p"] ** a["e"] + 1,
-        _lift_grid("p", lambda p: range(2, p, 2)), "th3_code"),
+        _lift_grid("p", lambda p: range(2, p, 2)), "th3_code",
+        partial(subspace.integer_run_admits, extended=True)),
     "th4": Family(
         ("r", "m", "e", "t"), lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
         _lift_grid("r", lambda r: [t for t in divisors(r - 1)
                                    if t % 2 == 0]),
-        "th4_code"),
+        "th4_code", subspace.th4_admits),
     **_towers("th8"),
     **_towers("th9"),
     **_towers("th10"),
@@ -320,26 +336,26 @@ FAMILIES = {
     "th12": Family(
         ("r", "e", "f", "s", "t", "variant"),
         lambda a: a["t"] * a["f"] + (2 if a["variant"] == "tf+2" else 0),
-        _th12_grid, "th12_code"),
+        _th12_grid, "th12_code", cosets.th12_admits),
     "th13": Family(
         ("r", "e", "f", "s", "t"), lambda a: a["t"] * a["f"] + 1,
-        _th13_grid, "th13_code"),
+        _th13_grid, "th13_code", cosets.th13_admits),
     # permissive skips the field-size bound; the catalog never sets it
     "large_q": Family(
         ("q", "n", "permissive"), lambda a: a["n"], _large_q_grid,
-        "_large_q_code"),
+        "_large_q_code", _large_q_admits),
 }
 
 
 # ----------------------------------------------------------------------
 # the catalog
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     """One catalog row: what is known about length n over GF(q).
 
-    Constructed rows carry every parameter witness that reached n plus
-    a serialized certificate for the first witness in sorted order.
+    Constructed rows carry every parameter witness admitted at n plus a
+    serialized certificate for the first witness in sorted order.
     """
 
     q: int
@@ -364,28 +380,29 @@ def _prov_key(prov):
     return (prov["theorem"], json.dumps(prov, sort_keys=True))
 
 
-def _hits(fld, cap, table_limit):
-    """(family, params, code) for every grid point of every family with
-    2 <= length <= cap whose hypotheses hold."""
+def _admitted(fld, cap):
+    """(length, family, params, provenance) for every grid point of every
+    family with 2 <= length <= cap whose hypotheses hold over fld."""
     for family in FAMILIES.values():
         for params in family.grid(fld.p, fld.m, cap):
-            if not 2 <= family.length(params) <= cap:
+            n = family.length(params)
+            if not 2 <= n <= cap:
                 continue
             try:
-                code = family.build(params, table_limit)
+                prov = family.admits(params, fld)
             except HypothesisViolated:
                 continue
-            yield family, params, code
+            yield n, family, params, prov
 
 
 def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
     """Sweep every family over GF(q) and classify each even n <= n_max.
 
-    Hits are grouped by length; each constructed row records all its
-    parameter witnesses in sorted order and serializes the first one,
-    which build_verified_code has verified, as the certificate. A hit
-    on a length the nonexistence rule forbids cannot come from a
-    correct construction, so it raises instead of being recorded.
+    Admitted witnesses are grouped by length; each constructed row
+    records all of them in sorted order, and only the first is built,
+    verified and serialized as the certificate.  That build failing or
+    disagreeing with its witness, or a witness on a length the
+    nonexistence rule forbids, is a bug: VerificationFailed.
     Every length past q + 1 is a row without a code, and a field within
     the table limit has q + 1 <= table_limit + 1, so a longer n_max is
     refused before any field is built.
@@ -395,9 +412,10 @@ def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
         raise EnumerationTooLarge(
             f"n_max = {n_max} exceeds the table limit {table_limit} + 1")
     fld = extension_field(q, 1, table_limit)
+    desc = fld.descriptor()
     hits = {}
-    for _, _, code in _hits(fld, min(n_max, q + 1), table_limit):
-        hits.setdefault(code.length, []).append(code)
+    for n, family, params, prov in _admitted(fld, min(n_max, q + 1)):
+        hits.setdefault(n, []).append((_prov_key(prov), prov, family, params))
     entries = []
     for n in range(2, n_max + 1, 2):
         banned = q % 4 == 3 and n % 4 == 2
@@ -410,10 +428,23 @@ def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
         elif not found:
             entries.append(CatalogEntry(q, n, "unknown"))
         else:
-            found.sort(key=lambda c: _prov_key(c.provenance))
-            provs = tuple(dict(c.provenance) for c in found)
-            entries.append(CatalogEntry(q, n, "constructed", provs,
-                                        found[0].to_obj(), True))
+            found.sort(key=lambda hit: hit[0])
+            _, prov, family, params = found[0]
+            try:
+                code = family.build(params, table_limit)
+            except (HypothesisViolated, GreedyFailed) as exc:
+                raise VerificationFailed(
+                    f"admitted witness {prov} failed to build: {exc}") from exc
+            if code.length != n or code.provenance != prov:
+                raise VerificationFailed(
+                    f"admitted witness {prov} built {code.provenance}")
+            # callers hold catalogs whole, so the certificate shares the
+            # first witness's provenance and the catalog's field descriptor
+            cert = code.to_obj()
+            cert["field"] = desc
+            provs = (code.provenance, *(hit[1] for hit in found[1:]))
+            entries.append(CatalogEntry(q, n, "constructed", provs, cert,
+                                        True))
     return entries
 
 

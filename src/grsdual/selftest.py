@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DependentBasis, GrsDualError, TableLimitExceeded
 from .field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field, span_enc
-from .grs import lagrange_products
+from .grs import _LAGRANGE_BLOCK, lagrange_products
 from .search import divisors, odd_prime_powers
 
 _WITNESS_CAP = 8
@@ -76,6 +76,18 @@ def _coset_derivative(fld, rng, res):
             res.compare(actual, expected, f"{fld.name} coset f={f} i={i}")
 
 
+def _root_product(fld, xs, roots):
+    """prod over roots s of (x - s) at every x, from log sums over blocks
+    of roots; 0 where a factor is."""
+    logs, zero = 0, False
+    step = max(1, _LAGRANGE_BLOCK // xs.size)
+    for r0 in range(0, roots.size, step):
+        d = fld.vsub(xs, roots[r0:r0 + step, None])
+        zero = zero | (d == 0).any(axis=0)
+        logs = logs + (d - 1).sum(axis=0)
+    return np.where(zero, 0, logs % (fld.q - 1) + 1)
+
+
 def _coset_factorization(fld, rng, res):
     # prod over a union of cosets of (x - s) equals a polynomial in x^f1,
     # checked by evaluating both sides at every field element.
@@ -86,16 +98,10 @@ def _coset_factorization(fld, rng, res):
         f1 = (q - 1) // e1
         t = rng.randint(1, min(e1, 3))
         idx = sorted(rng.sample(range(e1), t))
-        lhs = np.ones(q, dtype=np.int64)
-        for i in idx:
-            for k in range(f1):
-                s = (i + e1 * k) % (q - 1) + 1
-                lhs = fld.vmul(lhs, fld.vsub(xs, s))
-        ys = fld.vpow(xs, f1)
-        rhs = np.ones(q, dtype=np.int64)
-        for i in idx:
-            root = (i * f1) % (q - 1) + 1
-            rhs = fld.vmul(rhs, fld.vsub(ys, root))
+        cosets = np.add.outer(idx, e1 * np.arange(f1)).ravel() % (q - 1) + 1
+        lhs = _root_product(fld, xs, cosets)
+        rhs = _root_product(fld, fld.vpow(xs, f1),
+                            np.array(idx, dtype=np.int64) * f1 % (q - 1) + 1)
         res.compare(lhs, rhs, f"{fld.name} union e1={e1} idx={idx}")
 
 

@@ -28,6 +28,9 @@ see the README catalog for their parameter shapes):
   th2: length (t+1) p^e from the run 0..t in GF(p), t odd;
   th3: length (t+1) p^e + 1, extended, t even;
   th4: length (t+1) r^e + 1, extended, from 0 and the t-th roots.
+
+th1_admits, integer_run_admits (th2, th3) and th4_admits hold their
+hypotheses, build nothing, and run first in the builders.
 """
 
 from __future__ import annotations
@@ -201,23 +204,28 @@ def zero_and_roots(field, t):
 # ----------------------------------------------------------------------
 # the four construction families
 
-def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """[2 t r^e, t r^e] self-dual over GF(r^m), q = 1 (mod 4)."""
-    f = extension_field(r, m, table_limit)
+def th1_admits(a, f):
+    """th1's hypotheses on a = {r, m, e, t} over f = GF(r^m)."""
+    r, m, e, t = a["r"], a["m"], a["e"], a["t"]
     _require(f.q % 4 == 1, "q = 1 (mod 4) fails")
     _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")
     half = (r - 1) // 2
     _require(t >= 1 and half % t == 0, "t must divide (r-1)/2")
     _require(t != half, "t = (r-1)/2 is excluded")
-    base = th1_base(f, r, t)
-    pts, l = subspace_lift(f, r, base, e)
-    prov = {"theorem": "th1", "r": r, "m": m, "e": e, "t": t}
+    return {"theorem": "th1", "r": r, "m": m, "e": e, "t": t}
+
+
+def th1_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
+    """[2 t r^e, t r^e] self-dual over GF(r^m), q = 1 (mod 4)."""
+    f = extension_field(r, m, table_limit)
+    prov = th1_admits({"r": r, "m": m, "e": e, "t": t}, f)
+    pts, l = subspace_lift(f, r, th1_base(f, r, t), e)
     return build_verified_code(f, pts, False, prov, l)
 
 
-def _integer_run_code(p, m, e, t, table_limit, extended):
-    """th2 (t odd) or th3 (t even, extended) on the run 0..t in GF(p)."""
-    f = make_field(p, m, table_limit)
+def integer_run_admits(a, f, extended=False):
+    """th2's (th3's if extended) hypotheses on a = {p, m, e, t}."""
+    p, m, e, t = a["p"], a["m"], a["e"], a["t"]
     _require(f.q % 4 == 1, "q = 1 (mod 4) fails")
     parity = "even" if extended else "odd"
     _require(t % 2 == (0 if extended else 1) and 2 <= t <= p - 1,
@@ -229,10 +237,15 @@ def _integer_run_code(p, m, e, t, table_limit, extended):
             raise HypothesisViolated(
                 f"chi({i * (t + 1 - i)}) = -1 at i = {i} "
                 f"fails the square condition")
-    base = integer_run(f, t)
-    pts, l = subspace_lift(f, p, base, e, extended=extended)
-    prov = {"theorem": "th3" if extended else "th2",
+    return {"theorem": "th3" if extended else "th2",
             "p": p, "m": m, "e": e, "t": t}
+
+
+def _integer_run_code(p, m, e, t, table_limit, extended):
+    """th2 (t odd) or th3 (t even, extended) on the run 0..t in GF(p)."""
+    f = make_field(p, m, table_limit)
+    prov = integer_run_admits({"p": p, "m": m, "e": e, "t": t}, f, extended)
+    pts, l = subspace_lift(f, p, integer_run(f, t), e, extended=extended)
     return build_verified_code(f, pts, extended, prov, l)
 
 
@@ -246,16 +259,21 @@ def th3_code(p, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
     return _integer_run_code(p, m, e, t, table_limit, True)
 
 
-def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
-    """[(t+1) r^e + 1, .] extended self-dual from 0 and the t-th roots."""
-    f = extension_field(r, m, table_limit)
+def th4_admits(a, f):
+    """th4's hypotheses on a = {r, m, e, t} over f = GF(r^m)."""
+    r, m, e, t = a["r"], a["m"], a["e"], a["t"]
     _require(t % 2 == 0 and t >= 2 and (r - 1) % t == 0,
              "t must be even and divide r-1")
     _require(0 <= e <= m - 1, "e must satisfy 0 <= e <= m-1")
     _check_zero_roots_character(f, e, t)
-    base = zero_and_roots(f, t)
-    pts, l = subspace_lift(f, r, base, e, extended=True)
-    prov = {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
+    return {"theorem": "th4", "r": r, "m": m, "e": e, "t": t}
+
+
+def th4_code(r, m, e, t, table_limit=DEFAULT_TABLE_LIMIT):
+    """[(t+1) r^e + 1, .] extended self-dual from 0 and the t-th roots."""
+    f = extension_field(r, m, table_limit)
+    prov = th4_admits({"r": r, "m": m, "e": e, "t": t}, f)
+    pts, l = subspace_lift(f, r, zero_and_roots(f, t), e, extended=True)
     return build_verified_code(f, pts, True, prov, l)
 
 

@@ -250,12 +250,11 @@ def test_two_decomposition_exhaustive():
                     continue
                 want = literal_coset_count(fld, e, (r + sign) // s)
                 for t in range(max(1, want - 1), want + 3):
-                    args = (r, e, f, s, t, sign, fld.q)
+                    args = (fld, r, e, f, s, t, sign)
                     if t * f % 2 != (sign > 0):
                         continue  # tf's parity, checked before D
                     if t <= want:
-                        assert _two_decomposition(*args) == (
-                            fld, (r + sign) // s, want)
+                        assert _two_decomposition(*args) == want
                     else:
                         with pytest.raises(TooManyCosets):
                             _two_decomposition(*args)

@@ -30,7 +30,7 @@ from grsdual.grs import check_self_dual
 from grsdual.field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field
 from grsdual.search import (
     FAMILIES,
-    _hits,
+    _admitted,
     catalog,
     catalog_to_jsonl,
     odd_prime_powers,
@@ -142,13 +142,14 @@ def test_grid_covers_every_family():
 
 
 def test_registry_length_matches_built_code():
-    """Every catalog hit up to q = 125 has the length its family's
-    pure formula predicts from the parameters alone."""
+    """Every catalog witness up to q = 125 that its family admits builds
+    a code of the length its family's pure formula predicts from the
+    parameters alone."""
     hits = 0
     for q in odd_prime_powers(125):
         fld = make_field(*factor_prime_power(q))
-        for fam, params, code in _hits(fld, min(40, q + 1),
-                                       DEFAULT_TABLE_LIMIT):
+        for _, fam, params, _ in _admitted(fld, min(40, q + 1)):
+            code = fam.build(params, DEFAULT_TABLE_LIMIT)
             assert code.length == fam.length(params), (q, params)
             hits += 1
     assert hits > 500

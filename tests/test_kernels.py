@@ -1,9 +1,10 @@
 """The division-free kernels against the divmod bodies they replaced.
 
-ref_vmul, ref_vpow and ref_coeff_planes below are the plain kernels:
-the modulus q-1 through int64 %, and the coefficient planes through m
-rounds of % p and // p on the base-p value of every entry.  They live
-here only, as oracles for Field.vmul, Field.vpow, linalg._coeff_planes
+ref_vadd, ref_vsub, ref_vneg, ref_vmul, ref_vpow and ref_coeff_planes
+below are the plain kernels: the modulus q-1 through int64 %, and the
+coefficient planes through m rounds of % p and // p on the base-p value
+of every entry.  They live here only, as oracles for Field.vadd,
+Field.vsub, Field.vneg, Field.vmul, Field.vpow, linalg._coeff_planes
 (which reads the field's digit table) and generator_matrix (which calls
 the field kernels in row blocks).  The module also bounds the memory of
 generator_matrix and checks that the digit table waits for a Gram.
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from grsdual import linalg, make_field
 from grsdual.errors import ZeroArgument
-from grsdual.field import _build_field
+from grsdual.field import _build_field, factor_prime_power
 from grsdual.grs import EvalSet, generator_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -29,6 +30,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # boundary; the largest prime below 2^22 needs uint32 digits
 FIELDS = [(3, 1), (13, 1), (3, 9), (13, 3), (251, 1), (257, 2),
           (4194301, 1)]
+
+
+def ref_vadd(field, a, b):
+    a, b = field.varray(a), field.varray(b)
+    n = field.q - 1
+    z = field._zech[(b - a) % n]
+    out = np.where(z < 0, 0, (a - 1 + z) % n + 1)
+    out = np.where(a == 0, b, out)
+    return np.where(b == 0, a, out)
+
+
+def ref_vneg(field, a):
+    a = field.varray(a)
+    return np.where(a == 0, 0, (a - 1 + field._half) % (field.q - 1) + 1)
+
+
+def ref_vsub(field, a, b):
+    a, b = field.varray(a), field.varray(b)
+    n, h = field.q - 1, field._half
+    z = field._zech[(b + h - a) % n]
+    out = np.where(z < 0, 0, (a - 1 + z) % n + 1)
+    return np.where(b == 0, a, np.where(a == 0, (b - 1 + h) % n + 1, out))
 
 
 def ref_vmul(field, a, b):
@@ -106,6 +129,37 @@ def test_vmul_matches_the_divmod_kernel_and_mul(case):
     assert ref.shape == got.shape and np.array_equal(ref, got)
     # the kernel works in place on its own buffer only
     assert np.array_equal(before[0], a) and np.array_equal(before[1], b)
+
+
+@pytest.mark.parametrize("kernel, scalar, ref", [
+    ("vadd", "add", ref_vadd), ("vsub", "sub", ref_vsub),
+    ("vneg", "neg", ref_vneg)])
+@settings(max_examples=300, deadline=None)
+@given(case=operands(MUL_SHAPES))
+def test_zech_kernels_match_the_divmod_kernel_and_scalar(kernel, scalar, ref,
+                                                         case):
+    f, a, b = case
+    before = [np.array(a, copy=True), np.array(b, copy=True)]
+    if kernel == "vneg":
+        got, expect = f.vneg(a), scalar_grid(lambda x, _: f.neg(x), a, a)
+        want = ref(f, a)
+    else:
+        got = getattr(f, kernel)(a, b)
+        expect = scalar_grid(getattr(f, scalar), a, b)
+        want = ref(f, a, b)
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.shape == expect.shape and np.array_equal(got, expect)
+    assert want.shape == got.shape and np.array_equal(want, got)
+    assert np.array_equal(before[0], a) and np.array_equal(before[1], b)
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 121, 125, 169, 243, 257])
+def test_zech_kernels_match_the_divmod_kernels_exhaustively(q):
+    f = make_field(*factor_prime_power(q))
+    a, b = np.arange(q)[:, None], np.arange(q)[None, :]
+    assert np.array_equal(f.vadd(a, b), ref_vadd(f, a, b))
+    assert np.array_equal(f.vsub(a, b), ref_vsub(f, a, b))
+    assert np.array_equal(f.vneg(a), ref_vneg(f, a))
 
 
 @settings(max_examples=300, deadline=None)

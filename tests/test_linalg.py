@@ -389,6 +389,39 @@ def test_gram_of_grs_matrices_takes_the_hankel_path(case):
     assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("p, m, k, n, grs, blocks", [
+    (7, 2, 40, 48, True, [8] * 5), (3, 5, 40, 80, True, [4] * 10),
+    (13, 3, 50, 100, True, [8] * 6 + [2]),
+    (3, 2, 3, 6, True, [1] * 3), (5, 2, 20, 30, False, [5] * 4)])
+def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
+                                                              blocks):
+    """With _BLOCK_BYTES below one row of planes, a block still takes
+    min(8, k // 2m) rows (at least one): 8 rows of m planes each stay
+    below half of G."""
+    f = make_field(p, m)
+    rng = np.random.default_rng(k * n)
+    if grs:
+        es = EvalSet(f, rng.choice(f.q, size=n, replace=False),
+                     rng.integers(1, f.q, size=n))
+        g = generator_matrix(es, k).data
+    else:
+        g = rng.integers(0, f.q, size=(k, n))
+    expect = linalg.gram(f, g)
+    rows, planes = [], linalg._coeff_planes
+
+    def counted(f, a, chunks, width):
+        rows.append(a.shape[0])
+        return planes(f, a, chunks, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_BYTES", 8)
+        mp.setattr(linalg, "_coeff_planes", counted)
+        got = linalg.gram(f, g)
+    assert rows[1:] == blocks and rows[0] == (2 if grs else k)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(got, zech_gram(f, g))
+
+
 def corrupt(f, g, n, kind, rng):
     """g with one defect of the given kind; n is the number of GRS
     columns, so columns from n on are extension columns."""

@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+import grsdual
 from grsdual import make_field
 from grsdual.errors import GreedyFailed, HypothesisViolated, VerificationFailed
+from grsdual.field import DEFAULT_TABLE_LIMIT, factor_prime_power
 from grsdual.grs import code_from_obj, lagrange_products
 from grsdual.search import (
+    FAMILIES,
     CatalogEntry,
     catalog,
     catalog_to_csv,
@@ -171,3 +174,69 @@ def test_catalog_entry_to_obj():
     assert entry.to_obj() == {"q": 7, "n": 2, "status": "nonexistent",
                               "provenance": [], "certificate": None,
                               "verified": False}
+
+
+def test_admits_exactly_when_the_build_succeeds():
+    """Over every grid point with q <= 343 and 2 <= length <= min(40,
+    q + 1), admits returns the built code's provenance, and the length
+    is the family's formula, exactly when the build succeeds; a refusal
+    is the builder's, class and message."""
+    admitted = refused = 0
+    for q in odd_prime_powers(343):
+        fld = make_field(*factor_prime_power(q))
+        cap = min(40, q + 1)
+        for fam in FAMILIES.values():
+            for params in fam.grid(fld.p, fld.m, cap):
+                n = fam.length(params)
+                if not 2 <= n <= cap:
+                    continue
+                try:
+                    prov = fam.admits(params, fld)
+                except HypothesisViolated as exc:
+                    with pytest.raises(type(exc)) as built:
+                        fam.build(params, DEFAULT_TABLE_LIMIT)
+                    assert str(built.value) == str(exc), (q, params)
+                    refused += 1
+                    continue
+                code = fam.build(params, DEFAULT_TABLE_LIMIT)
+                assert code.provenance == prov, (q, params)
+                assert code.length == n, (q, params)
+                admitted += 1
+    assert admitted > 2000 and refused > 2000
+
+
+def count_certificates(monkeypatch):
+    """Provenance of every build_verified_code call, through each
+    module that builds codes."""
+    calls = []
+    for mod in (grsdual.subspace, grsdual.cosets, grsdual.search):
+        def counted(*args, _build=mod.build_verified_code, **kwargs):
+            code = _build(*args, **kwargs)
+            calls.append(code.provenance)
+            return code
+        monkeypatch.setattr(mod, "build_verified_code", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [7, 25, 27, 121, 125, 169, 243, 343])
+def test_catalog_builds_one_certificate_per_row(q, monkeypatch):
+    calls = count_certificates(monkeypatch)
+    rows = [e for e in catalog(q, 40) if e.status == "constructed"]
+    assert calls == [e.certificate["provenance"] for e in rows]
+    assert all(e.provenance[0] == e.certificate["provenance"] for e in rows)
+    if q > 7:  # rows with more witnesses than certificates
+        assert sum(len(e.provenance) for e in rows) > len(rows)
+
+
+def test_a_failed_certificate_build_is_a_bug(monkeypatch):
+    def refused(*args):
+        raise HypothesisViolated("refused after admits passed")
+
+    monkeypatch.setattr(grsdual.search, "th1_code", refused)
+    with pytest.raises(VerificationFailed):
+        catalog(25, 4)  # th1 is the certificate of n = 4
+    # past the large_q bound the greedy run cannot come up short
+    monkeypatch.setattr(grsdual.search, "square_clique_greedy",
+                        lambda field, n: None)
+    with pytest.raises(VerificationFailed):
+        catalog(25, 2)

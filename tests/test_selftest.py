@@ -3,6 +3,7 @@ ones.  Corruption is injected into a deep copy so the cached field
 instance other tests share stays intact."""
 
 import copy
+import random
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from grsdual.search import divisors, odd_prime_powers
 from grsdual.selftest import (
     SuiteResult,
     _coset_distinctness,
+    _coset_factorization,
     run_selftest,
     selftest_passed,
 )
@@ -101,3 +103,53 @@ def test_coset_distinctness_matches_the_pairwise_reference():
         assert res.calls == expect, q
         assert res.checks == sum(len(same) ** 2 for same, _ in expect)
         assert res.failures == 0
+
+
+def sequential_coset_factorization(fld, rng, res):
+    """_coset_factorization's reference: one vsub and one vmul per root
+    on q-length vectors, with the same rng draws."""
+    q = fld.q
+    xs = np.arange(q, dtype=np.int64)
+    for _ in range(3):
+        e1 = rng.choice(divisors(q - 1))
+        f1 = (q - 1) // e1
+        t = rng.randint(1, min(e1, 3))
+        idx = sorted(rng.sample(range(e1), t))
+        lhs = np.ones(q, dtype=np.int64)
+        for i in idx:
+            for k in range(f1):
+                s = (i + e1 * k) % (q - 1) + 1
+                lhs = fld.vmul(lhs, fld.vsub(xs, s))
+        ys = fld.vpow(xs, f1)
+        rhs = np.ones(q, dtype=np.int64)
+        for i in idx:
+            root = (i * f1) % (q - 1) + 1
+            rhs = fld.vmul(rhs, fld.vsub(ys, root))
+        res.compare(lhs, rhs, f"{fld.name} union e1={e1} idx={idx}")
+
+
+def corrupted(p, m, i):
+    """A deep copy of GF(p^m) with Zech entry i moved by 5."""
+    bad = copy.deepcopy(make_field(p, m))
+    bad._zech[i] = (bad._zech[i] + 5) % (bad.q - 1)
+    return bad
+
+
+def test_coset_factorization_matches_the_sequential_reference():
+    """Equal comparisons, checks, failures and witnesses on every sound
+    field up to 200, on the corrupted GF(13) of the test above (which
+    this suite does not catch) and on a corrupted GF(25) (which it
+    does)."""
+    cases = [(make_field(*factor_prime_power(q)), 0)
+             for q in odd_prime_powers(200)]
+    for fld, failures in cases + [(corrupted(13, 1, 3), 0),
+                                  (corrupted(5, 2, 2), 23)]:
+        tallies = []
+        for fn in (_coset_factorization, sequential_coset_factorization):
+            res = Recorder()
+            fn(fld, random.Random("selftest:coset-polynomial factorization"),
+               res)
+            tallies.append((res.calls, res.checks, res.failures,
+                            res.witnesses))
+        assert tallies[0] == tallies[1], fld.name
+        assert tallies[0][2] == failures, fld.name
