@@ -58,7 +58,6 @@ from .grs import (
     solve_multipliers,
 )
 from .subspace import (
-    default_shift,
     default_subspace,
     integer_run,
     roots_of_unity,

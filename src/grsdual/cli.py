@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -44,6 +43,7 @@ from .grs import (
     code_from_obj,
     min_distance,
 )
+from .linalg import grs_mds
 from .search import FAMILIES, catalog, catalog_to_csv, catalog_to_jsonl
 from .selftest import run_selftest
 
@@ -223,18 +223,17 @@ def cmd_construct(args, cfg):
 
 
 def _mds_report(gmat, mode, cfg):
-    """Returns (passed, report fields); mode 'none' always passes."""
+    """Returns (passed, report fields); mode 'none' always passes.  auto
+    past the enumeration limit proves MDS by the GRS shape, which every
+    G from an EvalSet has, and d = n - k + 1 by the Singleton bound."""
     if mode == "none":
         return True, {"mds": "skipped"}
     k, n = gmat.shape
-    if mode == "auto":
-        if gmat.field.q ** k <= cfg.enumeration_limit:
-            mode = "exhaustive"
-        elif math.comb(n, k) <= cfg.minor_limit:
-            mode = "minors"
-        else:
-            mode = "sampled"
-    if mode == "exhaustive":
+    if mode == "auto" and gmat.field.q ** k > cfg.enumeration_limit:
+        if not grs_mds(gmat.field, gmat.data):
+            raise VerificationFailed("generator matrix lacks the GRS shape")
+        return True, {"mds": True, "d": n - k + 1, "mode": "grs"}
+    if mode in ("auto", "exhaustive"):
         d = min_distance(gmat, cfg.enumeration_limit)
         return d == n - k + 1, {"mds": d == n - k + 1, "d": d,
                                 "mode": "exhaustive"}

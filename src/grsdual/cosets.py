@@ -219,17 +219,17 @@ def tower_length(variant, r, s, ms, e, t):
 
 
 def _shift_nonzero(field, pts, container_order):
-    """Add the smallest container element clearing zero from pts.
+    """Add the first container element a, in subfield_enc order, with
+    -a not among pts, so that no shifted point is zero.
 
     Adding a constant to every point leaves all pairwise differences,
     hence all Lagrange products, unchanged.
     """
-    pts = np.asarray(pts, dtype=np.int64)
-    for aenc in field.subfield_enc(container_order).tolist():
-        shifted = field.vadd(pts, int(aenc))
-        if np.all(shifted != 0):
-            return shifted
-    raise HypothesisViolated("point set covers the whole container")
+    taken = set(field.vneg(pts).tolist())
+    free = next((a for a in field.subfield_enc(container_order).tolist()
+                 if a not in taken), None)
+    _require(free is not None, "point set covers the whole container")
+    return field.vadd(pts, free)
 
 
 def _tower_shape(variant, ms, t):

@@ -25,8 +25,9 @@ consult the construction that produced it.
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
 large minimum distance", 2006) that enumerates low-weight messages only,
-under the guard that refuses q^k past the enumeration limit.
-The `minors` and `sampled` modes test k x k minors in stacked batches.
+under the guard that refuses q^k past the enumeration limit.  Past it,
+`verify --mds auto` proves MDS by the GRS shape of G (linalg.grs_mds);
+`minors` and `sampled`, run only when asked for, test k x k minors.
 """
 
 from __future__ import annotations

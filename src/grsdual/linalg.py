@@ -3,14 +3,14 @@
 Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
 entry is an integer below 2**53 (asserted before the matmuls).  The
-Gram and the rank read the shape of a GRS generator matrix, rows
-v_j * a_j**i, off the matrix entry by entry.  Where it holds, G @ G.T is
-Hankel and two of its rows give all of it, and a leading square block
-with every v_j nonzero and the a_j distinct has the nonzero determinant
-prod v_j * prod_{i<j} (a_j - a_i).  Any other matrix takes the general
-path: the same row-block Gram loop against the planes of all of it, and
-the rank of its systematic form.  The systematic form and the batched
-minor test run in Zech arithmetic.
+Gram, the rank and the MDS proof read the shape of a GRS generator
+matrix, rows v_j * a_j**i, off the matrix entry by entry.  Where it
+holds, G @ G.T is Hankel and two of its rows give all of it, and with
+every v_j nonzero and the a_j distinct every k columns are independent
+(grs_mds), so a leading square block proves full rank.  Any other
+matrix takes the general path: the same row-block Gram loop against the
+planes of all of it, and the rank of its systematic form.  The
+systematic form and the batched minor test run in Zech arithmetic.
 """
 
 from __future__ import annotations
@@ -129,23 +129,36 @@ def gram(field, g):
     return as_strided(edge, (k, k), edge.strides * 2).copy()
 
 
+def grs_mds(field, g):
+    """Whether the GRS shape of g proves every k columns independent.
+
+    k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes, the
+    nodes a_j of its columns with a nonzero row 0 are distinct, and at
+    most one other column, c e_(k-1) with c != 0, is left.  k geometric
+    columns then have determinant prod v_j * prod_{i<j} (a_j - a_i), and
+    k-1 beside the unit column +-c prod v_j times a (k-1)-node
+    Vandermonde determinant: none is 0 (MacWilliams-Sloane, ch. 11)."""
+    k, n = g.shape
+    if k == 1:
+        return bool(g.all())
+    a, rest = _grs_nodes(field, g), np.flatnonzero(g[0] == 0)
+    return (a is not None and rest.size <= 1 and bool(g[-1, rest].all())
+            and len(set(a[g[0] != 0].tolist())) == n - rest.size)
+
+
 def rank(field, mat):
     """Rank over the field.
 
-    If rows <= cols and the leading square block has the shape of
-    _grs_nodes with no zero in row 0 and distinct a_j, that block is
-    Vandermonde(a) * diag(v), with determinant prod_j v_j *
-    prod_{i<j} (a_j - a_i) != 0, and the rank is rows.  Any other
-    matrix is brought to systematic form whole, over the natural column
-    order."""
+    If rows <= cols and the leading square block has no zero in row 0
+    and passes grs_mds, it is nonsingular and the rank is rows.  Any
+    other matrix is brought to systematic form whole, over the natural
+    column order."""
     mat = np.asarray(mat, dtype=np.int64)
     if mat.size == 0:
         return 0
     rows, cols = mat.shape
-    if rows <= cols and mat[0, :rows].all():
-        a = _grs_nodes(field, mat[:, :rows])
-        if a is not None and len(set(a.tolist())) == rows:
-            return rows
+    if rows <= cols and mat[0, :rows].all() and grs_mds(field, mat[:, :rows]):
+        return rows
     return len(systematic(field, mat, range(cols))[1])
 
 

@@ -13,7 +13,7 @@ So the quadratic character of L is constant on W iff it is constant on
 b (multiply by lam = c), and the extended criterion transfers up to the
 sign chi(prod of nonzero V) = chi(-1)^((r^e - 1)/2), which is +1 when
 q = 1 (mod 4) or e is even.  subspace_lift is the one lift: it builds
-V and zeta itself (default_subspace, default_shift), checks its
+V and zeta itself (default_subspace and the next basis power), checks its
 preconditions once (r a subfield, b distinct and inside GF(r); for the
 extended lift an odd b that meets the extended criterion and a +1
 sign), and hands the closed-form L on to the multiplier solve.  It does
@@ -78,30 +78,13 @@ def default_subspace(field, r, e, container_order=None):
     return span_enc(field, r, subspace_basis(field, r, e, container_order))
 
 
-def default_shift(field, subspace, container_order=None):
-    """Smallest encoding outside the subspace.
-
-    With a container order, smallest encoding among the container
-    subfield's elements outside the subspace, so lifted points stay in
-    the container.
-    """
-    taken = set(int(x) for x in subspace)
-    if container_order is None or container_order == field.q:
-        pool = range(field.q)
-    else:
-        pool = field.subfield_enc(container_order).tolist()
-    for cand in pool:
-        if cand not in taken:
-            return int(cand)
-    raise ShiftInSubspace("subspace covers the whole container")
-
-
 def subspace_lift(field, r, base_points, e, container_order=None,
                   extended=False):
     """Lift base points in GF(r) along the cosets b_i * zeta + V.
 
-    V is default_subspace(field, r, e, container_order) and zeta its
-    default_shift, so V is GF(r)-linear and zeta lies outside it.  With
+    V is default_subspace(field, r, e, container_order), spanned by
+    g^0..g^(e-1), and zeta = g^e lies outside it while e < c (see
+    subspace_basis); at e = c, V holds the container.  With
     extended set, the base must be odd-sized and meet the extended
     criterion, and chi(prod of nonzero V) must be +1 (q = 1 (mod 4) or
     even e), so the lifted set meets it too.  Returns (points, l): the
@@ -120,7 +103,10 @@ def subspace_lift(field, r, base_points, e, container_order=None,
     if extended and base.size % 2 == 0:
         raise HypothesisViolated("extended lift needs an odd base size")
     sub = default_subspace(f, r, e, container_order)
-    shift = default_shift(f, sub, container_order)
+    try:
+        shift = int(subspace_basis(f, r, e + 1, container_order)[-1])
+    except HypothesisViolated:
+        raise ShiftInSubspace("subspace covers the whole container") from None
     l_base = lagrange_products(f, base)
     v_prod = int(f.vprod(sub[sub != 0]))  # 1 for the empty product
     if extended:

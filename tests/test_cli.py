@@ -110,6 +110,45 @@ def test_verify_mds_modes(tmp_path, capsys):
         assert report["mode"] == mode
 
 
+def test_verify_auto_past_the_enum_limit_proves_mds_by_shape(tmp_path,
+                                                             capsys):
+    """Past --enum-limit, auto reports the GRS-shape proof, d = n-k+1."""
+    code = tmp_path / "th8.json"
+    code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["verify", "--in", str(code)])
+    assert time.perf_counter() - start < 1
+    assert rc == 0
+    assert out == ('{"d":184,"field":"GF(13^3)","k":183,"length":366,'
+                   '"mds":true,"mode":"grs","self_dual":true}\n')
+    code.write_text(T2_JSON)
+    rc, out, _ = run(capsys, ["verify", "--in", str(code),
+                              "--enum-limit", "1"])
+    assert rc == 0
+    assert out == ('{"d":3,"field":"GF(13)","k":2,"length":4,"mds":true,'
+                   '"mode":"grs","self_dual":true}\n')
+
+
+def test_verify_auto_refuses_a_g_without_the_grs_shape(tmp_path, capsys,
+                                                       monkeypatch):
+    """Every G that verify forms has the GRS shape; one without it is a
+    bug, exit 3.  Row 2 plus row 0 keeps the code self-dual."""
+    code = tmp_path / "th8.json"
+    code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
+    formed = grsdual.grs.SelfDualCode.generator_matrix
+
+    def mixed(self):
+        gmat = formed(self)
+        g = gmat.data.copy()
+        g[2] = gmat.field.vadd(g[2], g[0])
+        return grsdual.grs.GeneratorMatrix(gmat.field, g)
+
+    monkeypatch.setattr(grsdual.grs.SelfDualCode, "generator_matrix", mixed)
+    rc, out, err = run(capsys, ["verify", "--in", str(code)])
+    assert (rc, out) == (3, "")
+    assert "lacks the GRS shape" in err
+
+
 def test_verify_text_format(tmp_path, capsys):
     code = tmp_path / "t2.json"
     run(capsys, T2_ARGS + ["--out", str(code)])

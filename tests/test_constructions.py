@@ -28,7 +28,6 @@ from grsdual.grs import (
     solve_multipliers,
 )
 from grsdual.subspace import (
-    default_shift,
     default_subspace,
     integer_run,
     roots_of_unity,
@@ -265,11 +264,50 @@ def test_subspace_basis_matches_the_greedy_basis():
     assert cases > 300
 
 
-def test_default_shift_avoids_subspace():
-    f = make_field(3, 4)
-    sub = default_subspace(f, 3, 2)
-    zeta = default_shift(f, sub)
-    assert zeta not in set(int(x) for x in sub)
+def scan_shift(field, subspace, container_order):
+    """Reference: the smallest container encoding outside the subspace,
+    by a scan of the container in subfield_enc order."""
+    taken = set(subspace.tolist())
+    for cand in field.subfield_enc(container_order).tolist():
+        if cand not in taken:
+            return cand
+    raise ShiftInSubspace("subspace covers the whole container")
+
+
+def test_lift_shift_is_the_scanned_shift():
+    """subspace_lift's zeta = g^e equals the first container element
+    outside V for every field up to GF(3^8) below, every subfield r and
+    container and every e up to the scan's refusal at e = c, which the
+    lift repeats; at e = c + 1 both keep default_subspace's message."""
+    equal = refused = 0
+    for p, top in ((3, 8), (5, 4), (7, 3), (11, 2), (13, 2)):
+        for m in range(1, top + 1):
+            f = make_field(p, m)
+            subs = [p ** d for d in range(1, m + 1) if m % d == 0]
+            for r in subs:
+                for w in subs:
+                    for e in range(m + 2):
+                        try:
+                            want = scan_shift(
+                                f, default_subspace(f, r, e, w), w)
+                        except ShiftInSubspace as exc:
+                            refused += 1
+                            with pytest.raises(ShiftInSubspace,
+                                               match=re.escape(str(exc))):
+                                subspace_lift(f, r, (0, 1), e, w)
+                            # past c, default_subspace's own refusal
+                            with pytest.raises(HypothesisViolated) as over:
+                                default_subspace(f, r, e + 1, w)
+                            with pytest.raises(HypothesisViolated,
+                                               match=re.escape(
+                                                   str(over.value))):
+                                subspace_lift(f, r, (0, 1), e + 1, w)
+                            break
+                        # the base point 1 lifts to zeta + V, V from 0
+                        pts, _ = subspace_lift(f, r, (0, 1), e, w)
+                        assert pts[r ** e] == want, (f, r, w, e)
+                        equal += 1
+    assert (equal, refused) == (156, 95)
 
 
 def test_subspace_lift_transfer_identity():

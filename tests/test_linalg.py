@@ -11,6 +11,7 @@ scaled-Vandermonde rank proof and its fallback to the systematic form,
 and of the stacked elimination in nonsingular.
 """
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from grsdual.errors import TableLimitExceeded
 from grsdual.grs import (
     EvalSet,
     GeneratorMatrix,
+    check_mds,
     check_self_dual,
     generator_matrix,
 )
@@ -312,6 +314,43 @@ def test_check_self_dual_proves_rank_without_elimination():
             with pytest.raises(AssertionError, match="eliminated"):
                 check_self_dual(mixed)
         assert check_self_dual(mixed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grs_matrices())
+def test_grs_mds_holds_on_grs_matrices_and_agrees_with_minors(case):
+    f, g, _ = case
+    k, n = g.shape
+    assert linalg.grs_mds(f, g)
+    if math.comb(n, k) <= 5000:
+        assert check_mds(GeneratorMatrix(f, g), "minors")
+
+
+def test_grs_mds_refuses_matrices_no_eval_set_gives():
+    """A repeated node, two unit columns, a zero column, a zero in row 0
+    of a geometric column and, for k = 1, a zero entry; the first three
+    are not MDS, which the minor test confirms."""
+    f = make_field(13)
+    es = EvalSet(f, range(6), range(1, 7), True)
+    g = generator_matrix(es, 3).data
+    assert linalg.grs_mds(f, g)  # six geometric columns, one unit column
+    node = g.copy()
+    node[:, 4] = f.vmul(g[:, 1], 5)  # a_4 = a_1, multiplier 5 v_1
+    two = g.copy()
+    two[:, 0] = [0, 0, 7]
+    zero, last = g.copy(), g.copy()
+    zero[:, 2] = 0
+    last[:, 6] = 0  # the unit column with c = 0
+    for bad in (node, two, zero, last):
+        assert not linalg.grs_mds(f, bad)
+        assert not check_mds(GeneratorMatrix(f, bad), "minors")
+    head = g.copy()
+    head[0, 3] = 0  # [0, v a, v a^2] with a != 0: not the shape
+    assert not linalg.grs_mds(f, head)
+    row = generator_matrix(es, 1).data
+    assert linalg.grs_mds(f, row)
+    row[0, 2] = 0
+    assert not linalg.grs_mds(f, row)
 
 
 def grs_shape(field, g):
