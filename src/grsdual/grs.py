@@ -74,13 +74,15 @@ _MINOR_BLOCK = 1 << 15
 
 
 def _products_rows(field, a, rows):
-    """L(a_i) for i in rows against all of a, a block of rows at a time,
-    so memory stays O(n + _LAGRANGE_BLOCK) rather than len(rows) x n."""
-    out = np.empty(rows.size, dtype=np.int64)
-    step = max(1, _LAGRANGE_BLOCK // max(1, a.size))
-    for s in range(0, rows.size, step):
-        idx = rows[s:s + step]
-        d = field.vsub(a[idx, None], a[None, :])
+    """L(a_i) for i in rows within every set (row of the 2-D a), a block
+    of flat (set, row) pairs at a time: O(a.size + _LAGRANGE_BLOCK) memory."""
+    out = np.empty(len(a) * rows.size, dtype=np.int64)
+    step = max(1, _LAGRANGE_BLOCK // max(1, a.shape[1]))
+    for s in range(0, out.size, step):
+        k = np.arange(s, min(s + step, out.size))
+        own, idx = k // rows.size, rows[k % rows.size]
+        # one set broadcasts its row; a stack gathers each pair's set
+        d = field.vsub(a[own, idx, None], a[own] if len(a) > 1 else a)
         d[np.arange(idx.size), idx] = 1  # empty factor for the point itself
         try:
             out[s:s + step] = field.vprod(d, axis=1)
@@ -92,18 +94,21 @@ def _products_rows(field, a, rows):
 def lagrange_products(field, points):
     """L(a_i) = prod_{j != i}(a_i - a_j) for every point, vectorized.
 
-    n = 1 returns the empty product [1].  Duplicate points raise.
+    points of shape (..., n) stack independent sets along the last axis,
+    and L has their shape.  n = 1 gives [1].  A duplicate in any set raises.
     """
     a = np.array(points, dtype=np.int64)
     if a.size == 0:
         raise DuplicatePoints("need at least one evaluation point")
-    return _products_rows(field, a, np.arange(a.size))
+    n = a.shape[-1]
+    l = _products_rows(field, a.reshape(-1, n), np.arange(n))
+    return l.reshape(a.shape)
 
 
 def products_at(field, points, indices):
     """L(a_i) for i in indices only (in any order, repeats allowed)."""
     a = np.array(points, dtype=np.int64)
-    return _products_rows(field, a, np.asarray(indices, dtype=np.int64))
+    return _products_rows(field, a[None], np.asarray(indices, dtype=np.int64))
 
 
 def check_verify_scale(k, length):

@@ -12,12 +12,14 @@ names the field and the instance that broke.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DependentBasis, GrsDualError, TableLimitExceeded
+from .errors import (DependentBasis, GrsDualError, HypothesisViolated,
+                     TableLimitExceeded)
 from .field import DEFAULT_TABLE_LIMIT, factor_prime_power, make_field, span_enc
 from .grs import _LAGRANGE_BLOCK, lagrange_products
 from .search import divisors, odd_prime_powers
@@ -44,6 +46,8 @@ class SuiteResult:
         actual = np.asarray(actual)
         expected = np.asarray(expected)
         self.checks += actual.size
+        if np.array_equal(actual, expected):
+            return
         bad = np.flatnonzero(actual != expected)
         if bad.size:
             self.failures += bad.size - 1
@@ -69,11 +73,11 @@ def _coset_derivative(fld, rng, res):
     for f in divisors(q - 1):
         e = (q - 1) // f
         shifts = range(e) if e <= 4 else rng.sample(range(e), 4)
-        for i in shifts:
-            pts = (i + e * np.arange(f, dtype=np.int64)) % (q - 1) + 1
-            actual = lagrange_products(fld, pts)
-            expected = fld.vmul(fld.from_int(f), fld.vpow(pts, f - 1))
-            res.compare(actual, expected, f"{fld.name} coset f={f} i={i}")
+        pts = np.add.outer(shifts, e * np.arange(f)) % (q - 1) + 1
+        actual = lagrange_products(fld, pts)  # one row per shift
+        expected = fld.vmul(fld.from_int(f), fld.vpow(pts, f - 1))
+        for i, got, want in zip(shifts, actual, expected):
+            res.compare(got, want, f"{fld.name} coset f={f} i={i}")
 
 
 def _root_product(fld, xs, roots):
@@ -176,17 +180,18 @@ def _coset_distinctness(fld, rng, res):
     # the index difference vanishes modulo e1/gcd(e1, e2).
     q = fld.q
     divs = [d for d in divisors(q - 1) if d <= 24]
+    idx = np.arange(8)
     for e1 in divs:
         f1 = (q - 1) // e1
-        for e2 in divs:
-            idx = np.arange(min(2 * (e1 // np.gcd(e1, e2)), 8))
-            # row i holds coset i's exponents sorted, so equal rows are
-            # equal sets
-            exps = np.sort((idx[:, None] * e2 + e1 * np.arange(f1)) % (q - 1),
-                           axis=1)
-            same = (exps[:, None] == exps[None, :]).all(axis=2)
-            claim = (e2 * (idx[:, None] - idx[None, :])) % e1 == 0
-            res.compare(same, claim, f"{fld.name} e1={e1} e2={e2} pairs")
+        # exps[k, i]: coset i for e2 = divs[k], sorted; equal rows, equal sets
+        exps = np.sort((np.multiply.outer(divs, idx)[..., None]
+                        + e1 * np.arange(f1)) % (q - 1), axis=2)
+        same = (exps[:, :, None] == exps[:, None]).all(axis=3)
+        claim = np.multiply.outer(divs, idx[:, None] - idx) % e1 == 0
+        for e2, s, cl in zip(divs, same, claim):
+            c = min(2 * (e1 // math.gcd(e1, e2)), 8)
+            res.compare(s[:c, :c], cl[:c, :c],
+                        f"{fld.name} e1={e1} e2={e2} pairs")
 
 
 def _odd_divisor_character(fld, rng, res):
@@ -215,8 +220,8 @@ def run_selftest(max_q=200, table_limit=DEFAULT_TABLE_LIMIT, fields=None):
 
     A caller may inject its own field list (the fault-injection hook
     used by the test suite); any exception a corrupted field raises is
-    recorded as a failure rather than aborting the run.  A max_q past
-    the table limit is refused before the sieve up to max_q runs.
+    recorded as a failure, not raised.  A max_q past the table limit is
+    refused before the sieve, and an empty field list before any suite.
     """
     if fields is None:
         if max_q > table_limit:
@@ -224,6 +229,8 @@ def run_selftest(max_q=200, table_limit=DEFAULT_TABLE_LIMIT, fields=None):
                 f"max_q = {max_q} exceeds the table limit {table_limit}")
         fields = [make_field(*factor_prime_power(q), table_limit)
                   for q in odd_prime_powers(max_q)]
+    if not fields:
+        raise HypothesisViolated("no odd prime power q >= 3 to test")
     results = []
     for name, fn in _SUITES:
         rng = random.Random(f"selftest:{name}")

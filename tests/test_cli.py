@@ -529,6 +529,20 @@ def test_selftest_refuses_max_q_past_the_table_limit(capsys):
     assert "max_q = 100000000 exceeds the table limit 100" in err
 
 
+@pytest.mark.parametrize("argv, fields", [
+    (["selftest", "--max-q", "2"], None),
+    (["selftest", "--max-q", "0"], None),
+    (["selftest", "--max-q", "-5"], None),
+    (["selftest"], []),
+])
+def test_selftest_without_a_field_exits_1(capsys, argv, fields):
+    """With no odd prime power q >= 3 to test, every suite would report
+    0 checks and 0 failures; the run is refused instead of passing."""
+    rc, out, err = run(capsys, argv, _selftest_fields=fields)
+    assert (rc, out) == (1, "")
+    assert "no odd prime power" in err
+
+
 def test_selftest_reports_injected_fault(capsys):
     bad = copy.deepcopy(make_field(13))
     bad._zech[3] = (bad._zech[3] + 5) % 12

@@ -95,6 +95,66 @@ def test_products_at_matches_lagrange_products_across_blocks(monkeypatch):
         products_at(f, np.append(a, a[5]), [0, 5])
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_lagrange_products_match_one_set_at_a_time(data):
+    """Row i of a stacked call is the call on set i alone, also when
+    the blocks of flat (set, row) pairs split sets and rows."""
+    f = make_field(*data.draw(st.sampled_from([(3, 1), (5, 2), (13, 1),
+                                                (3, 4)])))
+    n = data.draw(st.integers(1, min(f.q, 9)))
+    one_set = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n,
+                       unique=True)
+    stack = np.array(data.draw(st.lists(one_set, min_size=1, max_size=5)),
+                     dtype=np.int64)
+    want = [lagrange_products(f, row) for row in stack]
+    for pairs_per_block in (None, 1, 2, 3, 5):
+        with pytest.MonkeyPatch.context() as mp:
+            if pairs_per_block is not None:
+                mp.setattr(grs, "_LAGRANGE_BLOCK", pairs_per_block * n)
+            got = lagrange_products(f, stack)
+        assert got.shape == stack.shape
+        for i, row in enumerate(want):
+            assert np.array_equal(got[i], row), (pairs_per_block, i)
+
+
+def test_stacked_lagrange_products_keep_shape_and_refuse_a_duplicate():
+    f = make_field(5, 2)
+    rng = np.random.default_rng(11)
+    stack = np.array([rng.choice(f.q, size=6, replace=False)
+                      for _ in range(6)]).reshape(2, 3, 6)
+    got = lagrange_products(f, stack)
+    assert got.shape == (2, 3, 6)
+    for i, j in itertools.product(range(2), range(3)):
+        assert np.array_equal(got[i, j], lagrange_products(f, stack[i, j]))
+    assert lagrange_products(f, stack[1, 2].tolist()).shape == (6,)
+    # a point repeated across sets is no duplicate; within one set it is
+    twice = lagrange_products(f, [stack[0, 0], stack[0, 0]])
+    assert np.array_equal(twice[1], got[0, 0])
+    bad = stack.reshape(6, 6).copy()
+    bad[4, 2] = bad[4, 5]
+    with pytest.raises(DuplicatePoints):
+        lagrange_products(f, bad)
+
+
+def test_stacked_lagrange_products_memory_is_bounded():
+    """Four sets of 1500 points: whole difference matrices would take
+    72 MB; blocks of flat (set, row) pairs keep the peak small."""
+    f = make_field(3, 10)
+    rng = np.random.default_rng(4)
+    stack = np.array([rng.choice(f.q, size=1500, replace=False)
+                      for _ in range(4)])
+    tracemalloc.start()
+    try:
+        got = lagrange_products(f, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    probe = np.arange(0, 1500, 151)
+    assert np.array_equal(got[3, probe], products_at(f, stack[3], probe))
+
+
 def test_lagrange_products_memory_is_linear_in_n():
     """n = 4472 is within the verify limit; an n x n int64 difference
     matrix alone would be 160 MB."""

@@ -6,14 +6,18 @@ import copy
 import random
 
 import numpy as np
+import pytest
 
 from grsdual import make_field
 from grsdual.field import factor_prime_power
+from grsdual.grs import lagrange_products
 from grsdual.search import divisors, odd_prime_powers
 from grsdual.selftest import (
     SuiteResult,
+    _coset_derivative,
     _coset_distinctness,
     _coset_factorization,
+    _roots_product,
     run_selftest,
     selftest_passed,
 )
@@ -87,10 +91,12 @@ class Recorder(SuiteResult):
     def __init__(self):
         super().__init__("recorder")
         self.calls = []
+        self.labels = []
 
     def compare(self, actual, expected, witness):
         self.calls.append((np.asarray(actual).tolist(),
                            np.asarray(expected).tolist()))
+        self.labels.append(witness)
         super().compare(actual, expected, witness)
 
 
@@ -153,3 +159,64 @@ def test_coset_factorization_matches_the_sequential_reference():
                             res.witnesses))
         assert tallies[0] == tallies[1], fld.name
         assert tallies[0][2] == failures, fld.name
+
+
+def per_coset_roots_product(fld, rng, res):
+    """_roots_product's reference: L over the m-th roots of unity from
+    one lagrange_products call per m."""
+    q = fld.q
+    for m in divisors(q - 1):
+        pts = np.arange(m, dtype=np.int64) * ((q - 1) // m) + 1
+        expected = fld.vmul(fld.from_int(m), fld.vpow(pts, m - 1))
+        res.compare(lagrange_products(fld, pts), expected,
+                    f"{fld.name} roots m={m}")
+
+
+def per_coset_derivative(fld, rng, res):
+    """_coset_derivative's reference: one lagrange_products call per
+    (divisor, shift), one coset at a time, with the same rng draws."""
+    q = fld.q
+    for f in divisors(q - 1):
+        e = (q - 1) // f
+        shifts = range(e) if e <= 4 else rng.sample(range(e), 4)
+        for i in shifts:
+            pts = (i + e * np.arange(f, dtype=np.int64)) % (q - 1) + 1
+            expected = fld.vmul(fld.from_int(f), fld.vpow(pts, f - 1))
+            res.compare(lagrange_products(fld, pts), expected,
+                        f"{fld.name} coset f={f} i={i}")
+
+
+def pairwise_coset_distinctness(fld, rng, res):
+    """_coset_distinctness's reference: coset_pairs per (e1, e2)."""
+    divs = [d for d in divisors(fld.q - 1) if d <= 24]
+    for e1 in divs:
+        for e2 in divs:
+            same, claim = coset_pairs(fld.q, e1, e2)
+            res.compare(same, claim, f"{fld.name} e1={e1} e2={e2} pairs")
+
+
+@pytest.mark.parametrize("suite, reference, name, corrupted_failures", [
+    (_roots_product, per_coset_roots_product, "roots-product identity",
+     (16, 36)),
+    (_coset_derivative, per_coset_derivative, "coset-derivative identity",
+     (24, 48)),
+    (_coset_distinctness, pairwise_coset_distinctness,
+     "coset-distinctness criterion", (0, 0)),
+])
+def test_batched_suites_match_their_per_coset_references(
+        suite, reference, name, corrupted_failures):
+    """The same compare calls (values and witness labels), checks,
+    failures and witnesses on every sound field up to 200, on the
+    corrupted GF(13) and on the corrupted GF(25)."""
+    cases = [(make_field(*factor_prime_power(q)), 0)
+             for q in odd_prime_powers(200)]
+    cases += zip([corrupted(13, 1, 3), corrupted(5, 2, 2)], corrupted_failures)
+    for fld, failures in cases:
+        tallies = []
+        for fn in (suite, reference):
+            res = Recorder()
+            fn(fld, random.Random(f"selftest:{name}"), res)
+            tallies.append((res.calls, res.labels, res.checks, res.failures,
+                            res.witnesses))
+        assert tallies[0] == tallies[1], fld.name
+        assert tallies[0][3] == failures, fld.name
