@@ -27,7 +27,8 @@ information-set search (M. Grassl, "Searching for linear codes with
 large minimum distance", 2006) that enumerates low-weight messages only,
 under the guard that refuses q^k past the enumeration limit.  Past it,
 `verify --mds auto` proves MDS by the GRS shape of G (linalg.grs_mds);
-`minors` and `sampled`, run only when asked for, test k x k minors.
+`minors` and `sampled`, run only when asked for, test k x k minors, and
+`sampled` tests each k-subset once, exactly, when C(n,k) <= samples.
 """
 
 from __future__ import annotations
@@ -265,8 +266,10 @@ def _information_sets(field, g):
     Each form is (rows, fresh): rows is g in systematic form and fresh
     counts its pivot columns that no earlier form used.  Columns no
     form has used yet come first in each elimination, so every form
-    takes as many new columns as it can; forms stop when none is left.
-    Returns None when g has rank below its row count.
+    takes as many new columns as it can; forms stop once every column
+    is used, since a further elimination could only pivot on used
+    columns.  Returns None when g has rank below its row count, which
+    the first elimination finds.
     """
     k, n = g.shape
     used = np.zeros(n, dtype=bool)
@@ -281,6 +284,8 @@ def _information_sets(field, g):
             return forms
         forms.append((rows, fresh))
         used[pivots] = True
+        if used.all():
+            return forms
 
 
 def _lightest(field, rows, w):
@@ -350,28 +355,32 @@ def check_mds(gmat, mode="exhaustive", enum_limit=DEFAULT_ENUM_LIMIT,
 
     exhaustive: min_distance == n - k + 1 (exact, q^k bounded);
     minors:     every k x k minor of G nonsingular (exact, C(n,k) bounded);
-    sampled:    `samples` random k-column subsets nonsingular
-                (probabilistic; a pass is evidence, not proof).
+    sampled:    `samples` seeded random k-column subsets nonsingular
+                (probabilistic; a pass is evidence, not proof), or every
+                k-subset once, as minors, when C(n,k) <= samples (exact).
 
-    Subsets go through linalg.nonsingular in chunks of about
-    _MINOR_BLOCK entries, and the first chunk with a singular minor
-    ends the test.
+    sampled tests min(C(n,k), samples) subsets and minors C(n,k); a
+    count past minor_limit is refused before any minor.  Subsets go
+    through linalg.nonsingular in chunks of about _MINOR_BLOCK entries,
+    and the first chunk with a singular minor ends the test.
     """
     f = gmat.field
     g = gmat.data
     k, n = g.shape
     if mode == "exhaustive":
         return min_distance(gmat, enum_limit) == n - k + 1
-    if mode == "minors":
-        count = math.comb(n, k)
-        if count > minor_limit:
-            raise EnumerationTooLarge(f"C({n},{k}) = {count} exceeds {minor_limit}")
-        subsets = itertools.combinations(range(n), k)
-    elif mode == "sampled":
+    if mode not in ("minors", "sampled"):
+        raise ValueError(f"unknown mds mode {mode!r}")
+    count = math.comb(n, k)
+    if mode == "sampled" and samples < count:
+        if samples > minor_limit:
+            raise EnumerationTooLarge(f"{samples} samples exceed {minor_limit}")
         rng = random.Random(_SAMPLE_SEED)
         subsets = (sorted(rng.sample(range(n), k)) for _ in range(samples))
+    elif count > minor_limit:
+        raise EnumerationTooLarge(f"C({n},{k}) = {count} exceeds {minor_limit}")
     else:
-        raise ValueError(f"unknown mds mode {mode!r}")
+        subsets = itertools.combinations(range(n), k)
     step = max(1, _MINOR_BLOCK // max(1, k * k))
     while chunk := list(itertools.islice(subsets, step)):
         cols = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)

@@ -21,11 +21,13 @@ import grsdual.cli as cli
 import grsdual.cosets
 import grsdual.field
 import grsdual.grs
+import grsdual.selftest
 from grsdual import make_field
 from grsdual.cli import main
 from grsdual.errors import SchemaError, TableLimitExceeded
 from grsdual.grs import code_from_obj
-from grsdual.subspace import th1_code, th3_code
+from grsdual.search import catalog
+from grsdual.subspace import th1_code, th3_code, th4_code
 
 T2_ARGS = ["construct", "--theorem", "th2",
            "--p", "13", "--m", "1", "--e", "0", "--t", "3"]
@@ -108,6 +110,53 @@ def test_verify_mds_modes(tmp_path, capsys):
         report = json.loads(out)
         assert report["mds"] is True
         assert report["mode"] == mode
+
+
+def test_verify_sampled_is_bounded_by_the_minor_limit(tmp_path, capsys,
+                                                     monkeypatch):
+    """sampled tests min(C(n,k), --samples) minors and refuses a count
+    past --minor-limit with exit 6 before testing any; the defaults
+    never refuse."""
+    big = tmp_path / "th4.json"
+    big.write_text(th4_code(13, 3, 1, 12).to_json())
+    small = tmp_path / "th1.json"
+    small.write_text(th1_code(41, 1, 0, 4).to_json())
+    monkeypatch.setattr(grsdual.grs.linalg, "nonsingular", None)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["verify", "--in", str(big), "--mds",
+                                "sampled", "--samples", "2000000"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (6, "")
+    assert err == "enumeration too large: 2000000 samples exceed 1000000\n"
+    rc, out, err = run(capsys, ["verify", "--in", str(small), "--mds",
+                                "sampled", "--minor-limit", "10"])
+    assert (rc, out) == (6, "")
+    assert err == "enumeration too large: C(8,4) = 70 exceeds 10\n"
+    monkeypatch.undo()
+    rc, out, _ = run(capsys, ["verify", "--in", str(small), "--mds",
+                              "sampled"])
+    assert rc == 0
+    assert json.loads(out)["mds"] is True
+
+
+def test_verify_bytes_over_the_catalog_certificates(tmp_path, capsys):
+    """verify in all five --mds modes over the 45 catalog certificates
+    of GF(13), 25, 27, 49, 81, 121 and 169 up to length 16: stdout,
+    stderr and exit codes hash to the digest the draw-based sampled
+    mode gave, so testing each k-subset once moved no byte."""
+    digest = hashlib.sha256()
+    certs = [e.certificate for q in (13, 25, 27, 49, 81, 121, 169)
+             for e in catalog(q, 16) if e.certificate]
+    assert len(certs) == 45
+    for i, cert in enumerate(certs):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(cert))
+        for mode in ("auto", "exhaustive", "minors", "sampled", "none"):
+            rc, out, err = run(capsys, ["verify", "--in", str(path),
+                                        "--mds", mode])
+            digest.update(repr((i, mode, rc, out, err)).encode())
+    assert digest.hexdigest() == ("10e1b33600a5b5e08c5e826866e9ef54"
+                                  "7a54ab411ba7cfe0bcbc0a757d43fddf")
 
 
 def test_verify_auto_past_the_enum_limit_proves_mds_by_shape(tmp_path,
@@ -527,6 +576,20 @@ def test_selftest_refuses_max_q_past_the_table_limit(capsys):
     assert time.perf_counter() - start < 1
     assert (rc, out) == (6, "")
     assert "max_q = 100000000 exceeds the table limit 100" in err
+
+
+def test_selftest_refuses_max_q_past_its_bound(capsys, monkeypatch):
+    """Past MAX_SELFTEST_Q, exit 6 before any field is built; the bound
+    admits the max_q 200 that CI and the acceptance test run."""
+    bound = grsdual.selftest.MAX_SELFTEST_Q
+    assert bound >= 200
+    built = []
+    monkeypatch.setattr(grsdual.selftest, "make_field",
+                        lambda *args: built.append(args))
+    rc, out, err = run(capsys, ["selftest", "--max-q", str(bound + 1)])
+    assert (rc, out, built) == (6, "", [])
+    assert err == (f"field too large: max_q = {bound + 1} exceeds the "
+                   f"selftest bound {bound}\n")
 
 
 @pytest.mark.parametrize("argv, fields", [

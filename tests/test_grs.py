@@ -517,6 +517,155 @@ def test_check_mds_sampled_draws_the_seeded_subsets(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(seen, want))
 
 
+def test_check_mds_sampled_enumerates_when_every_subset_fits(monkeypatch):
+    """With C(n,k) <= samples, sampled tests each k-subset once, in
+    combinations order, and draws nothing."""
+    f = make_field(17)
+    n, k = 8, 4
+    g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
+    seen = []
+    nonsingular = linalg.nonsingular
+
+    def spy(field, stack):
+        seen.extend(np.asarray(stack))
+        return nonsingular(field, stack)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled drew a subset")
+
+    monkeypatch.setattr(grs.linalg, "nonsingular", spy)
+    monkeypatch.setattr(random.Random, "sample", no_draw)
+    want = [g[:, list(s)] for s in itertools.combinations(range(n), k)]
+    for samples in (math.comb(n, k), 1000):
+        seen.clear()
+        assert check_mds(GeneratorMatrix(f, g), "sampled", samples=samples)
+        assert len(seen) == len(want) == 70
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+
+def test_check_mds_sampled_finds_the_singular_minor_its_draws_miss():
+    """The seeded draws of a [10,5] code hit 248 of its 252 k-subsets
+    but not (0,1,2,4,7); a G singular only there passed sampled while
+    it drew, and fails it now that it enumerates, as minors does."""
+    f = make_field(1009)
+    n, k = 10, 5
+    bad = (0, 1, 2, 4, 7)
+    rng = random.Random(grs._SAMPLE_SEED)
+    drawn = {tuple(sorted(rng.sample(range(n), k))) for _ in range(1000)}
+    assert len(drawn) == 248 and bad not in drawn
+    subsets = list(itertools.combinations(range(n), k))
+    coeffs = np.random.default_rng(11)
+    while True:
+        g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
+        col = np.zeros(k, dtype=np.int64)
+        for j, c in zip(bad[:4], coeffs.integers(1, f.q, size=4)):
+            col = f.vadd(col, f.vmul(c, g[:, j]))
+        g[:, 7] = col
+        singular = [s for s in subsets if linalg.rank(f, g[:, list(s)]) < k]
+        if singular == [bad]:
+            break
+    gmat = GeneratorMatrix(f, g)
+    assert not check_mds(gmat, "sampled")
+    assert not check_mds(gmat, "minors")
+
+
+def test_check_mds_sampled_is_bounded_by_the_minor_limit(monkeypatch):
+    """sampled refuses min(C(n,k), samples) past minor_limit before any
+    minor is tested; the minors message is unchanged."""
+    f = make_field(17)
+    gmat = GeneratorMatrix(f, vandermonde(f, [f.from_int(x)
+                                              for x in range(1, 13)], 5))
+    monkeypatch.setattr(grs.linalg, "nonsingular", None)
+    every = "^C\\(12,5\\) = 792 exceeds 791$"
+    with pytest.raises(EnumerationTooLarge, match=every):
+        check_mds(gmat, "sampled", minor_limit=791, samples=792)
+    with pytest.raises(EnumerationTooLarge, match=every):
+        check_mds(gmat, "minors", minor_limit=791)
+    with pytest.raises(EnumerationTooLarge, match="^300 samples exceed 299$"):
+        check_mds(gmat, "sampled", minor_limit=299, samples=300)
+    monkeypatch.undo()
+    assert check_mds(gmat, "sampled", minor_limit=300, samples=300)
+    assert check_mds(gmat, "sampled", minor_limit=792, samples=10 ** 9)
+
+
+def information_sets_reference(field, g):
+    """_information_sets as it was before it stopped on a used-up
+    column set: one more elimination, which finds fresh == 0."""
+    k, n = g.shape
+    used = np.zeros(n, dtype=bool)
+    forms = []
+    while True:
+        order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
+        rows, pivots = linalg.systematic(field, g, order)
+        if len(pivots) < k:
+            return None
+        fresh = int(np.count_nonzero(~used[pivots]))
+        if fresh == 0:
+            return forms
+        forms.append((rows, fresh))
+        used[pivots] = True
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A k x n matrix: random (full rank when k <= n, mostly), rank
+    deficient, with repeated columns or with zero columns."""
+    p, m = draw(st.sampled_from(DISTANCE_FIELDS))
+    f = make_field(p, m)
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.integers(0, f.q, size=(k, n))
+    kind = draw(st.sampled_from(["random", "deficient", "repeat_cols",
+                                 "zero_cols"]))
+    index = st.integers(0, n - 1)
+    if kind == "deficient" and k > 1:  # last row a combination of the rest
+        g[k - 1] = 0
+        for i, c in enumerate(rng.integers(0, f.q, size=k - 1)):
+            g[k - 1] = f.vadd(g[k - 1], f.vmul(c, g[i]))
+    elif kind == "repeat_cols":
+        for dst, src in draw(st.lists(st.tuples(index, index), min_size=1,
+                                      max_size=n)):
+            g[:, dst] = g[:, src]
+    elif kind == "zero_cols":
+        g[:, draw(st.lists(index, min_size=1, max_size=n))] = 0
+    return f, g
+
+
+def form_bytes(forms):
+    if forms is None:
+        return None
+    return [(rows.tobytes(), fresh) for rows, fresh in forms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_inputs())
+@example((make_field(5), np.zeros((2, 0), dtype=np.int64)))  # n = 0
+@example((make_field(3), np.array([[1, 0, 1, 1, 1, 1], [0, 1, 1, 1, 1, 1]])))
+def test_information_sets_match_the_reference_loop(case):
+    f, g = case
+    assert form_bytes(grs._information_sets(f, g)) == \
+        form_bytes(information_sets_reference(f, g))
+
+
+def test_information_sets_skip_the_empty_last_elimination(monkeypatch):
+    """Two disjoint information sets cover an MDS [8,4] code, so the
+    search eliminates twice, not a third time to find nothing fresh."""
+    f = make_field(17)
+    g = vandermonde(f, [f.from_int(x) for x in range(1, 9)], 4)
+    calls = []
+    systematic = linalg.systematic
+
+    def counted(field, rows, order):
+        calls.append(order)
+        return systematic(field, rows, order)
+
+    monkeypatch.setattr(grs.linalg, "systematic", counted)
+    forms = grs._information_sets(f, g)
+    assert [fresh for _, fresh in forms] == [4, 4]
+    assert len(calls) == 2
+
+
 def test_check_mds_minors_memory_stays_below_the_full_stack():
     """All C(16,8) = 12870 minors of an MDS [16,8] code, in chunks: the
     peak stays below the (12870, 8, 8) int64 stack a single batch would
