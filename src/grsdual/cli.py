@@ -224,13 +224,13 @@ def cmd_construct(args, cfg):
 
 def _mds_report(gmat, mode, cfg):
     """Returns (passed, report fields); mode 'none' always passes.  auto
-    past the enumeration limit proves MDS by the GRS shape, which every
-    G from an EvalSet has, and d = n - k + 1 by the Singleton bound."""
+    past the enumeration limit proves MDS by the GRS shape check_self_dual
+    read (every G from an EvalSet has it), and d = n - k + 1 (Singleton)."""
     if mode == "none":
         return True, {"mds": "skipped"}
     k, n = gmat.shape
     if mode == "auto" and gmat.field.q ** k > cfg.enumeration_limit:
-        if not grs_mds(gmat.field, gmat.data):
+        if not grs_mds(gmat.field, gmat.data, gmat.nodes):
             raise VerificationFailed("generator matrix lacks the GRS shape")
         return True, {"mds": True, "d": n - k + 1, "mode": "grs"}
     if mode in ("auto", "exhaustive"):

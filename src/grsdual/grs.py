@@ -33,6 +33,7 @@ under the guard that refuses q^k past the enumeration limit.  Past it,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -216,6 +217,11 @@ class GeneratorMatrix:
     def shape(self):
         return self.data.shape
 
+    @functools.cached_property
+    def nodes(self):
+        """linalg._grs_nodes of G, read once for every proof from G."""
+        return linalg._grs_nodes(self.field, self.data)
+
     def to_text(self):
         lines = [" ".join(str(int(x)) for x in row) for row in self.data]
         return "\n".join(lines) + "\n"
@@ -239,11 +245,12 @@ def generator_matrix(eval_set, k):
     f = eval_set.field
     a, v = f.varray(eval_set.points), f.varray(eval_set.multipliers)
     g = np.zeros((k, eval_set.length), dtype=np.int64)
-    # in row blocks, so the kernels' temporaries stay small beside G
+    # row blocks keep temporaries small; v a**(r0+i) = a**r0 * v a**i
     rows = max(1, linalg._BLOCK_BYTES // (8 * n))
-    for r0 in range(0, k, rows):
-        i = np.arange(r0, min(k, r0 + rows))[:, None]
-        g[r0:r0 + rows, :n] = f.vmul(v, f.vpow(a, i))
+    first = f.vmul(v, f.vpow(a, np.arange(min(k, rows))[:, None]))
+    g[:rows, :n] = first
+    for r0 in range(rows, k, rows):
+        g[r0:r0 + rows, :n] = f.vmul(f.vpow(a, r0), first[:k - r0])
     if eval_set.extended:
         g[k - 1, n] = 1
     return GeneratorMatrix(f, g)
@@ -255,9 +262,9 @@ def check_self_dual(gmat):
     k, n = g.shape
     if n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
-    if np.any(linalg.gram(gmat.field, g)):
+    if np.any(linalg.gram(gmat.field, g, gmat.nodes)):
         return False
-    return linalg.rank(gmat.field, g) == k
+    return linalg.rank(gmat.field, g, gmat.nodes) == k
 
 
 def _information_sets(field, g):

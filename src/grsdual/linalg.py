@@ -4,8 +4,9 @@ Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
 entry is an integer below 2**53 (asserted before the matmuls).  The
 Gram, the rank and the MDS proof read the shape of a GRS generator
-matrix, rows v_j * a_j**i, off the matrix entry by entry.  Where it
-holds, G @ G.T is Hankel and two of its rows give all of it, and with
+matrix, rows v_j * a_j**i, off the matrix entry by entry (_grs_nodes,
+or its `nodes` from a caller that has read them).  Where it holds,
+G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and with
 every v_j nonzero and the a_j distinct every k columns are independent
 (grs_mds), so a leading square block proves full rank.  Any other
 matrix takes the general path: the same row-block Gram loop against the
@@ -14,6 +15,8 @@ systematic form and the batched minor test run in Zech arithmetic.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -90,17 +93,26 @@ def _grs_nodes(field, g):
     return a
 
 
-def gram(field, g):
+def _sumset_rows(k, rows):
+    """(baby, giant) rows whose sums i + l cover 0..2k-2: 0..b-1 and
+    k-b..k-1, and the multiples of b below k-1 and k-1, 2b + k/b + 1 in
+    all, for b = isqrt(k // 2) capped so 2b rows fit in two blocks."""
+    b = max(1, min(math.isqrt(k // 2), rows))
+    baby = np.concatenate([np.arange(b), np.arange(max(b, k - b), k)])
+    return baby, np.append(np.arange(0, k - 1, b), k - 1)
+
+
+def gram(field, g, nodes=None):
     """G @ G.T over the field; rows of g are codeword generators.
 
     Products are exact float64 matmuls of coefficient planes over column
-    chunks of width w with w * (p-1)**2 < 2**53, taken against the
-    planes of one row block of g at a time.  If g has the GRS shape of
+    chunks of width w with w * (p-1)**2 < 2**53: held rows against one
+    block of streamed rows at a time.  If g has the GRS shape of
     _grs_nodes, with c_j in the last row of its other columns, entry
     (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
-    rows 0 and k-1 hold every S_u, and only they are computed.  Any
-    other g gets every row, the row blocks against the planes of all of
-    it."""
+    the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
+    pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
+    not a copy.  Any other g holds and streams every row."""
     g = np.asarray(g, dtype=np.int64)
     k, n = g.shape
     p, m = field.p, field.m
@@ -113,23 +125,28 @@ def gram(field, g):
     chunks = -(-n // most)
     width = -(-n // chunks)
     assert width * (p - 1) ** 2 < _EXACT, "float64 Gram would be inexact"
-    hankel = _grs_nodes(field, g) is not None
-    left = _coeff_planes(field, g[[0, k - 1]] if hankel else g, chunks, width)
-    out = np.empty((left.shape[1], k), dtype=np.int64)
+    if nodes is None:
+        nodes = _grs_nodes(field, g)
     # at least 8 rows where G has 16 m of them: one-row blocks of a long
     # G cost a round each, and 8 rows of planes stay below half of G
     rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width),
                min(8, k // (2 * m)))
-    for r0 in range(0, k, rows):
-        block = _coeff_planes(field, g[r0:r0 + rows], chunks, width)
-        out[:, r0:r0 + rows] = _products(field, left, block)
-    if not hankel:
-        return out
-    edge = np.concatenate([out[0], out[1, 1:]])
-    return as_strided(edge, (k, k), edge.strides * 2).copy()
+    # entry (i, l) goes to out[i * stride + l]: G G^T flat, or S_{i+l}
+    stride = k if nodes is None else 1
+    held, streamed = ((np.arange(k),) * 2 if nodes is None
+                      else _sumset_rows(k, rows))
+    out = np.empty(stride * (k - 1) + k, dtype=np.int64)
+    left = _coeff_planes(field, g[held], chunks, width)
+    for r0 in range(0, streamed.size, rows):
+        idx = streamed[r0:r0 + rows]
+        block = _coeff_planes(field, g[idx], chunks, width)
+        out[held[:, None] * stride + idx] = _products(field, left, block)
+    if nodes is None:
+        return out.reshape(k, k)
+    return as_strided(out, (k, k), out.strides * 2, writeable=False)
 
 
-def grs_mds(field, g):
+def grs_mds(field, g, nodes=None):
     """Whether the GRS shape of g proves every k columns independent.
 
     k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes, the
@@ -141,23 +158,26 @@ def grs_mds(field, g):
     k, n = g.shape
     if k == 1:
         return bool(g.all())
-    a, rest = _grs_nodes(field, g), np.flatnonzero(g[0] == 0)
+    a = _grs_nodes(field, g) if nodes is None else nodes
+    rest = np.flatnonzero(g[0] == 0)
     return (a is not None and rest.size <= 1 and bool(g[-1, rest].all())
             and len(set(a[g[0] != 0].tolist())) == n - rest.size)
 
 
-def rank(field, mat):
+def rank(field, mat, nodes=None):
     """Rank over the field.
 
     If rows <= cols and the leading square block has no zero in row 0
-    and passes grs_mds, it is nonsingular and the rank is rows.  Any
-    other matrix is brought to systematic form whole, over the natural
-    column order."""
+    and passes grs_mds (on the leading nodes), it is nonsingular and the
+    rank is rows.  Any other matrix is brought to systematic form whole,
+    over the natural column order."""
     mat = np.asarray(mat, dtype=np.int64)
     if mat.size == 0:
         return 0
     rows, cols = mat.shape
-    if rows <= cols and mat[0, :rows].all() and grs_mds(field, mat[:, :rows]):
+    lead = None if nodes is None else nodes[:rows]
+    if (rows <= cols and mat[0, :rows].all()
+            and grs_mds(field, mat[:, :rows], lead)):
         return rows
     return len(systematic(field, mat, range(cols))[1])
 

@@ -21,6 +21,7 @@ import grsdual.cli as cli
 import grsdual.cosets
 import grsdual.field
 import grsdual.grs
+import grsdual.linalg
 import grsdual.selftest
 from grsdual import make_field
 from grsdual.cli import main
@@ -176,6 +177,23 @@ def test_verify_auto_past_the_enum_limit_proves_mds_by_shape(tmp_path,
     assert rc == 0
     assert out == ('{"d":3,"field":"GF(13)","k":2,"length":4,"mds":true,'
                    '"mode":"grs","self_dual":true}\n')
+
+
+def test_verify_reads_the_grs_shape_once(tmp_path, capsys, monkeypatch):
+    """The Gram, the rank proof and the grs rung share one shape read."""
+    code = tmp_path / "th8.json"
+    code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
+    calls, nodes = [], grsdual.linalg._grs_nodes
+
+    def counted(field, g):
+        calls.append(g.shape)
+        return nodes(field, g)
+
+    monkeypatch.setattr(grsdual.linalg, "_grs_nodes", counted)
+    rc, out, _ = run(capsys, ["verify", "--in", str(code)])
+    assert rc == 0 and calls == [(183, 366)]
+    assert out == ('{"d":184,"field":"GF(13^3)","k":183,"length":366,'
+                   '"mds":true,"mode":"grs","self_dual":true}\n')
 
 
 def test_verify_auto_refuses_a_g_without_the_grs_shape(tmp_path, capsys,

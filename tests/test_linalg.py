@@ -367,13 +367,38 @@ def grs_shape(field, g):
     return True
 
 
+def block_rows(field, k, n):
+    """The row-block size of linalg.gram, from its module constants."""
+    most = (linalg._EXACT - 1) // (field.p - 1) ** 2
+    chunks = -(-n // most)
+    width = -(-n // chunks)
+    return max(1, linalg._BLOCK_BYTES // (8 * field.m * chunks * width),
+               min(8, k // (2 * field.m)))
+
+
+def sumset_rows(k, cap):
+    """Baby rows 0..b-1, k-b..k-1 and giant rows 0, b, 2b, ..., k-1 of
+    the Hankel Gram, b = min(isqrt(k // 2), cap) and at least 1."""
+    b = max(1, min(math.isqrt(k // 2), cap))
+    return (sorted(set(range(b)) | set(range(k - b, k))),
+            sorted(set(range(0, k, b)) | {k - 1}))
+
+
+def sqrt_bound(k):
+    """2 ceil(sqrt(2k)) + 1: the plane rows the Hankel path may form."""
+    return 2 * (math.isqrt(2 * k - 1) + 1) + 1
+
+
 def traced_gram(field, g):
     """(linalg.gram, whether it took the Hankel path).
 
     The Hankel path is the one where _grs_nodes finds the shape.  Its
-    left operand is the coefficient planes of rows 0 and k-1, the
-    general path's those of all of g; both then form those of one row
-    block at a time, over every row."""
+    left operand is the coefficient planes of the baby rows, and it
+    forms those of the giant rows one row block at a time: 2b + k/b + 1
+    rows in all, at most 2 ceil(sqrt(2k)) + 1 when the block size does
+    not cap b, and never more than two row blocks held.  The general
+    path's left operand is the planes of all of g, and it forms those
+    of every row, one row block at a time."""
     rows, shape = [], []
     planes, nodes = linalg._coeff_planes, linalg._grs_nodes
 
@@ -386,23 +411,33 @@ def traced_gram(field, g):
         shape.append(a_nodes is not None)
         return a_nodes
 
+    k, n = g.shape
+    cap = block_rows(field, k, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_coeff_planes", counted)
         mp.setattr(linalg, "_grs_nodes", found)
         out = linalg.gram(field, g)
-    k = g.shape[0]
     assert len(shape) == 1, shape
-    assert rows[0] == (2 if shape[0] else k) and sum(rows[1:]) == k, rows
+    held, streamed = sumset_rows(k, cap) if shape[0] else (range(k),) * 2
+    blocks = [min(cap, len(streamed) - r0)
+              for r0 in range(0, len(streamed), cap)]
+    assert rows == [len(held)] + blocks, rows
+    if shape[0]:
+        assert len(held) <= 2 * cap
+        if cap >= math.isqrt(k // 2):
+            assert sum(rows) <= sqrt_bound(k), rows
     return out, shape[0]
 
 
-def refuse_full_gram(mp, n, m, block=16):
-    """Make any plane array of more than `block` rows of a matrix with n
-    columns raise: the general Gram path forms one of all k rows."""
-    planes = linalg._coeff_planes
+def refuse_full_gram(mp, n, m, k, block=16):
+    """With row blocks of `block` rows, make plane arrays of more than
+    2 ceil(sqrt(2k)) + 1 rows in all of a matrix with n columns raise:
+    the general Gram path forms one of all k rows."""
+    planes, formed = linalg._coeff_planes, []
 
     def small(f, a, chunks, width):
-        if a.shape[0] > block:
+        formed.append(a.shape[0])
+        if sum(formed) > sqrt_bound(k):
             raise AssertionError("full planes")
         return planes(f, a, chunks, width)
 
@@ -429,14 +464,16 @@ def test_gram_of_grs_matrices_takes_the_hankel_path(case):
 
 
 @pytest.mark.parametrize("p, m, k, n, grs, blocks", [
-    (7, 2, 40, 48, True, [8] * 5), (3, 5, 40, 80, True, [4] * 10),
-    (13, 3, 50, 100, True, [8] * 6 + [2]),
-    (3, 2, 3, 6, True, [1] * 3), (5, 2, 20, 30, False, [5] * 4)])
+    (7, 2, 40, 48, True, [8, 8, 3]), (3, 5, 40, 80, True, [8, 4, 4, 3]),
+    (13, 3, 50, 100, True, [10, 8, 3]),
+    (3, 2, 3, 6, True, [2, 1, 1, 1]), (5, 2, 20, 30, False, [20] + [5] * 4)])
 def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
                                                               blocks):
     """With _BLOCK_BYTES below one row of planes, a block still takes
     min(8, k // 2m) rows (at least one): 8 rows of m planes each stay
-    below half of G."""
+    below half of G.  The held planes come first: on the Hankel path
+    the 2b baby rows, b capped at one block, then the giant rows 0, b,
+    2b, ... and k-1; on the general path all k rows, then every row."""
     f = make_field(p, m)
     rng = np.random.default_rng(k * n)
     if grs:
@@ -456,7 +493,7 @@ def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
         mp.setattr(linalg, "_BLOCK_BYTES", 8)
         mp.setattr(linalg, "_coeff_planes", counted)
         got = linalg.gram(f, g)
-    assert rows[1:] == blocks and rows[0] == (2 if grs else k)
+    assert rows == blocks
     assert np.array_equal(got, expect)
     assert np.array_equal(got, zech_gram(f, g))
 
@@ -536,13 +573,13 @@ def test_check_self_dual_never_forms_full_gram_planes():
         k, n = gmat.data.shape
         assert k > 16
         with pytest.MonkeyPatch.context() as mp:
-            refuse_full_gram(mp, n, f.m)
+            refuse_full_gram(mp, n, f.m, k)
             assert check_self_dual(gmat)
         # row 0 added to row 2: the same code, not the shape
         g = gmat.data.copy()
         g[2] = f.vadd(g[2], g[0])
         with pytest.MonkeyPatch.context() as mp:
-            refuse_full_gram(mp, n, f.m)
+            refuse_full_gram(mp, n, f.m, k)
             with pytest.raises(AssertionError, match="full planes"):
                 check_self_dual(GeneratorMatrix(f, g))
         assert check_self_dual(GeneratorMatrix(f, g))
@@ -564,6 +601,87 @@ def test_hankel_gram_memory_stays_below_one_copy_of_g():
     assert peak < 8 * k * n, (peak, 8 * k * n)
     for i, j in [(0, 0), (0, k - 1), (k - 1, k - 1), (317, 682), (999, 3)]:
         assert got[i, j] == zech_sum(f, f.vmul(g[i], g[j]))
+
+
+@pytest.mark.parametrize("m", [None, 1, 10])
+def test_sumset_rows_cover_every_index_within_the_bound(m, monkeypatch):
+    """Every u <= 2k-2 is a baby row plus a giant row, for every
+    k <= 5000: with b uncapped (m = None) in 2 ceil(sqrt(2k)) + 1 rows,
+    never all k rows once b >= 2; with _BLOCK_BYTES = 8, whose blocks of
+    min(8, k // 2m) rows cap b, in 2b + ceil((k-1)/b) + 1 rows, 2b of
+    them held."""
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8)
+    for k in range(1, 5001):
+        cap = k if m is None else block_rows(SimpleNamespace(p=3, m=m),
+                                             k, 2 * k)
+        baby, giant = linalg._sumset_rows(k, cap)
+        b = max(1, min(math.isqrt(k // 2), cap))
+        assert (baby.tolist(), giant.tolist()) == sumset_rows(k, cap)
+        sums = np.add.outer(baby, giant).ravel()
+        assert np.bincount(sums, minlength=2 * k - 1).all(), k
+        assert sums.max() == 2 * k - 2
+        assert baby.size == min(2 * b, k) and baby.size <= 2 * cap
+        assert giant.size <= -(-(k - 1) // b) + 1
+        if m is None:
+            assert baby.size + giant.size <= sqrt_bound(k), k
+            assert b < 2 or giant.size < k
+
+
+def test_hankel_gram_is_a_read_only_view_of_its_edge():
+    f = make_field(13, 2)
+    rng = np.random.default_rng(5)
+    n, k = 40, 12
+    es = EvalSet(f, rng.choice(f.q, size=n, replace=False),
+                 rng.integers(1, f.q, size=n), True)
+    g = generator_matrix(es, k).data
+    got = linalg.gram(f, g)
+    assert not got.flags.writeable and got.strides == (8, 8)
+    with pytest.raises(ValueError):
+        got[0, 0] = 1
+    assert np.array_equal(got, zech_gram(f, g))
+    # the general path has its own (k, k) array
+    bad = g.copy()
+    bad[2] = f.vadd(bad[2], bad[0])
+    full = linalg.gram(f, bad)
+    assert full.flags.writeable and full.flags.c_contiguous
+    assert np.array_equal(full, zech_gram(f, bad))
+
+
+def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
+    """The Gram and the rank proof take the nodes of one _grs_nodes
+    read; a G without the shape is read again by each."""
+    calls, nodes = [], linalg._grs_nodes
+
+    def counted(field, g):
+        calls.append(g.shape)
+        return nodes(field, g)
+
+    monkeypatch.setattr(linalg, "_grs_nodes", counted)
+    for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
+        gmat = code.generator_matrix()
+        calls.clear()
+        assert check_self_dual(gmat)
+        assert calls == [gmat.shape]
+        assert check_self_dual(gmat) and len(calls) == 1
+
+
+def test_check_self_dual_peak_stays_below_half_a_copy_of_g():
+    """[2000,1000] over GF(3^9): the Gram's (k, k) copy of its edge took
+    0.59 copies of G; held baby rows and the edge view take about 0.3."""
+    f = make_field(3, 9)
+    k, n = 1000, 2000
+    rng = np.random.default_rng(11)
+    es = EvalSet(f, rng.choice(f.q, size=n, replace=False),
+                 rng.integers(1, f.q, size=n))
+    gmat = generator_matrix(es, k)
+    linalg.gram(f, gmat.data[:2])  # the digit table, outside the peak
+    tracemalloc.start()
+    try:
+        assert not check_self_dual(gmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * 8 * k * n, peak / (8 * k * n)
 
 
 @st.composite
