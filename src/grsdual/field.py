@@ -18,16 +18,18 @@ every encoding:
   multiplicative order is q - 1;
 * square roots return the root with the smaller discrete log.
 
-Tables take O(q) memory, which is what the table limit guards; the
-default allows q up to 2**22.  Field objects are immutable once built
-and are cached per (p, m).  There is no element object: an element is
-its encoding, and arithmetic is the Field's scalar methods and their
-v-prefixed array twins.
+Building the tables takes O(q) time and memory, which the table limit
+guards (the default allows q up to 2**22): three int64 tables and one
+block of exponents, with no loop per element.  Fields are immutable and
+cached per (p, m), without bound.  There is no element object: an
+element is its encoding, and arithmetic is the Field's scalar methods
+and their v-prefixed array twins.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -149,8 +151,6 @@ def _is_irreducible(mod, p):
     m = len(mod) - 1
     if m == 1:
         return True
-    if mod[0] == 0:
-        return False
     x = [0, 1]
     # x**(p**m) == x  (mod f)
     h = list(x)
@@ -174,22 +174,16 @@ def _zip_pad(f, g):
     return zip(f + [0] * (n - len(f)), g + [0] * (n - len(g)))
 
 
-def _iter_coeff_tuples(p, m):
-    """Monic degree-m candidates in lexicographic (c0, c1, ...) order."""
-    import itertools
-    for tail in itertools.product(range(p), repeat=m):
-        yield list(tail) + [1]
-
-
 @functools.lru_cache(maxsize=None)
 def find_modulus(p, m):
     """The canonical modulus of GF(p^m): the first monic irreducible
     polynomial of degree m in coefficient order, as a tuple."""
     if m == 1:
         return (0, 1)
-    for cand in _iter_coeff_tuples(p, m):
-        if cand[0] == 0:
-            continue
+    # monic candidates in lexicographic (c0, c1, ...) order, from c0 = 1:
+    # c0 = 0 makes x a factor
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
+        cand = list(tail) + [1]
         # cheap linear-factor filter before the full test
         if any(_poly_eval(cand, c, p) == 0 for c in range(p)):
             continue
@@ -207,9 +201,9 @@ def _poly_eval(f, x, p):
 
 def _find_theta(p, m, mod, q):
     """Coefficients of the smallest polynomial value with multiplicative
-    order q - 1."""
+    order q - 1, past the constants when m > 1 (their order divides p-1)."""
     factors = _prime_factors(q - 1)
-    for value in range(2, q):
+    for value in range(p if m > 1 else 2, q):
         coeffs = []
         v = value
         while v:
@@ -227,49 +221,50 @@ def _find_theta(p, m, mod, q):
 
 
 def _build_tables(p, m, mod, theta_coeffs, q):
-    """exp/log/Zech tables via a blocked multiply-by-theta recurrence."""
-    # multiplication by theta as an m x m matrix over GF(p)
-    cols = []
-    for i in range(m):
-        xi = [0] * i + [1]
-        col = _poly_mul_mod(theta_coeffs, xi, list(mod), p)
-        col = col + [0] * (m - len(col))
-        cols.append(col)
-    mt = np.array(cols, dtype=np.int64).T % p
+    """exp/log/Zech tables, b = _EXP_BLOCK exponents at a time, holding
+    O(m b) past the tables: with M multiplication by theta, theta**0 ..
+    theta**(b-1) come by doubling and each later block is M**b times the
+    one before; log is scattered and theta**k + 1 formed per block, then
+    Zech gathered per block."""
+    cols = [_poly_mul_mod(theta_coeffs, [0] * i + [1], list(mod), p)
+            for i in range(m)]
+    mt = np.array([c + [0] * (m - len(c)) for c in cols], dtype=np.float64).T
+    # float64 matmuls of entries below p sum at most m (p-1)**2: exact
+    assert m * (p - 1) ** 2 < 2 ** 53  # _check_field_args refuses the rest
+
+    def mod_p(x):
+        return x - p * np.floor(x / p)
 
     n = q - 1
-    states = np.empty((m, n), dtype=np.int64)
-    head = min(_EXP_BLOCK, n)
-    cur = np.zeros(m, dtype=np.int64)
-    cur[0] = 1
-    for k in range(head):
-        states[:, k] = cur
-        cur = (mt @ cur) % p
-    if n > head:
-        mb = np.eye(m, dtype=np.int64)
-        e = head
-        base = mt.copy()
-        while e:
-            if e & 1:
-                mb = (mb @ base) % p
-            base = (base @ base) % p
-            e >>= 1
-        for start in range(head, n, head):
-            stop = min(start + head, n)
-            states[:, start:stop] = (mb @ states[:, start - head:stop - head]) % p
+    b = min(_EXP_BLOCK, n)
+    block = np.zeros((m, b))
+    block[0, 0] = 1
+    mb = np.eye(m)  # M**b, from the doubling's squares, if blocks follow
+    step, d = mt, 1  # step is M**d
+    while d <= b:
+        if b & d and n > b:
+            mb = mod_p(mb @ step)
+        if d < b:  # columns [d, 2d) are M**d times columns [0, d)
+            block[:, d:2 * d] = mod_p(step @ block[:, :min(d, b - d)])
+            step = mod_p(step @ step)
+        d *= 2
 
-    weights = p ** np.arange(m, dtype=np.int64)
-    exp_int = weights @ states
-
+    weights = p ** np.arange(m, dtype=np.float64)
+    exp_int = np.empty(n, dtype=np.int64)
     log = np.full(q, -1, dtype=np.int64)
-    log[exp_int] = np.arange(n, dtype=np.int64)
+    zech = np.empty(n, dtype=np.int64)
+    for start in range(0, n, b):
+        if start:
+            block = mod_p(mb @ block[:, :min(b, n - start)])
+        e = exp_int[start:start + b]
+        e[:] = weights @ block
+        log[e] = np.arange(start, start + e.size, dtype=np.int64)
+        zech[start:start + b] = e + 1 - p * (block[0] == p - 1)
     if log[1] != 0 or int(np.count_nonzero(log >= 0)) != n:
         raise RuntimeError("exp table is not a bijection")  # pragma: no cover
-
-    c = exp_int % p
-    plus_one = exp_int - c + (c + 1) % p
-    zech = log[plus_one]  # -1 where theta**k + 1 == 0
-    return exp_int.astype(np.int64), log, zech
+    for start in range(0, n, b):
+        zech[start:start + b] = log[zech[start:start + b]]  # -1: theta**k = -1
+    return exp_int, log, zech
 
 
 class Field:
@@ -507,6 +502,8 @@ def _check_field_args(p, m, table_limit):
     if p >= 3 and (m >= table_limit.bit_length() or p ** m > table_limit):
         raise TableLimitExceeded(
             f"q = {p}**{m} exceeds the table limit {table_limit}")
+    if m * (p - 1) ** 2 >= 2 ** 53:  # _build_tables' float64 matmuls
+        raise TableLimitExceeded(f"q = {p}**{m} is past exact float64 tables")
     if p == 2 or not _is_prime(p):
         raise CompositeCharacteristic(f"{p} is not an odd prime")
 

@@ -173,6 +173,14 @@ def solve_extended_multipliers(field, points, l_values=None):
     return None if solved is None else solved[1]
 
 
+def _int_tuple(xs):
+    """xs as a tuple of Python ints: a 1-d int64 array by tolist, any
+    other input by int() of each entry."""
+    if isinstance(xs, np.ndarray) and xs.dtype == np.int64 and xs.ndim == 1:
+        return tuple(xs.tolist())
+    return tuple(map(int, xs))
+
+
 @dataclass(frozen=True)
 class EvalSet:
     """Evaluation points plus optional multipliers and extension flag."""
@@ -183,20 +191,22 @@ class EvalSet:
     extended: bool = False
 
     def __post_init__(self):
-        pts = tuple(int(x) for x in self.points)
+        # set, min and max loop in C: no Python loop per entry
+        q = self.field.q
+        pts = _int_tuple(self.points)
         object.__setattr__(self, "points", pts)
         if len(set(pts)) != len(pts):
             raise DuplicatePoints("evaluation points are not distinct")
-        if len(pts) > self.field.q:
+        if len(pts) > q:
             raise DuplicatePoints("more points than field elements")
-        if any(not 0 <= x < self.field.q for x in pts):
+        if pts and not (0 <= min(pts) and max(pts) < q):
             raise ValueError("point encoding out of range")
         if self.multipliers is not None:
-            v = tuple(int(x) for x in self.multipliers)
+            v = _int_tuple(self.multipliers)
             object.__setattr__(self, "multipliers", v)
             if len(v) != len(pts):
                 raise ShapeMismatch("one multiplier per point is required")
-            if any(not 0 < x < self.field.q for x in v):
+            if v and not (0 < min(v) and max(v) < q):
                 raise ZeroArgument("multipliers must be nonzero encodings")
 
     @property

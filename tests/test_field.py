@@ -9,6 +9,9 @@ of GF(3), GF(3^9), GF(13^3) and GF(4194301).
 """
 
 import functools
+import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from grsdual.errors import (
     TableLimitExceeded,
     ZeroArgument,
 )
-from grsdual.field import extension_field, span_enc
+from grsdual import field
+from grsdual.field import canonical_modulus, extension_field, span_enc
 
 F13 = make_field(13)
 QR13 = {1, 3, 4, 9, 10, 12}
@@ -347,3 +351,153 @@ def test_field_construction_errors():
     with pytest.raises(HypothesisViolated):
         extension_field(25, 0)
 
+
+
+# ----------------------------------------------------------------------
+# table construction against the per-state recurrence and brute force
+
+def _odd_prime_powers(limit):
+    out = []
+    for q in range(3, limit + 1):
+        try:
+            p, m = field.factor_prime_power(q)
+        except CompositeCharacteristic:
+            continue
+        if p != 2:
+            out.append((p, m))
+    return out
+
+
+def _reference_modulus(p, m):
+    """The first monic irreducible of degree m over every candidate in
+    (c0, c1, ...) order, c0 = 0 included."""
+    if m == 1:
+        return (0, 1)
+    for tail in itertools.product(range(p), repeat=m):
+        cand = list(tail) + [1]
+        if all(field._poly_eval(cand, x, p) for x in range(p)) and \
+                field._is_irreducible(cand, p):
+            return tuple(cand)
+    raise AssertionError
+
+
+def _reference_theta(p, m, mod):
+    """The smallest polynomial value of order q - 1 over every value from
+    2, the constants included."""
+    q = p ** m
+    for value in range(2, q):
+        coeffs = [value // p ** i % p for i in range(m)]
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        if all(field._poly_pow_mod(coeffs, (q - 1) // ell, list(mod), p)
+               != [1] for ell in field._prime_factors(q - 1)):
+            return coeffs
+    raise AssertionError
+
+
+def _reference_tables(p, m, mod, theta_coeffs):
+    """exp/log/Zech by the per-state multiply-by-theta recurrence over a
+    whole (m, q-1) int64 state array."""
+    q, n = p ** m, p ** m - 1
+    cols = []
+    for i in range(m):
+        col = field._poly_mul_mod(theta_coeffs, [0] * i + [1], list(mod), p)
+        cols.append(col + [0] * (m - len(col)))
+    mt = np.array(cols, dtype=np.int64).T
+    states = np.empty((m, n), dtype=np.int64)
+    cur = np.zeros(m, dtype=np.int64)
+    cur[0] = 1
+    for k in range(n):
+        states[:, k] = cur
+        cur = mt @ cur % p
+    exp_int = p ** np.arange(m, dtype=np.int64) @ states
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp_int] = np.arange(n)
+    c = exp_int % p
+    return exp_int, log, log[exp_int - c + (c + 1) % p]
+
+
+def _assert_tables_equal(f, mod, theta_coeffs):
+    assert f.modulus == tuple(mod)
+    assert f.poly_value(THETA) == sum(c * f.p ** i
+                                      for i, c in enumerate(theta_coeffs))
+    want = _reference_tables(f.p, f.m, mod, theta_coeffs)
+    for got, ref in zip((f._exp_int, f._log, f._zech), want):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("p, top", [(3, 8), (5, 5), (7, 4), (11, 3), (13, 3)])
+def test_searches_match_brute_force_over_every_candidate(p, top):
+    """find_modulus starts at c0 = 1 and _find_theta past the constants;
+    the brute force scans every candidate and every value, p**m up to
+    p**top."""
+    for m in range(1, top + 1):
+        mod = field.find_modulus(p, m)
+        assert mod == _reference_modulus(p, m)
+        if 1 < m and p ** m <= 729:  # Rabin's gcd step rejects the factor x
+            assert not any(field._is_irreducible([0, *tail, 1], p) for tail
+                           in itertools.product(range(p), repeat=m - 1))
+        assert (field._find_theta(p, m, list(mod), p ** m)
+                == _reference_theta(p, m, mod))
+
+
+def test_tables_match_the_recurrence_on_every_odd_prime_power_to_2000():
+    for p, m in _odd_prime_powers(2000):
+        mod = _reference_modulus(p, m)
+        _assert_tables_equal(make_field(p, m), mod,
+                             _reference_theta(p, m, mod))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_tables_match_the_recurrence_when_blocks_end_off_q_minus_1(
+        monkeypatch, block):
+    monkeypatch.setattr(field, "_EXP_BLOCK", block)
+    for p, m in [(3, 1), (3, 2), (13, 1), (5, 3), (3, 5), (7, 3)]:
+        f = field._build_field.__wrapped__(p, m)
+        mod = f.modulus
+        _assert_tables_equal(f, mod, _reference_theta(p, m, mod))
+
+
+def _table_digest(f):
+    h = hashlib.sha256(repr((f.modulus, f.poly_value(THETA))).encode())
+    for t in (f._exp_int, f._log, f._zech):
+        h.update(np.ascontiguousarray(t, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("pm, digest", [
+    ((5, 9), "bd1f425b5e4a2dee29cafcdf5d3c1fac"
+             "4e314faf7d804d14b8e73648697ae884"),
+    ((2039, 2), "46ce15cb37b402b39077b1b43376f103"
+                "9e05f4e93ae536ad062c51e908b18a98"),
+    ((4194301, 1), "20e8de05b8233780b59a6c113c00f402"
+                   "02e0439ce0a31f6b2c60fdf12f9cc35a"),
+], ids=["GF(5^9)", "GF(2039^2)", "GF(4194301)"])
+def test_large_field_tables_are_pinned(pm, digest):
+    """sha256 of the modulus, theta and the three tables of fields too
+    large for the recurrence reference, as the per-state recurrence
+    built them."""
+    f = make_field(*pm) if pm != (2039, 2) else \
+        field._build_field.__wrapped__(*pm)  # not kept: 100 MB of tables
+    assert _table_digest(f) == digest
+
+
+def test_table_build_peak_is_within_the_tables_and_a_block():
+    """The build holds no (m, q-1) state array: its tracemalloc peak is
+    at most 2.5 times the three tables (6.0 times with one)."""
+    tracemalloc.start()
+    try:
+        f = field._build_field.__wrapped__(3, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = f._exp_int.nbytes + f._log.nbytes + f._zech.nbytes
+    assert peak <= 2.5 * tables, (peak, tables)
+
+
+def test_fields_past_exact_float64_tables_are_refused():
+    # the exp blocks are float64 matmuls, exact while m (p-1)**2 < 2**53
+    for p in (94906297, 2305843009213693951):  # primes past the bound
+        for call in (make_field, canonical_modulus):
+            with pytest.raises(TableLimitExceeded, match="float64"):
+                call(p, 1, table_limit=10 ** 30)

@@ -257,6 +257,91 @@ def test_eval_set_validation():
     assert es.length == 3 and es.n == 2
 
 
+def _reference_eval_set(q, points, multipliers):
+    """EvalSet's checks one entry at a time in Python: the reference for
+    its numpy checks.  Returns (points, multipliers) or raises."""
+    pts = tuple(int(x) for x in points)
+    if len(set(pts)) != len(pts):
+        raise DuplicatePoints("evaluation points are not distinct")
+    if len(pts) > q:
+        raise DuplicatePoints("more points than field elements")
+    if any(not 0 <= x < q for x in pts):
+        raise ValueError("point encoding out of range")
+    if multipliers is None:
+        return pts, None
+    v = tuple(int(x) for x in multipliers)
+    if len(v) != len(pts):
+        raise ShapeMismatch("one multiplier per point is required")
+    if any(not 0 < x < q for x in v):
+        raise ZeroArgument("multipliers must be nonzero encodings")
+    return pts, v
+
+
+def _outcome(fn):
+    """(points, multipliers, their entry types), or (exception class,
+    message)."""
+    try:
+        pts, v = fn()
+    except Exception as exc:  # the outcome is what is compared
+        return type(exc), str(exc)
+    return pts, v, {type(x) for x in pts + (v or ())}
+
+
+_BIG = 2 ** 63
+# (points, multipliers) factories over GF(13): each side of the
+# comparison gets fresh inputs, generators included
+EVAL_SET_INPUTS = [
+    lambda: ([1.0, 2.5, 3.9], None),
+    lambda: (np.array([1.5, 2.0]), np.array([1.9, 2.2])),
+    lambda: ([True, False], [True, True]),
+    lambda: ([_BIG, 1], None),
+    lambda: ([2 ** 64, 2 ** 64], None),
+    lambda: ([1, 2], [_BIG, 1]),
+    lambda: ([1, 2], [2 ** 70, 0]),
+    lambda: ([-1, 2], None),
+    lambda: ([13, 1], None),
+    lambda: ([1, 1], None),
+    lambda: ([3, 3, -4], None),
+    lambda: (np.arange(14) % 13, None),
+    lambda: ([1, 2], [1]),
+    lambda: ([1, 2], [1, 0]),
+    lambda: ([1, 2], [1, 13]),
+    lambda: ([1], [-1]),
+    lambda: (np.array([1, 2], dtype=np.int32),
+             np.array([3, 4], dtype=np.int32)),
+    lambda: (np.array([1, 2, 3], dtype=np.int32), None),
+    lambda: (np.array([1, 2 ** 64 - 1], dtype=np.uint64), None),
+    lambda: (np.array([1, 2], dtype=np.uint64),
+             np.array([3, 0], dtype=np.uint64)),
+    lambda: (np.array([1, 2 ** 70], dtype=object), None),
+    lambda: (np.array([1, 2], dtype=object), np.array([5, 6], dtype=object)),
+    lambda: (np.array([4, 9, 0], dtype=np.int64),
+             np.array([1, 12, 2], dtype=np.int64)),
+    lambda: (np.array([4, 9, 13], dtype=np.int64), None),
+    lambda: (np.array([1, 2, 3], dtype=np.int64)[::2], np.array([4, 5])),
+    lambda: (np.array([[1, 2]], dtype=np.int64), None),
+    lambda: (np.array(3), None),
+    lambda: ([], []),
+    lambda: (None, None),
+    lambda: ([1, 2], 5),
+    lambda: (["1", "2"], ["3", "x"]),
+    lambda: ((x for x in [1, 2]), (x for x in [3, 4])),
+]
+
+
+@pytest.mark.parametrize("make", EVAL_SET_INPUTS)
+def test_eval_set_checks_match_the_per_entry_reference(make):
+    """The same points and multipliers, as Python ints, or the same
+    exception class and message: floats, bools, ints past int64,
+    negative, out-of-range and duplicate encodings, a wrong multiplier
+    count, zero multipliers, and int32, uint64 and object arrays."""
+    def real():
+        es = EvalSet(F, *make())
+        return es.points, es.multipliers
+    assert _outcome(real) == _outcome(
+        lambda: _reference_eval_set(F.q, *make()))
+
+
 def test_generator_matrix_worked_example():
     lam, v = solve_multipliers(F, encs([0, 1, 2, 3]))
     g = generator_matrix(EvalSet(F, encs([0, 1, 2, 3]), tuple(int(x) for x in v)), 2)
