@@ -222,18 +222,18 @@ def cmd_construct(args, cfg):
     return EXIT_OK
 
 
-def _mds_report(gmat, mode, cfg):
-    """Returns (passed, report fields); mode 'none' always passes.  auto
-    past the enumeration limit proves MDS by the GRS shape check_self_dual
-    read (every G from an EvalSet has it), and d = n - k + 1 (Singleton)."""
+def _mds_report(rows, gmat, mode, cfg):
+    """Returns (passed, report fields); mode 'none' always passes.  grs
+    proves MDS by the GRS shape of G's rows 0 and k-1 (every G from an
+    EvalSet has it), d = n - k + 1; other modes read gmat, all of G."""
     if mode == "none":
         return True, {"mds": "skipped"}
-    k, n = gmat.shape
-    if mode == "auto" and gmat.field.q ** k > cfg.enumeration_limit:
-        if not grs_mds(gmat.field, gmat.data, gmat.nodes):
+    k, n = rows.shape
+    if mode == "grs":
+        if not grs_mds(rows.field, rows, rows.nodes):
             raise VerificationFailed("generator matrix lacks the GRS shape")
         return True, {"mds": True, "d": n - k + 1, "mode": "grs"}
-    if mode in ("auto", "exhaustive"):
+    if mode == "exhaustive":
         d = min_distance(gmat, cfg.enumeration_limit)
         return d == n - k + 1, {"mds": d == n - k + 1, "d": d,
                                 "mode": "exhaustive"}
@@ -261,14 +261,17 @@ def cmd_verify(args, cfg):
     except EnumerationTooLarge as exc:
         sys.stderr.write(f"code too large to verify: {exc}\n")
         return EXIT_TOO_LARGE
-    gmat = code.generator_matrix()
+    big = code.field.q ** code.k > cfg.enumeration_limit
+    mode = ("grs" if big else "exhaustive") if args.mds == "auto" else args.mds
+    gmat = None if mode in ("grs", "none") else code.generator_matrix()
+    rows = code.rows()
     report = {"field": code.field.name, "length": code.length, "k": code.k,
-              "self_dual": bool(check_self_dual(gmat))}
+              "self_dual": bool(check_self_dual(gmat or rows, rows.nodes))}
     if not report["self_dual"]:
         _emit_report(report, cfg)
         return EXIT_NOT_SELF_DUAL
     try:
-        ok, extra = _mds_report(gmat, args.mds, cfg)
+        ok, extra = _mds_report(rows, gmat, mode, cfg)
     except EnumerationTooLarge as exc:
         sys.stderr.write(f"enumeration too large: {exc}\n")
         return EXIT_TOO_LARGE

@@ -5,7 +5,7 @@ a_1..a_n of GF(q), per-column multipliers v_1..v_n, and an "extended"
 flag adding the coordinate that evaluates the top polynomial
 coefficient.  The generator matrix of the dimension-k code has rows
 (v_1 a_1^i, ..., v_n a_n^i) for i < k, plus a final (0,...,0,1) column
-when extended.
+when extended (GrsRows).
 
 Two criteria drive every construction in this package.  With
 L(a_i) = prod_{j != i} (a_i - a_j):
@@ -19,8 +19,8 @@ L(a_i) = prod_{j != i} (a_i - a_j):
 solve_multipliers / solve_extended_multipliers realize those criteria
 with the canonical square root, so multiplier vectors are
 reproducible.  check_self_dual, min_distance and check_mds are
-independent oracles: they work off the generator matrix alone and never
-consult the construction that produced it.
+independent oracles: they read rows of the generator matrix (a code's
+verify forms only those its proofs read), never the construction.
 
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
@@ -33,7 +33,6 @@ under the guard that refuses q^k past the enumeration limit.  Past it,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -116,9 +115,9 @@ def products_at(field, points, indices):
 def check_verify_scale(k, length):
     """Refuse self-duality verification beyond the verify limit.
 
-    Verifying a [n, k] code materializes a k x n generator matrix and a
-    k x k Gram matrix; past k * n = DEFAULT_VERIFY_LIMIT, fail with a
-    typed error instead of exhausting memory.
+    Verifying a [n, k] code forms O(sqrt k) rows of its k x n generator
+    matrix, or all of them for the MDS modes that read all of G; past
+    k * n = DEFAULT_VERIFY_LIMIT, fail with a typed error instead.
     """
     if k * length > DEFAULT_VERIFY_LIMIT:
         raise EnumerationTooLarge(
@@ -227,11 +226,6 @@ class GeneratorMatrix:
     def shape(self):
         return self.data.shape
 
-    @functools.cached_property
-    def nodes(self):
-        """linalg._grs_nodes of G, read once for every proof from G."""
-        return linalg._grs_nodes(self.field, self.data)
-
     def to_text(self):
         lines = [" ".join(str(int(x)) for x in row) for row in self.data]
         return "\n".join(lines) + "\n"
@@ -245,36 +239,52 @@ class GeneratorMatrix:
         return cls(field, np.array(rows, dtype=np.int64))
 
 
+class GrsRows:
+    """The rows of G = generator_matrix(eval_set, k), formed on demand,
+    as linalg.gram, rank and grs_mds read them; nodes are the points, 0
+    at the unit column, and the arrays live only as long as the source."""
+
+    def __init__(self, eval_set, k):
+        f = self.field = eval_set.field
+        self.shape, self.extended = (k, eval_set.length), eval_set.extended
+        self.nodes = f.varray(eval_set.points + (0,) * eval_set.extended)
+        self.multipliers = f.varray(eval_set.multipliers)
+
+    def __getitem__(self, idx):
+        """Rows idx (an int, slice or int array) and no other: row i is
+        v_j a_j**i, and 1 in the unit column of row k-1 when extended."""
+        k, n = self.shape[0], self.multipliers.size
+        i = np.arange(k)[idx][..., None]
+        g = self.field.vpow(self.nodes[:n], i, self.multipliers)
+        return np.concatenate([g, i == k - 1], -1) if self.extended else g
+
+
 def generator_matrix(eval_set, k):
-    """Rows v_j * a_j^i for i < k; extended adds the unit column."""
+    """All k rows of GrsRows, formed in cache-sized row blocks."""
     if eval_set.multipliers is None:
         raise MultipliersUnset("evaluation set has no multipliers")
-    n = eval_set.n
     if not 0 < k <= eval_set.length:
         raise ShapeMismatch(f"k = {k} out of range for length {eval_set.length}")
-    f = eval_set.field
-    a, v = f.varray(eval_set.points), f.varray(eval_set.multipliers)
-    g = np.zeros((k, eval_set.length), dtype=np.int64)
-    # row blocks keep temporaries small; v a**(r0+i) = a**r0 * v a**i
-    rows = max(1, linalg._BLOCK_BYTES // (8 * n))
-    first = f.vmul(v, f.vpow(a, np.arange(min(k, rows))[:, None]))
-    g[:rows, :n] = first
-    for r0 in range(rows, k, rows):
-        g[r0:r0 + rows, :n] = f.vmul(f.vpow(a, r0), first[:k - r0])
-    if eval_set.extended:
-        g[k - 1, n] = 1
-    return GeneratorMatrix(f, g)
+    src = GrsRows(eval_set, k)
+    g = np.empty(src.shape, dtype=np.int64)
+    rows = max(1, linalg._BLOCK_BYTES // (8 * eval_set.n))
+    for r0 in range(0, k, rows):
+        g[r0:r0 + rows] = src[r0:r0 + rows]
+    return GeneratorMatrix(eval_set.field, g)
 
 
-def check_self_dual(gmat):
-    """True iff G has shape k x 2k, rank k, and G @ G.T == 0."""
-    g = gmat.data
-    k, n = g.shape
+def check_self_dual(gmat, nodes=None):
+    """True iff G has shape k x 2k, rank k, and G @ G.T == 0: gmat is G
+    or its GrsRows, with the nodes of the code G is from (else
+    _grs_nodes reads them off G)."""
+    k, n = gmat.shape
     if n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
-    if np.any(linalg.gram(gmat.field, g, gmat.nodes)):
+    g = gmat.data if isinstance(gmat, GeneratorMatrix) else gmat
+    nodes = linalg._grs_nodes(gmat.field, g) if nodes is None else nodes
+    if np.any(linalg.gram(gmat.field, g, nodes)):
         return False
-    return linalg.rank(gmat.field, g, gmat.nodes) == k
+    return linalg.rank(gmat.field, g, nodes) == k
 
 
 def _information_sets(field, g):
@@ -425,8 +435,12 @@ class SelfDualCode:
     def generator_matrix(self):
         return generator_matrix(self.eval_set, self.k)
 
+    def rows(self):
+        return GrsRows(self.eval_set, self.k)
+
     def verify(self):
-        return check_self_dual(self.generator_matrix())
+        rows = self.rows()
+        return check_self_dual(rows, rows.nodes)
 
     def to_obj(self):
         return {

@@ -3,9 +3,9 @@
 Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
 entry is an integer below 2**53 (asserted before the matmuls).  The
-Gram, the rank and the MDS proof read the shape of a GRS generator
-matrix, rows v_j * a_j**i, off the matrix entry by entry (_grs_nodes,
-or its `nodes` from a caller that has read them).  Where it holds,
+Gram, the rank and the MDS proof use the shape of a GRS generator
+matrix, rows v_j * a_j**i: nodes a_j from the code (its rows formed as
+read) or read off G entry by entry (_grs_nodes).  Where it holds,
 G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and with
 every v_j nonzero and the a_j distinct every k columns are independent
 (grs_mds), so a leading square block proves full rank.  Any other
@@ -112,8 +112,9 @@ def gram(field, g, nodes=None):
     (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
     the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
     pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
-    not a copy.  Any other g holds and streams every row."""
-    g = np.asarray(g, dtype=np.int64)
+    not a copy.  Any other g holds and streams every row.  Given nodes,
+    g may be a row source, g[idx] forming rows idx (grs.GrsRows)."""
+    g = np.asarray(g, dtype=np.int64) if nodes is None else g
     k, n = g.shape
     p, m = field.p, field.m
     if k == 0 or n == 0:
@@ -149,37 +150,41 @@ def gram(field, g, nodes=None):
 def grs_mds(field, g, nodes=None):
     """Whether the GRS shape of g proves every k columns independent.
 
-    k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes, the
-    nodes a_j of its columns with a nonzero row 0 are distinct, and at
-    most one other column, c e_(k-1) with c != 0, is left.  k geometric
-    columns then have determinant prod v_j * prod_{i<j} (a_j - a_i), and
-    k-1 beside the unit column +-c prod v_j times a (k-1)-node
-    Vandermonde determinant: none is 0 (MacWilliams-Sloane, ch. 11)."""
+    k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes (given
+    nodes, row k-1 is v_j a_j**(k-1) where row 0 is v_j != 0), the nodes
+    a_j of those columns are distinct, and at most one other column,
+    c e_(k-1) with c != 0, is left.  k geometric columns then have
+    determinant prod v_j * prod_{i<j} (a_j - a_i), and k-1 beside the
+    unit column +-c prod v_j times a (k-1)-node Vandermonde determinant:
+    none is 0 (MacWilliams-Sloane, ch. 11)."""
     k, n = g.shape
+    head, last = g[np.array([0, k - 1])]  # of a row source, all it forms
     if k == 1:
-        return bool(g.all())
+        return bool(head.all())
     a = _grs_nodes(field, g) if nodes is None else nodes
-    rest = np.flatnonzero(g[0] == 0)
-    return (a is not None and rest.size <= 1 and bool(g[-1, rest].all())
-            and len(set(a[g[0] != 0].tolist())) == n - rest.size)
+    geo = head != 0
+    return (a is not None and n - np.count_nonzero(geo) <= 1
+            and bool(last[~geo].all()) and np.diff(np.sort(a[geo])).all()
+            and np.array_equal(field.vpow(a[geo], k - 1, head[geo]),
+                               last[geo]))
 
 
 def rank(field, mat, nodes=None):
     """Rank over the field.
 
     If rows <= cols and the leading square block has no zero in row 0
-    and passes grs_mds (on the leading nodes), it is nonsingular and the
-    rank is rows.  Any other matrix is brought to systematic form whole,
+    and distinct nodes (given, or read off it by _grs_nodes), grs_mds
+    proves it nonsingular and the rank is rows: row 0 is all a row
+    source forms.  Any other matrix is brought to systematic form whole,
     over the natural column order."""
-    mat = np.asarray(mat, dtype=np.int64)
-    if mat.size == 0:
-        return 0
+    mat = np.asarray(mat, dtype=np.int64) if nodes is None else mat
     rows, cols = mat.shape
-    lead = None if nodes is None else nodes[:rows]
-    if (rows <= cols and mat[0, :rows].all()
-            and grs_mds(field, mat[:, :rows], lead)):
-        return rows
-    return len(systematic(field, mat, range(cols))[1])
+    if rows and rows <= cols and mat[0][:rows].all():
+        lead = (_grs_nodes(field, mat[:, :rows]) if nodes is None
+                else nodes[:rows])
+        if lead is not None and np.diff(np.sort(lead)).all():
+            return rows
+    return len(systematic(field, mat[:rows], range(cols))[1])
 
 
 def systematic(field, g, order):

@@ -14,6 +14,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,19 +83,46 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
 
 def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
                                                 monkeypatch):
-    calls = []
+    """G is formed whole at most once: never for --mds none or the grs
+    rung, which read the rows their proofs need, and once for the modes
+    that read all of it, whose Gram then reads G's rows rather than
+    forming them again.  No mode reads the GRS shape off G."""
+    calls, rows = [], []
     original = grsdual.grs.generator_matrix
+    formed = grsdual.grs.GrsRows.__getitem__
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def counted(self, idx):
+        rows.append(idx)
+        return formed(self, idx)
+
+    def refuse(*args):
+        raise AssertionError("read the GRS shape off G")
+
     code = tmp_path / "t2.json"
     run(capsys, T2_ARGS + ["--out", str(code)])
     monkeypatch.setattr(grsdual.grs, "generator_matrix", counting)
-    rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", "none"])
-    assert rc == 0 and json.loads(out)["self_dual"] is True
-    assert len(calls) == 1
+    monkeypatch.setattr(grsdual.grs.GrsRows, "__getitem__", counted)
+    monkeypatch.setattr(grsdual.linalg, "_grs_nodes", refuse)
+    for mode, times in (("none", 0), ("auto", 1), ("exhaustive", 1),
+                        ("minors", 1), ("sampled", 1)):
+        calls.clear()
+        rows.clear()
+        rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", mode])
+        assert rc == 0 and json.loads(out)["self_dual"] is True
+        assert len(calls) == times, mode
+        # G in one block, or the Gram's held and streamed rows and row 0
+        # for the rank
+        assert len(rows) == (1 if times else 3), (mode, rows)
+    calls.clear()
+    rows.clear()
+    rc, out, _ = run(capsys, ["verify", "--in", str(code), "--enum-limit",
+                              "1"])
+    assert rc == 0 and json.loads(out)["mode"] == "grs" and not calls
+    assert [np.ndim(i) for i in rows] == [1, 1, 0, 1]  # and rows 0, k-1
 
 
 def test_verify_mds_modes(tmp_path, capsys):
@@ -179,41 +207,45 @@ def test_verify_auto_past_the_enum_limit_proves_mds_by_shape(tmp_path,
                    '"mode":"grs","self_dual":true}\n')
 
 
-def test_verify_reads_the_grs_shape_once(tmp_path, capsys, monkeypatch):
-    """The Gram, the rank proof and the grs rung share one shape read."""
+def test_verify_auto_never_reads_the_grs_shape(tmp_path, capsys,
+                                              monkeypatch):
+    """The Gram, the rank proof and the grs rung take the nodes from the
+    code's points: nothing reads the shape off G, and G is not formed."""
     code = tmp_path / "th8.json"
     code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
-    calls, nodes = [], grsdual.linalg._grs_nodes
 
-    def counted(field, g):
-        calls.append(g.shape)
-        return nodes(field, g)
+    def refuse(*args):
+        raise AssertionError("formed G or read its shape")
 
-    monkeypatch.setattr(grsdual.linalg, "_grs_nodes", counted)
+    monkeypatch.setattr(grsdual.linalg, "_grs_nodes", refuse)
+    monkeypatch.setattr(grsdual.grs, "generator_matrix", refuse)
     rc, out, _ = run(capsys, ["verify", "--in", str(code)])
-    assert rc == 0 and calls == [(183, 366)]
+    assert rc == 0
     assert out == ('{"d":184,"field":"GF(13^3)","k":183,"length":366,'
                    '"mds":true,"mode":"grs","self_dual":true}\n')
 
 
 def test_verify_auto_refuses_a_g_without_the_grs_shape(tmp_path, capsys,
                                                        monkeypatch):
-    """Every G that verify forms has the GRS shape; one without it is a
-    bug, exit 3.  Row 2 plus row 0 keeps the code self-dual."""
+    """Every row verify forms has the GRS shape; one without it is a
+    bug, exit 3.  Row k-1 plus row 0 keeps the code, so the Gram and the
+    rank still pass, and the grs rung finds row k-1 off v_j a_j**(k-1)."""
     code = tmp_path / "th8.json"
     code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
-    formed = grsdual.grs.SelfDualCode.generator_matrix
+    formed = grsdual.grs.GrsRows.__getitem__
 
-    def mixed(self):
-        gmat = formed(self)
-        g = gmat.data.copy()
-        g[2] = gmat.field.vadd(g[2], g[0])
-        return grsdual.grs.GeneratorMatrix(gmat.field, g)
+    def mixed(self, idx):
+        g = formed(self, idx)
+        last = np.arange(self.shape[0])[idx] == self.shape[0] - 1
+        g[last] = self.field.vadd(g[last], formed(self, 0))
+        return g
 
-    monkeypatch.setattr(grsdual.grs.SelfDualCode, "generator_matrix", mixed)
+    monkeypatch.setattr(grsdual.grs.GrsRows, "__getitem__", mixed)
     rc, out, err = run(capsys, ["verify", "--in", str(code)])
     assert (rc, out) == (3, "")
     assert "lacks the GRS shape" in err
+    rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", "none"])
+    assert rc == 0 and json.loads(out)["self_dual"] is True
 
 
 def test_verify_text_format(tmp_path, capsys):

@@ -37,6 +37,7 @@ from grsdual.errors import (
 from grsdual.grs import (
     EvalSet,
     GeneratorMatrix,
+    GrsRows,
     SelfDualCode,
     build_verified_code,
     check_mds,
@@ -804,6 +805,62 @@ def test_build_verified_code_scale_guard():
     # [4474,2237] is past the limit; refused before any multiplier work
     with pytest.raises(EnumerationTooLarge):
         build_verified_code(make_field(3, 8), np.arange(4474), False, {})
+
+
+@st.composite
+def eval_sets(draw):
+    """A random plain or extended EvalSet, possibly holding the node 0,
+    and a dimension 1 <= k <= its length."""
+    p, m = draw(st.sampled_from([(3, 1), (13, 1), (3, 4), (13, 2), (7, 3)]))
+    f = make_field(p, m)
+    n = draw(st.integers(1, min(f.q, 14)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.choice(f.q, size=n, replace=False)
+    if draw(st.booleans()) and 0 not in points:
+        points[rng.integers(0, n)] = 0
+    es = EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
+    return es, draw(st.integers(1, es.length))
+
+
+@settings(max_examples=200, deadline=None)
+@given(eval_sets(), st.data())
+def test_grs_rows_are_the_rows_of_the_generator_matrix(case, data):
+    """GrsRows forms exactly rows idx of generator_matrix, and of the
+    scalar formula v_j a_j**i (1 in row k-1 of the unit column), for an
+    index array (any order, repeats), a 2-d index array, a slice and one
+    index; an index past k raises as it would on G."""
+    es, k = case
+    g = generator_matrix(es, k).data
+    src = GrsRows(es, k)
+    assert src.shape == g.shape
+    idx = np.array(data.draw(st.lists(st.integers(0, k - 1), max_size=12)),
+                   dtype=np.int64)
+    got = src[idx]
+    assert got.dtype == np.int64 and got.shape == (idx.size, es.length)
+    assert np.array_equal(got, g[idx])
+    for i, row in zip(idx.tolist(), got.tolist()):
+        expect = [es.field.mul(v, es.field.power(a, i))
+                  for a, v in zip(es.points, es.multipliers)]
+        assert row == expect + [int(i == k - 1)] * es.extended
+    assert np.array_equal(src[idx.reshape(-1, 1)], g[idx][:, None])
+    i = data.draw(st.integers(0, k - 1))
+    assert np.array_equal(src[i], g[i]) and np.array_equal(src[i:], g[i:])
+    with pytest.raises(IndexError):
+        src[k]
+
+
+def test_build_verified_code_forms_no_generator_matrix(monkeypatch):
+    """The construct path proves a code from the rows its proofs read,
+    by GrsRows: G is never formed whole and its shape never read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed G or read its shape")
+
+    monkeypatch.setattr(grs, "generator_matrix", refuse)
+    monkeypatch.setattr(linalg, "_grs_nodes", refuse)
+    from grsdual import th4_code, th8_code
+    for code in (build_verified_code(F, encs([0, 1, 2, 3]), False, {}),
+                 th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
+        assert code.verify()
 
 
 def test_to_obj_wire_shape():

@@ -25,6 +25,8 @@ from grsdual.errors import TableLimitExceeded
 from grsdual.grs import (
     EvalSet,
     GeneratorMatrix,
+    GrsRows,
+    SelfDualCode,
     check_mds,
     check_self_dual,
     generator_matrix,
@@ -648,8 +650,9 @@ def test_hankel_gram_is_a_read_only_view_of_its_edge():
 
 
 def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
-    """The Gram and the rank proof take the nodes of one _grs_nodes
-    read; a G without the shape is read again by each."""
+    """On a bare G, the Gram and the rank proof take the nodes of one
+    _grs_nodes read per call; given the nodes of the code G was formed
+    from, or its GrsRows as the row source, nothing reads it."""
     calls, nodes = [], linalg._grs_nodes
 
     def counted(field, g):
@@ -662,7 +665,53 @@ def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
         calls.clear()
         assert check_self_dual(gmat)
         assert calls == [gmat.shape]
-        assert check_self_dual(gmat) and len(calls) == 1
+        assert check_self_dual(gmat) and len(calls) == 2
+        assert check_self_dual(gmat, code.rows().nodes) and code.verify()
+        assert len(calls) == 2
+
+
+@st.composite
+def grs_sources(draw, fields=FIELDS):
+    """The row source of G of a random plain or extended EvalSet,
+    possibly with the node 0, with 1 <= k <= length."""
+    p, m = draw(st.sampled_from(fields))
+    f = make_field(p, m)
+    n = draw(st.integers(1, min(f.q, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.choice(f.q, size=n, replace=False)
+    if draw(st.booleans()) and 0 not in points:
+        points[rng.integers(0, n)] = 0
+    es = EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
+    return GrsRows(es, draw(st.integers(1, es.length)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grs_sources())
+def test_gram_of_a_row_source_matches_zech_oracle(src):
+    """gram of a GrsRows, with the points as nodes, forms only the rows
+    of _sumset_rows and equals zech_gram of G: plain and extended codes,
+    k = 1 included."""
+    f, (k, cols) = src.field, src.shape
+    g = src[:]
+    formed, rows = [], GrsRows.__getitem__
+
+    def counted(self, idx):
+        formed.extend(np.atleast_1d(idx).tolist())
+        return rows(self, idx)
+
+    # one block of every row, and blocks of two rows, or of
+    # min(8, k // 2m)
+    for block in (None, 8 * f.m * cols * 2):
+        formed.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GrsRows, "__getitem__", counted)
+            if block:
+                mp.setattr(linalg, "_BLOCK_BYTES", block)
+            cap = block_rows(f, k, cols)
+            got = linalg.gram(f, src, src.nodes)
+        assert np.array_equal(got, zech_gram(f, g))
+        held, streamed = sumset_rows(k, cap)
+        assert formed == held + streamed
 
 
 def test_check_self_dual_peak_stays_below_half_a_copy_of_g():
@@ -682,6 +731,27 @@ def test_check_self_dual_peak_stays_below_half_a_copy_of_g():
     finally:
         tracemalloc.stop()
     assert peak < 0.4 * 8 * k * n, peak / (8 * k * n)
+
+
+def test_verify_of_a_code_at_the_verify_limit_peaks_below_16_mb():
+    """SelfDualCode.verify of a random [4472,2236] GRS code over
+    GF(3^10), k n just below 10^7, forms 297 rows of G for its Gram
+    (b capped at 8 by the row block): its tracemalloc peak was 87.6 MiB
+    when verify formed all of G and read its shape off it."""
+    f = make_field(3, 10)
+    rng = np.random.default_rng(4472)
+    n = 4472
+    es = EvalSet(f, rng.choice(f.q, size=n, replace=False),
+                 rng.integers(1, f.q, size=n))
+    code = SelfDualCode(es, n // 2)
+    linalg.gram(f, code.rows()[:2])  # the digit table, outside the peak
+    tracemalloc.start()
+    try:
+        assert not code.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak / 2 ** 20
 
 
 @st.composite
