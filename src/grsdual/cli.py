@@ -222,15 +222,15 @@ def cmd_construct(args, cfg):
     return EXIT_OK
 
 
-def _mds_report(rows, gmat, mode, cfg):
+def _mds_report(gmat, mode, cfg):
     """Returns (passed, report fields); mode 'none' always passes.  grs
     proves MDS by the GRS shape of G's rows 0 and k-1 (every G from an
-    EvalSet has it), d = n - k + 1; other modes read gmat, all of G."""
+    EvalSet has it), d = n - k + 1; other modes read all of G, gmat."""
     if mode == "none":
         return True, {"mds": "skipped"}
-    k, n = rows.shape
+    k, n = gmat.shape
     if mode == "grs":
-        if not grs_mds(rows.field, rows, rows.nodes):
+        if not grs_mds(gmat.field, gmat, gmat.nodes):
             raise VerificationFailed("generator matrix lacks the GRS shape")
         return True, {"mds": True, "d": n - k + 1, "mode": "grs"}
     if mode == "exhaustive":
@@ -263,15 +263,14 @@ def cmd_verify(args, cfg):
         return EXIT_TOO_LARGE
     big = code.field.q ** code.k > cfg.enumeration_limit
     mode = ("grs" if big else "exhaustive") if args.mds == "auto" else args.mds
-    gmat = None if mode in ("grs", "none") else code.generator_matrix()
-    rows = code.rows()
+    gmat = code.rows() if mode in ("grs", "none") else code.generator_matrix()
     report = {"field": code.field.name, "length": code.length, "k": code.k,
-              "self_dual": bool(check_self_dual(gmat or rows, rows.nodes))}
+              "self_dual": bool(check_self_dual(gmat))}
     if not report["self_dual"]:
         _emit_report(report, cfg)
         return EXIT_NOT_SELF_DUAL
     try:
-        ok, extra = _mds_report(rows, gmat, mode, cfg)
+        ok, extra = _mds_report(gmat, mode, cfg)
     except EnumerationTooLarge as exc:
         sys.stderr.write(f"enumeration too large: {exc}\n")
         return EXIT_TOO_LARGE

@@ -430,10 +430,8 @@ class Field:
         return (1 - a) % (self.q - 1) + 1
 
     def vpow(self, a, e, v=1):
-        """v a**e, v nonzero, for an integer e or integer array e; 0**0 = 1."""
+        """v a**e for an integer e or integer array e; 0**0 = 1."""
         a = self.varray(a)
-        if np.any(e < 0) and np.any((e < 0) & (a == 0)):
-            raise ZeroArgument("zero has no negative power")
         out = np.asarray((a - 1) * self.varray(e % (self.q - 1)))
         out += v - 1
         d = out // (self.q - 1)  # out %= q-1 as out - d (q-1), in place:
@@ -441,7 +439,11 @@ class Field:
         out -= d                 # a shift, its % a true division
         out += 1
         if np.count_nonzero(a) < a.size:
+            if np.any((e < 0) & (a == 0)):
+                raise ZeroArgument("zero has no negative power")
             np.copyto(out, (e == 0) * v, where=a == 0)
+        if np.count_nonzero(v) < np.size(v):
+            np.copyto(out, 0, where=v == 0)
         return out
 
     def vsign(self, a):

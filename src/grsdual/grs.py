@@ -19,8 +19,8 @@ L(a_i) = prod_{j != i} (a_i - a_j):
 solve_multipliers / solve_extended_multipliers realize those criteria
 with the canonical square root, so multiplier vectors are
 reproducible.  check_self_dual, min_distance and check_mds are
-independent oracles: they read rows of the generator matrix (a code's
-verify forms only those its proofs read), never the construction.
+independent oracles that read rows of G, never the construction: a
+verify forms only the rows its proofs read, and checks each one.
 
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
@@ -219,12 +219,18 @@ class EvalSet:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
+    """G, a row source; nodes are its code's points (generator_matrix
+    sets them) or None, and then the proofs read them off G."""
     field: Field
     data: np.ndarray
+    nodes: np.ndarray | None = None
 
     @property
     def shape(self):
         return self.data.shape
+
+    def __getitem__(self, idx):
+        return self.data[idx]
 
     def to_text(self):
         lines = [" ".join(str(int(x)) for x in row) for row in self.data]
@@ -240,23 +246,24 @@ class GeneratorMatrix:
 
 
 class GrsRows:
-    """The rows of G = generator_matrix(eval_set, k), formed on demand,
-    as linalg.gram, rank and grs_mds read them; nodes are the points, 0
-    at the unit column, and the arrays live only as long as the source."""
+    """Rows of G = generator_matrix(eval_set, k), formed as the proofs
+    read them; nodes are the points, 0 at the unit column."""
 
     def __init__(self, eval_set, k):
         f = self.field = eval_set.field
         self.shape, self.extended = (k, eval_set.length), eval_set.extended
-        self.nodes = f.varray(eval_set.points + (0,) * eval_set.extended)
-        self.multipliers = f.varray(eval_set.multipliers)
+        pad = (0,) * eval_set.extended  # the unit column: v = a = 0
+        self.nodes = f.varray(eval_set.points + pad)
+        self.multipliers = f.varray(eval_set.multipliers + pad)
 
     def __getitem__(self, idx):
-        """Rows idx (an int, slice or int array) and no other: row i is
-        v_j a_j**i, and 1 in the unit column of row k-1 when extended."""
-        k, n = self.shape[0], self.multipliers.size
-        i = np.arange(k)[idx][..., None]
-        g = self.field.vpow(self.nodes[:n], i, self.multipliers)
-        return np.concatenate([g, i == k - 1], -1) if self.extended else g
+        """Rows idx (int, slice or int array): v_j a_j**i, 1 in row k-1
+        of the unit column."""
+        i = np.arange(self.shape[0])[idx][..., None]
+        g = self.field.vpow(self.nodes, i, self.multipliers)
+        if self.extended:
+            g[..., -1] = i[..., 0] == self.shape[0] - 1
+        return g
 
 
 def generator_matrix(eval_set, k):
@@ -270,21 +277,20 @@ def generator_matrix(eval_set, k):
     rows = max(1, linalg._BLOCK_BYTES // (8 * eval_set.n))
     for r0 in range(0, k, rows):
         g[r0:r0 + rows] = src[r0:r0 + rows]
-    return GeneratorMatrix(eval_set.field, g)
+    return GeneratorMatrix(eval_set.field, g, src.nodes)
 
 
-def check_self_dual(gmat, nodes=None):
-    """True iff G has shape k x 2k, rank k, and G @ G.T == 0: gmat is G
-    or its GrsRows, with the nodes of the code G is from (else
-    _grs_nodes reads them off G)."""
+def check_self_dual(gmat):
+    """True iff G has shape k x 2k, rank k, and G @ G.T == 0, from rows
+    of gmat (GrsRows or GeneratorMatrix) on its nodes, else _grs_nodes."""
     k, n = gmat.shape
     if n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
-    g = gmat.data if isinstance(gmat, GeneratorMatrix) else gmat
-    nodes = linalg._grs_nodes(gmat.field, g) if nodes is None else nodes
-    if np.any(linalg.gram(gmat.field, g, nodes)):
+    f, nodes = gmat.field, gmat.nodes
+    nodes = linalg._grs_nodes(f, gmat) if nodes is None else nodes
+    if np.any(linalg.gram(f, gmat, nodes)):
         return False
-    return linalg.rank(gmat.field, g, nodes) == k
+    return linalg.rank(f, gmat, nodes) == k
 
 
 def _information_sets(field, g):
@@ -439,8 +445,7 @@ class SelfDualCode:
         return GrsRows(self.eval_set, self.k)
 
     def verify(self):
-        rows = self.rows()
-        return check_self_dual(rows, rows.nodes)
+        return check_self_dual(self.rows())
 
     def to_obj(self):
         return {

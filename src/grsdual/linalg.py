@@ -3,9 +3,9 @@
 Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
 BLAS over GF(p) coefficient planes, which is exact because every matmul
 entry is an integer below 2**53 (asserted before the matmuls).  The
-Gram, the rank and the MDS proof use the shape of a GRS generator
-matrix, rows v_j * a_j**i: nodes a_j from the code (its rows formed as
-read) or read off G entry by entry (_grs_nodes).  Where it holds,
+Gram, the rank and the MDS proof use the GRS shape, rows v_j * a_j**i,
+on the code's nodes a_j, checked in each row they form (_shaped), or
+on those _grs_nodes reads off G entry by entry.  Where it holds,
 G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and with
 every v_j nonzero and the a_j distinct every k columns are independent
 (grs_mds), so a leading square block proves full rank.  Any other
@@ -21,7 +21,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import TableLimitExceeded
+from .errors import TableLimitExceeded, VerificationFailed
 
 # float64 holds every integer below this exactly
 _EXACT = 2 ** 53
@@ -77,20 +77,32 @@ def _grs_nodes(field, g):
     """a = row 1 / row 0 if g has the shape of an (extended) GRS
     generator matrix, else None: every column with a nonzero row 0 is
     [v_j * a_j**i], and every other column is zero above its last row.
-    Checked entry by entry, in row blocks of about _BLOCK_BYTES."""
+    Checked by _shaped, in row blocks of about _BLOCK_BYTES."""
     k, n = g.shape
-    head = g[0] != 0
+    head = g[0]
     # a_j = g[1, j] where g[0, j] = 0, so rows 1..k-2 there must be 0
-    a = field.vmul(g[min(1, k - 1)], field.vinv(np.where(head, g[0], 1)))
+    a = field.vmul(g[min(1, k - 1)], field.vinv(np.where(head != 0, head, 1)))
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    for r0 in range(0, k - 1, rows):
-        r1 = min(k - 1, r0 + rows)
-        step = field.vmul(g[r0:r1], a)
-        if r1 == k - 1:  # the last row is free where row 0 is zero
-            step[-1] = np.where(head, step[-1], g[-1])
-        if not np.array_equal(step, g[r0 + 1:r1 + 1]):
-            return None
+    try:
+        for r0 in range(0, k, rows):
+            _shaped(field, g, np.arange(r0, min(k, r0 + rows)), a, head)
+    except VerificationFailed:
+        return None
     return a
+
+
+def _shaped(field, g, idx, nodes, head=None):
+    """Rows idx (an int array) of g; given nodes, each must be v_j a_j**i,
+    v = head (row 0, else rows[0]), free in row k-1 where v_j = 0."""
+    rows = g[idx]
+    if nodes is not None:
+        head = rows[0] if head is None else head
+        want = field.vpow(nodes, idx[:, None], head)
+        free = (idx[:, None] == g.shape[0] - 1) & (head == 0)
+        np.copyto(want, rows, where=free)
+        if not (rows == want).all():
+            raise VerificationFailed("generator matrix lacks the GRS shape")
+    return rows
 
 
 def _sumset_rows(k, rows):
@@ -113,8 +125,8 @@ def gram(field, g, nodes=None):
     the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
     pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
     not a copy.  Any other g holds and streams every row.  Given nodes,
-    g may be a row source, g[idx] forming rows idx (grs.GrsRows)."""
-    g = np.asarray(g, dtype=np.int64) if nodes is None else g
+    g may be a row source (grs.GrsRows), each row read checked (_shaped)."""
+    g = np.asarray(g[:], dtype=np.int64) if nodes is None else g
     k, n = g.shape
     p, m = field.p, field.m
     if k == 0 or n == 0:
@@ -137,10 +149,14 @@ def gram(field, g, nodes=None):
     held, streamed = ((np.arange(k),) * 2 if nodes is None
                       else _sumset_rows(k, rows))
     out = np.empty(stride * (k - 1) + k, dtype=np.int64)
-    left = _coeff_planes(field, g[held], chunks, width)
+    # held[0] is row 0; the first streamed block comes in the same call
+    first = _shaped(field, g, np.concatenate([held, streamed[:rows]]), nodes)
+    left = _coeff_planes(field, first[:held.size], chunks, width)
     for r0 in range(0, streamed.size, rows):
         idx = streamed[r0:r0 + rows]
-        block = _coeff_planes(field, g[idx], chunks, width)
+        block = (first[held.size:] if r0 == 0
+                 else _shaped(field, g, idx, nodes, first[0]))
+        block = _coeff_planes(field, block, chunks, width)
         out[held[:, None] * stride + idx] = _products(field, left, block)
     if nodes is None:
         return out.reshape(k, k)
@@ -151,33 +167,30 @@ def grs_mds(field, g, nodes=None):
     """Whether the GRS shape of g proves every k columns independent.
 
     k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes (given
-    nodes, row k-1 is v_j a_j**(k-1) where row 0 is v_j != 0), the nodes
-    a_j of those columns are distinct, and at most one other column,
-    c e_(k-1) with c != 0, is left.  k geometric columns then have
-    determinant prod v_j * prod_{i<j} (a_j - a_i), and k-1 beside the
-    unit column +-c prod v_j times a (k-1)-node Vandermonde determinant:
-    none is 0 (MacWilliams-Sloane, ch. 11)."""
+    nodes, _shaped checks rows 0 and k-1), the nodes a_j of columns with
+    v_j != 0 are distinct, and at most one other column, c e_(k-1) with
+    c != 0, is left.  k geometric columns then have determinant
+    prod v_j * prod_{i<j} (a_j - a_i), and k-1 beside the unit column
+    +-c prod v_j times a (k-1)-node Vandermonde determinant: none is 0
+    (MacWilliams-Sloane, ch. 11)."""
     k, n = g.shape
-    head, last = g[np.array([0, k - 1])]  # of a row source, all it forms
+    head, last = _shaped(field, g, np.array([0, k - 1]), nodes)
     if k == 1:
         return bool(head.all())
     a = _grs_nodes(field, g) if nodes is None else nodes
     geo = head != 0
     return (a is not None and n - np.count_nonzero(geo) <= 1
-            and bool(last[~geo].all()) and np.diff(np.sort(a[geo])).all()
-            and np.array_equal(field.vpow(a[geo], k - 1, head[geo]),
-                               last[geo]))
+            and bool(last[~geo].all()) and np.diff(np.sort(a[geo])).all())
 
 
 def rank(field, mat, nodes=None):
     """Rank over the field.
 
     If rows <= cols and the leading square block has no zero in row 0
-    and distinct nodes (given, or read off it by _grs_nodes), grs_mds
-    proves it nonsingular and the rank is rows: row 0 is all a row
-    source forms.  Any other matrix is brought to systematic form whole,
-    over the natural column order."""
-    mat = np.asarray(mat, dtype=np.int64) if nodes is None else mat
+    and distinct nodes (given, else _grs_nodes), it is nonsingular
+    (grs_mds) and the rank is rows; of a row source, only row 0 is read.
+    Any other matrix is brought to systematic form whole."""
+    mat = np.asarray(mat[:], dtype=np.int64) if nodes is None else mat
     rows, cols = mat.shape
     if rows and rows <= cols and mat[0][:rows].all():
         lead = (_grs_nodes(field, mat[:, :rows]) if nodes is None

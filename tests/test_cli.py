@@ -114,15 +114,15 @@ def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
         rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", mode])
         assert rc == 0 and json.loads(out)["self_dual"] is True
         assert len(calls) == times, mode
-        # G in one block, or the Gram's held and streamed rows and row 0
-        # for the rank
-        assert len(rows) == (1 if times else 3), (mode, rows)
+        # G in one block, or the Gram's held rows with its first block of
+        # streamed rows, and row 0 for the rank
+        assert len(rows) == (1 if times else 2), (mode, rows)
     calls.clear()
     rows.clear()
     rc, out, _ = run(capsys, ["verify", "--in", str(code), "--enum-limit",
                               "1"])
     assert rc == 0 and json.loads(out)["mode"] == "grs" and not calls
-    assert [np.ndim(i) for i in rows] == [1, 1, 0, 1]  # and rows 0, k-1
+    assert [np.ndim(i) for i in rows] == [1, 0, 1]  # and rows 0, k-1
 
 
 def test_verify_mds_modes(tmp_path, capsys):
@@ -228,24 +228,25 @@ def test_verify_auto_never_reads_the_grs_shape(tmp_path, capsys,
 def test_verify_auto_refuses_a_g_without_the_grs_shape(tmp_path, capsys,
                                                        monkeypatch):
     """Every row verify forms has the GRS shape; one without it is a
-    bug, exit 3.  Row k-1 plus row 0 keeps the code, so the Gram and the
-    rank still pass, and the grs rung finds row k-1 off v_j a_j**(k-1)."""
+    bug, exit 3.  Adding row 0 to row 2 or row k-1 keeps the code, but
+    the Gram checks each row it reads against the code's points, in
+    every mode, on the rows of G or of the row source."""
     code = tmp_path / "th8.json"
     code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
     formed = grsdual.grs.GrsRows.__getitem__
+    for row in (2, 182):
+        def mixed(self, idx, row=row):
+            g = formed(self, idx)
+            hit = np.arange(self.shape[0])[idx] == row
+            g[hit] = self.field.vadd(g[hit], formed(self, 0))
+            return g
 
-    def mixed(self, idx):
-        g = formed(self, idx)
-        last = np.arange(self.shape[0])[idx] == self.shape[0] - 1
-        g[last] = self.field.vadd(g[last], formed(self, 0))
-        return g
-
-    monkeypatch.setattr(grsdual.grs.GrsRows, "__getitem__", mixed)
-    rc, out, err = run(capsys, ["verify", "--in", str(code)])
-    assert (rc, out) == (3, "")
-    assert "lacks the GRS shape" in err
-    rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", "none"])
-    assert rc == 0 and json.loads(out)["self_dual"] is True
+        monkeypatch.setattr(grsdual.grs.GrsRows, "__getitem__", mixed)
+        for mode in ("auto", "none", "exhaustive"):
+            rc, out, err = run(capsys, ["verify", "--in", str(code),
+                                        "--mds", mode])
+            assert (rc, out) == (3, ""), (row, mode)
+            assert "lacks the GRS shape" in err
 
 
 def test_verify_text_format(tmp_path, capsys):

@@ -189,8 +189,8 @@ def test_vpow_matches_the_divmod_kernel_and_power(case, shift, negate):
     assert got.shape == expect.shape and np.array_equal(got, expect)
     ref = ref_vpow(f, a, e)
     assert ref.shape == got.shape and np.array_equal(ref, got)
-    # a nonzero factor v is multiplied in before the one reduction
-    v = np.arange(got.size).reshape(got.shape) % (f.q - 1) + 1
+    # a factor v is multiplied in before the one reduction; v = 0 gives 0
+    v = np.arange(got.size).reshape(got.shape) % f.q
     assert np.array_equal(f.vpow(a, e, v), ref_vmul(f, v, ref))
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from grsdual import linalg, make_field
 from grsdual.cosets import th8_code
-from grsdual.errors import TableLimitExceeded
+from grsdual.errors import TableLimitExceeded, VerificationFailed
 from grsdual.grs import (
     EvalSet,
     GeneratorMatrix,
@@ -651,8 +651,9 @@ def test_hankel_gram_is_a_read_only_view_of_its_edge():
 
 def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
     """On a bare G, the Gram and the rank proof take the nodes of one
-    _grs_nodes read per call; given the nodes of the code G was formed
-    from, or its GrsRows as the row source, nothing reads it."""
+    _grs_nodes read per call; on G formed by generator_matrix, which
+    carries the code's points as nodes, or on its GrsRows, nothing
+    reads it."""
     calls, nodes = [], linalg._grs_nodes
 
     def counted(field, g):
@@ -662,11 +663,12 @@ def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
     monkeypatch.setattr(linalg, "_grs_nodes", counted)
     for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
         gmat = code.generator_matrix()
+        bare = GeneratorMatrix(code.field, gmat.data)
         calls.clear()
-        assert check_self_dual(gmat)
+        assert check_self_dual(bare)
         assert calls == [gmat.shape]
-        assert check_self_dual(gmat) and len(calls) == 2
-        assert check_self_dual(gmat, code.rows().nodes) and code.verify()
+        assert check_self_dual(bare) and len(calls) == 2
+        assert check_self_dual(gmat) and code.verify()
         assert len(calls) == 2
 
 
@@ -712,6 +714,36 @@ def test_gram_of_a_row_source_matches_zech_oracle(src):
         assert np.array_equal(got, zech_gram(f, g))
         held, streamed = sumset_rows(k, cap)
         assert formed == held + streamed
+
+
+@settings(max_examples=80, deadline=None)
+@given(grs_sources(), st.data())
+def test_gram_refuses_a_formed_row_off_the_nodes(src, data):
+    """Every row the Hankel Gram forms is checked against the nodes and
+    row 0: one changed entry of a held or streamed row i >= 1, or a
+    nonzero unit column above row k-1, raises VerificationFailed.  The
+    unit column of row k-1 is free, and a changed row 0 only redefines
+    v: the Gram is then that of the changed G, unless a row disagrees."""
+    f, (k, cols) = src.field, src.shape
+    held, streamed = sumset_rows(k, block_rows(f, k, cols))
+    row = data.draw(st.sampled_from(sorted(set(held) | set(streamed))))
+    col = data.draw(st.integers(0, cols - 1))
+    g, rows = src[:], GrsRows.__getitem__
+    g[row, col] = (g[row, col] + data.draw(st.integers(1, f.q - 1))) % f.q
+    unit = src.extended and (row, col) == (k - 1, cols - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GrsRows, "__getitem__", lambda self, idx: g[idx])
+        if row and not unit:
+            with pytest.raises(VerificationFailed, match="GRS shape"):
+                linalg.gram(f, src, src.nodes)
+        else:
+            try:
+                got = linalg.gram(f, src, src.nodes)
+            except VerificationFailed:
+                assert row == 0
+            else:
+                assert np.array_equal(got, zech_gram(f, g))
+    assert np.array_equal(rows(src, np.arange(k)), src[:])
 
 
 def test_check_self_dual_peak_stays_below_half_a_copy_of_g():
