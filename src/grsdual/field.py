@@ -19,11 +19,12 @@ every encoding:
 * square roots return the root with the smaller discrete log.
 
 Building the tables takes O(q) time and memory, which the table limit
-guards (the default allows q up to 2**22): three int64 tables and one
-block of exponents, with no loop per element.  Fields are immutable and
-cached per (p, m), without bound.  There is no element object: an
-element is its encoding, and arithmetic is the Field's scalar methods
-and their v-prefixed array twins.
+guards (the default allows q up to 2**22): three int32 tables, 12 q
+bytes, and one block of exponents, with no loop per element.  Fields
+are immutable and cached per (p, m) without bound, so every field built
+keeps its 12 q bytes for the life of the process.  There is no element
+object: an element is its encoding, and arithmetic is the Field's
+scalar methods and their v-prefixed array twins.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
 
 DEFAULT_TABLE_LIMIT = 2 ** 22
 
-_EXP_BLOCK = 1024
+_EXP_BLOCK = 16384  # table entries per block: m coefficients an exponent
 
 
 def _is_prime(n):
@@ -221,11 +222,12 @@ def _find_theta(p, m, mod, q):
 
 
 def _build_tables(p, m, mod, theta_coeffs, q):
-    """exp/log/Zech tables, b = _EXP_BLOCK exponents at a time, holding
-    O(m b) past the tables: with M multiplication by theta, theta**0 ..
-    theta**(b-1) come by doubling and each later block is M**b times the
-    one before; log is scattered and theta**k + 1 formed per block, then
-    Zech gathered per block."""
+    """int32 exp/log/Zech tables, b = _EXP_BLOCK // m exponents (of m
+    coefficients each) at a time, holding O(_EXP_BLOCK) past the tables:
+    with M multiplication by theta, theta**0 .. theta**(b-1) come by
+    doubling and each later block is M**b times the one before; log is
+    scattered and theta**k + 1 formed per block, then Zech gathered per
+    block."""
     cols = [_poly_mul_mod(theta_coeffs, [0] * i + [1], list(mod), p)
             for i in range(m)]
     mt = np.array([c + [0] * (m - len(c)) for c in cols], dtype=np.float64).T
@@ -236,7 +238,7 @@ def _build_tables(p, m, mod, theta_coeffs, q):
         return x - p * np.floor(x / p)
 
     n = q - 1
-    b = min(_EXP_BLOCK, n)
+    b = min(max(1, _EXP_BLOCK // m), n)
     block = np.zeros((m, b))
     block[0, 0] = 1
     mb = np.eye(m)  # M**b, from the doubling's squares, if blocks follow
@@ -250,15 +252,15 @@ def _build_tables(p, m, mod, theta_coeffs, q):
         d *= 2
 
     weights = p ** np.arange(m, dtype=np.float64)
-    exp_int = np.empty(n, dtype=np.int64)
-    log = np.full(q, -1, dtype=np.int64)
-    zech = np.empty(n, dtype=np.int64)
+    exp_int = np.empty(n, dtype=np.int32)  # q - 1 < 2**31: _check_field_args
+    log = np.full(q, -1, dtype=np.int32)
+    zech = np.empty(n, dtype=np.int32)
     for start in range(0, n, b):
         if start:
             block = mod_p(mb @ block[:, :min(b, n - start)])
         e = exp_int[start:start + b]
         e[:] = weights @ block
-        log[e] = np.arange(start, start + e.size, dtype=np.int64)
+        log[e] = np.arange(start, start + e.size, dtype=np.int32)
         zech[start:start + b] = e + 1 - p * (block[0] == p - 1)
     if log[1] != 0 or int(np.count_nonzero(log >= 0)) != n:
         raise RuntimeError("exp table is not a bijection")  # pragma: no cover
@@ -325,7 +327,7 @@ class Field:
             return b
         if b == 0:
             return a
-        z = self._zech[(b - a) % (self.q - 1)]
+        z = int(self._zech[(b - a) % (self.q - 1)])
         if z < 0:
             return 0
         return (a - 1 + z) % (self.q - 1) + 1
@@ -379,7 +381,8 @@ class Field:
 
     def _log_sum(self, s):
         """s % (q-1) + 1 for int64 0 <= s < 2(q-1), in place: as uint64,
-        min(s, s - (q-1)) is s % (q-1)."""
+        min(s, s - (q-1)) is s % (q-1).  An int32 table lookup plus an
+        int64 operand is int64, so every kernel hands this int64."""
         s = np.asarray(s).view(np.uint64)
         np.minimum(s, s - np.uint64(self.q - 1), out=s)
         s += 1
@@ -509,6 +512,8 @@ def _check_field_args(p, m, table_limit):
             f"q = {p}**{m} exceeds the table limit {table_limit}")
     if m * (p - 1) ** 2 >= 2 ** 53:  # _build_tables' float64 matmuls
         raise TableLimitExceeded(f"q = {p}**{m} is past exact float64 tables")
+    if p ** m > 2 ** 31:  # q - 1 >= 2**31 would wrap the int32 tables
+        raise TableLimitExceeded(f"q = {p}**{m} is past int32 tables")
     if p == 2 or not _is_prime(p):
         raise CompositeCharacteristic(f"{p} is not an odd prime")
 
@@ -523,8 +528,8 @@ def canonical_modulus(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
 def make_field(p, m=1, table_limit=DEFAULT_TABLE_LIMIT):
     """Construct (or fetch the cached) GF(p^m).
 
-    p must be an odd prime and p**m at most table_limit, since the
-    representation stores three O(q) tables.
+    p must be an odd prime and p**m at most table_limit and 2**31, since
+    the representation stores three int32 tables of 4 q bytes each.
     """
     _check_field_args(p, m, table_limit)
     return _build_field(p, m)

@@ -284,7 +284,7 @@ def check_self_dual(gmat):
     """True iff G has shape k x 2k, rank k, and G @ G.T == 0, from rows
     of gmat (GrsRows or GeneratorMatrix) on its nodes, else _grs_nodes."""
     k, n = gmat.shape
-    if n % 2 or k != n // 2:
+    if not n or n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
     f, nodes = gmat.field, gmat.nodes
     nodes = linalg._grs_nodes(f, gmat) if nodes is None else nodes

@@ -385,6 +385,25 @@ def test_verify_refuses_huge_fields_fast(tmp_path, capsys):
         assert time.perf_counter() - t0 < 1.0
 
 
+def test_verify_refuses_fields_past_int32_tables(tmp_path, capsys,
+                                                monkeypatch):
+    """GF(3^20) is within a 2**40 table limit, but q - 1 >= 2**31 would
+    wrap the int32 tables: exit 6 before any table or modulus search."""
+    def no_build(*args):
+        raise AssertionError("built a field past int32 tables")
+
+    monkeypatch.setattr(grsdual.field, "_build_field", no_build)
+    monkeypatch.setattr(grsdual.field, "find_modulus", no_build)
+    obj = json.loads(T2_JSON)
+    obj["field"]["p"], obj["field"]["m"] = 3, 20
+    code = tmp_path / "gf3_20.json"
+    code.write_text(json.dumps(obj))
+    rc, _, err = run(capsys, ["verify", "--in", str(code),
+                              "--table-limit", str(2 ** 40)])
+    assert rc == 6
+    assert "field too large" in err and "int32" in err
+
+
 def test_verify_refuses_codes_past_the_verify_limit(tmp_path, capsys,
                                                     monkeypatch):
     """A [4474,2237] code, k n just past 10^7, exits 6 as construct

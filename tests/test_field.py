@@ -423,7 +423,7 @@ def _assert_tables_equal(f, mod, theta_coeffs):
                                       for i, c in enumerate(theta_coeffs))
     want = _reference_tables(f.p, f.m, mod, theta_coeffs)
     for got, ref in zip((f._exp_int, f._log, f._zech), want):
-        assert got.dtype == np.int64 and np.array_equal(got, ref)
+        assert got.dtype == np.int32 and np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("p, top", [(3, 8), (5, 5), (7, 4), (11, 3), (13, 3)])
@@ -448,7 +448,7 @@ def test_tables_match_the_recurrence_on_every_odd_prime_power_to_2000():
                              _reference_theta(p, m, mod))
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 20])
 def test_tables_match_the_recurrence_when_blocks_end_off_q_minus_1(
         monkeypatch, block):
     monkeypatch.setattr(field, "_EXP_BLOCK", block)
@@ -483,8 +483,9 @@ def test_large_field_tables_are_pinned(pm, digest):
 
 
 def test_table_build_peak_is_within_the_tables_and_a_block():
-    """The build holds no (m, q-1) state array: its tracemalloc peak is
-    at most 2.5 times the three tables (6.0 times with one)."""
+    """The build holds no (m, q-1) state array, which alone would be 8
+    times the three tables: its tracemalloc peak is at most 2.5 times
+    them, and they take 4 bytes an entry."""
     tracemalloc.start()
     try:
         f = field._build_field.__wrapped__(3, 12)
@@ -492,7 +493,24 @@ def test_table_build_peak_is_within_the_tables_and_a_block():
     finally:
         tracemalloc.stop()
     tables = f._exp_int.nbytes + f._log.nbytes + f._zech.nbytes
+    assert tables == 4 * (3 * f.q - 2)
     assert peak <= 2.5 * tables, (peak, tables)
+
+
+def test_fields_past_int32_tables_are_refused(monkeypatch):
+    """q - 1 >= 2**31 would wrap the int32 tables: refused within any
+    table limit, before the modulus search or a table is built."""
+    def no_build(*args):
+        raise AssertionError("built a field past int32 tables")
+
+    monkeypatch.setattr(field, "_build_field", no_build)
+    monkeypatch.setattr(field, "find_modulus", no_build)
+    for p, m in [(3, 19), (5, 13), (7, 11), (46337, 2)]:  # q < 2**31
+        field._check_field_args(p, m, 2 ** 40)
+    for p, m in [(3, 20), (5, 14), (7, 12), (46349, 2)]:  # q > 2**31
+        for call in (make_field, canonical_modulus):
+            with pytest.raises(TableLimitExceeded, match="int32"):
+                call(p, m, table_limit=2 ** 40)
 
 
 def test_fields_past_exact_float64_tables_are_refused():

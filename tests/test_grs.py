@@ -377,6 +377,9 @@ def test_check_self_dual_positive_and_negative():
     assert not check_self_dual(generator_matrix(bad, 2))
     with pytest.raises(ShapeMismatch):
         check_self_dual(generator_matrix(es, 1))
+    # 0 x 0 passes the k = n/2 test, but holds no code to prove
+    with pytest.raises(ShapeMismatch, match="0 x 0"):
+        check_self_dual(GeneratorMatrix(F, np.zeros((0, 0), dtype=np.int64)))
 
 
 def test_min_distance_fixtures():

@@ -7,9 +7,11 @@ of every entry.  They live here only, as oracles for Field.vadd,
 Field.vsub, Field.vneg, Field.vmul, Field.vpow, linalg._coeff_planes
 (which reads the field's digit table) and generator_matrix (which calls
 the field kernels in row blocks).  The module also bounds the memory of
-generator_matrix and checks that the digit table waits for a Gram.
+generator_matrix, checks that the digit table waits for a Gram, and
+that the int32 field tables never reach a kernel's or a matrix's dtype.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from grsdual import linalg, make_field
 from grsdual.errors import ZeroArgument
 from grsdual.field import _build_field, factor_prime_power
-from grsdual.grs import EvalSet, generator_matrix
+from grsdual.grs import EvalSet, GrsRows, generator_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -192,6 +194,46 @@ def test_vpow_matches_the_divmod_kernel_and_power(case, shift, negate):
     # a factor v is multiplied in before the one reduction; v = 0 gives 0
     v = np.arange(got.size).reshape(got.shape) % f.q
     assert np.array_equal(f.vpow(a, e, v), ref_vmul(f, v, ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (13, 3), (5, 9), (4194301, 1)]), st.data())
+def test_int32_tables_leave_every_kernel_and_matrix_int64(fm, data):
+    """Every v-kernel returns int64 on int64 input, each scalar op a
+    Python int equal to its kernel's entry, and generator_matrix, GrsRows
+    and both Gram paths return int64, with encodings up to q - 1, where
+    a + z in the Zech sum reaches 2 (q - 1)."""
+    f = make_field(*fm)
+    top = st.one_of(st.integers(0, f.q - 1),
+                    st.integers(max(0, f.q - 8), f.q - 1))
+    pairs = data.draw(st.lists(st.tuples(top, top), min_size=1, max_size=20))
+    a, b = np.array(pairs + [(f.q - 1, f.q - 1), (0, 1)], dtype=np.int64).T
+    nz = a[a != 0]
+    e = data.draw(st.integers(-3 * f.q, 3 * f.q))
+    squares = f.vmul(a, a)
+    ab = list(zip(a.tolist(), b.tolist()))
+    for got, want in [
+            (f.vadd(a, b), [f.add(u, v) for u, v in ab]),
+            (f.vsub(a, b), [f.sub(u, v) for u, v in ab]),
+            (f.vmul(a, b), [f.mul(u, v) for u, v in ab]),
+            (f.vneg(a), [f.neg(u) for u in a.tolist()]),
+            (f.vpow(nz, e), [f.power(u, e) for u in nz.tolist()]),
+            (f.vinv(nz), [f.inv(u) for u in nz.tolist()]),
+            (f.vsign(nz), [f.sign(u) for u in nz.tolist()]),
+            (f.vsqrt(squares), [f.sqrt_enc(u) for u in squares.tolist()]),
+            (f.vprod(nz), [functools.reduce(f.mul, nz.tolist(), 1)])]:
+        assert np.asarray(got).dtype == np.int64
+        assert all(type(w) is int for w in want)
+        assert np.ravel(got).tolist() == want
+    points = data.draw(st.lists(st.integers(0, f.q - 1), min_size=1,
+                                max_size=min(f.q, 10), unique=True))
+    es = EvalSet(f, points, [data.draw(st.integers(1, f.q - 1))
+                             for _ in points], data.draw(st.booleans()))
+    k = data.draw(st.integers(1, es.length))
+    g, src = generator_matrix(es, k), GrsRows(es, k)
+    assert g.data.dtype == src[np.arange(k)].dtype == np.int64
+    assert linalg.gram(f, g.data).dtype == np.int64  # nodes read off G
+    assert linalg.gram(f, src, src.nodes).dtype == np.int64  # row source
 
 
 @pytest.mark.parametrize("p, m, dtype", [
