@@ -22,7 +22,6 @@ from .errors import (
     GreedyFailed,
     GrsDualError,
     HypothesisViolated,
-    MultipliersUnset,
     NonPositiveDegree,
     NotASubfield,
     NotInSubgroup,

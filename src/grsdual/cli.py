@@ -97,10 +97,12 @@ def _build_parser():
     common.add_argument("--table-limit", type=int, default=sup,
                         help="max field size backed by full tables")
     common.add_argument("--enum-limit", type=int, default=sup,
+                        dest="enumeration_limit", metavar="ENUM_LIMIT",
                         help="max q^k for exhaustive distance enumeration")
     common.add_argument("--minor-limit", type=int, default=sup,
                         help="max C(n,k) for the full minor check")
     common.add_argument("--samples", type=int, default=sup,
+                        dest="sample_count", metavar="SAMPLES",
                         help="column subsets drawn by the sampled MDS check")
     common.add_argument("--format", choices=("json", "text"), default=sup,
                         help="output format (default json)")
@@ -162,18 +164,11 @@ def _load_config(args):
             val = val.strip()
             if not sep or key not in keys:
                 raise ValueError(f"bad config line: {ln!r}")
-            if key == "format":
-                cfg.format = val
-            else:
-                setattr(cfg, key, int(val))
-    for attr, flag in (("table_limit", "table_limit"),
-                       ("enumeration_limit", "enum_limit"),
-                       ("minor_limit", "minor_limit"),
-                       ("sample_count", "samples"),
-                       ("format", "format")):
-        val = getattr(args, flag, None)
+            setattr(cfg, key, val if key == "format" else int(val))
+    for key in keys:  # each flag's dest is its config key
+        val = getattr(args, key, None)
         if val is not None:
-            setattr(cfg, attr, val)
+            setattr(cfg, key, val)
     cfg.validate()
     return cfg
 

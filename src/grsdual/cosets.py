@@ -201,21 +201,20 @@ TOWER_VARIANTS = {
     "th10": (True, 1, 0, "cor3"), "th11": (True, 0, 1, "cor4")}
 
 
-def _tower_sum(base, count):
-    """1 + base + ... + base**(count-1)."""
-    return (base ** count - 1) // (base - 1)
+def _stages(r, s, ms):
+    """(e1, W) of each coset stage, innermost first: W = w^m_j and e1 =
+    1 + w + ... + w^(m_j - 1) = (W - 1)/(w - 1), w = r^(s m_1 ... m_(j-1))."""
+    w = r ** s
+    for mj in ms:
+        yield (w ** mj - 1) // (w - 1), w ** mj
+        w **= mj
 
 
 def tower_length(variant, r, s, ms, e, t):
-    """T r^e prod_j (1 + w_j + ... + w_j^(m_j - 1)), plus 1 if extended,
-    with w_j = r^(s m_1 ... m_(j-1)): the length of every tower code."""
+    """T r^e times every stage's e1, plus 1 if extended: tower lengths."""
     extended, _, extra, _ = TOWER_VARIANTS[variant]
-    n = (t + extra) * r ** e
-    omega = r ** s
-    for mj in ms:
-        n *= _tower_sum(omega, mj)
-        omega **= mj
-    return n + int(extended)
+    expansion = math.prod(e1 for e1, _ in _stages(r, s, ms))
+    return (t + extra) * r ** e * expansion + int(extended)
 
 
 def _shift_nonzero(field, pts, container_order):
@@ -264,10 +263,8 @@ def tower_admits(variant, a, f):
     else:
         _require(1 <= t < r - 1, "need 1 <= t < r-1")
         _check_zero_roots_character(f, e, t)
-    omega = r ** s
-    for mj in ms:
-        _check_e1(f, _tower_sum(omega, mj), extended)
-        omega **= mj
+    for e1, _ in _stages(r, s, ms):
+        _check_e1(f, e1, extended)
     n = tower_length(variant, r, s, ms, e, t)
     check_verify_scale(n // 2, n)
     if len(ms) == 1:
@@ -295,12 +292,10 @@ def _tower(variant, r, s, ms, e, t, table_limit):
     try:
         pts, l = subspace_lift(f, r, menu, e, r ** s, variant == "th11")
         pts = _shift_nonzero(f, pts, r ** s)  # L is shift-invariant
-        omega = r ** s
-        for mj in ms:
-            if mj > 1:  # a factor m_j = 1 gives one-point cosets
-                spec = CosetSpec(f, _tower_sum(omega, mj), omega ** mj)
+        for e1, order in _stages(r, s, ms):
+            if e1 > 1:  # a factor m_j = 1 gives one-point cosets
+                spec = CosetSpec(f, e1, order)
                 pts, l = coset_points(spec, pts, extended, l)
-            omega **= mj
     except HypothesisViolated as exc:
         raise VerificationFailed(f"tower stage failed: {exc}") from exc
     return build_verified_code(f, pts, extended, prov, l)

@@ -42,10 +42,6 @@ class EvenLength(GrsDualError):
     """Operation requires an odd number of evaluation points."""
 
 
-class MultipliersUnset(GrsDualError):
-    """Evaluation set has no column multipliers attached."""
-
-
 class ShapeMismatch(GrsDualError):
     """Matrix shape is not the k x 2k of a self-dual candidate."""
 

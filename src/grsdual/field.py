@@ -304,11 +304,12 @@ class Field:
         """Row s: the x**s coefficient of every encoding (0 at 0), in the
         smallest dtype holding p-1.  Built on first use and kept."""
         if self._digits is None:
-            vals = np.concatenate([[0], self._exp_int])
+            vals = np.concatenate([np.zeros(1, np.int32), self._exp_int])
             table = np.empty((self.m, self.q),
                              dtype=np.min_scalar_type(self.p - 1))
             for s in range(self.m):
-                vals, table[s] = np.divmod(vals, self.p)
+                table[s] = vals % self.p
+                vals //= self.p
             self._digits = table
         return self._digits
 

@@ -47,7 +47,6 @@ from .errors import (
     DuplicatePoints,
     EnumerationTooLarge,
     EvenLength,
-    MultipliersUnset,
     NonPositiveDegree,
     OddLength,
     SchemaError,
@@ -182,11 +181,11 @@ def _int_tuple(xs):
 
 @dataclass(frozen=True)
 class EvalSet:
-    """Evaluation points plus optional multipliers and extension flag."""
+    """Distinct points, one nonzero multiplier each, the extension flag."""
 
     field: Field
     points: tuple
-    multipliers: tuple = None
+    multipliers: tuple
     extended: bool = False
 
     def __post_init__(self):
@@ -200,13 +199,12 @@ class EvalSet:
             raise DuplicatePoints("more points than field elements")
         if pts and not (0 <= min(pts) and max(pts) < q):
             raise ValueError("point encoding out of range")
-        if self.multipliers is not None:
-            v = _int_tuple(self.multipliers)
-            object.__setattr__(self, "multipliers", v)
-            if len(v) != len(pts):
-                raise ShapeMismatch("one multiplier per point is required")
-            if v and not (0 < min(v) and max(v) < q):
-                raise ZeroArgument("multipliers must be nonzero encodings")
+        v = _int_tuple(self.multipliers)
+        object.__setattr__(self, "multipliers", v)
+        if len(v) != len(pts):
+            raise ShapeMismatch("one multiplier per point is required")
+        if v and not (0 < min(v) and max(v) < q):
+            raise ZeroArgument("multipliers must be nonzero encodings")
 
     @property
     def n(self):
@@ -219,11 +217,11 @@ class EvalSet:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """G, a row source; nodes are its code's points (generator_matrix
-    sets them) or None, and then the proofs read them off G."""
+    """G, a row source; only generator_matrix sets nodes, to its code's
+    points, and any other G has its GRS shape read off it (_grs_nodes)."""
     field: Field
     data: np.ndarray
-    nodes: np.ndarray | None = None
+    nodes: np.ndarray | None = dc_field(default=None, init=False)
 
     @property
     def shape(self):
@@ -267,9 +265,7 @@ class GrsRows:
 
 
 def generator_matrix(eval_set, k):
-    """All k rows of GrsRows, formed in cache-sized row blocks."""
-    if eval_set.multipliers is None:
-        raise MultipliersUnset("evaluation set has no multipliers")
+    """All k rows of GrsRows in cache-sized row blocks, and its nodes."""
     if not 0 < k <= eval_set.length:
         raise ShapeMismatch(f"k = {k} out of range for length {eval_set.length}")
     src = GrsRows(eval_set, k)
@@ -277,7 +273,9 @@ def generator_matrix(eval_set, k):
     rows = max(1, linalg._BLOCK_BYTES // (8 * eval_set.n))
     for r0 in range(0, k, rows):
         g[r0:r0 + rows] = src[r0:r0 + rows]
-    return GeneratorMatrix(eval_set.field, g, src.nodes)
+    gmat = GeneratorMatrix(eval_set.field, g)
+    object.__setattr__(gmat, "nodes", src.nodes)
+    return gmat
 
 
 def check_self_dual(gmat):

@@ -5,7 +5,8 @@ BLAS over GF(p) coefficient planes, which is exact because every matmul
 entry is an integer below 2**53 (asserted before the matmuls).  The
 Gram, the rank and the MDS proof use the GRS shape, rows v_j * a_j**i,
 on the code's nodes a_j, checked in each row they form (_shaped), or
-on those _grs_nodes reads off G entry by entry.  Where it holds,
+on those _grs_nodes reads off G entry by entry; nodes are passed only
+as grs sets them, the points that formed the rows.  Where it holds,
 G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and with
 every v_j nonzero and the a_j distinct every k columns are independent
 (grs_mds), so a leading square block proves full rank.  Any other

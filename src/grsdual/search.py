@@ -49,7 +49,7 @@ from .errors import (
     _require,
 )
 from .field import DEFAULT_TABLE_LIMIT, extension_field
-from .grs import build_verified_code
+from .grs import build_verified_code, check_verify_scale
 from .subspace import th1_code, th2_code, th3_code, th4_code
 
 
@@ -402,10 +402,11 @@ def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
     records all of them in sorted order, and only the first is built,
     verified and serialized as the certificate.  That build failing or
     disagreeing with its witness, or a witness on a length the
-    nonexistence rule forbids, is a bug: VerificationFailed.
-    Every length past q + 1 is a row without a code, and a field within
-    the table limit has q + 1 <= table_limit + 1, so a longer n_max is
-    refused before any field is built.
+    nonexistence rule forbids, is a bug: VerificationFailed.  Lengths
+    past the verify limit are refused before any build.  Every length
+    past q + 1 is a row without a code, and a field within the table
+    limit has q + 1 <= table_limit + 1, so a longer n_max is refused
+    before any field is built.
     """
     _require(q % 2 == 1 and q >= 3, "q must be an odd prime power")
     if n_max > table_limit + 1:
@@ -416,6 +417,8 @@ def catalog(q, n_max, table_limit=DEFAULT_TABLE_LIMIT):
     hits = {}
     for n, family, params, prov in _admitted(fld, min(n_max, q + 1)):
         hits.setdefault(n, []).append((_prov_key(prov), prov, family, params))
+    for n in sorted(hits):  # as the build of its certificate would
+        check_verify_scale(n // 2, n)
     entries = []
     for n in range(2, n_max + 1, 2):
         banned = q % 4 == 3 and n % 4 == 2

@@ -551,6 +551,24 @@ def test_config_format_key(tmp_path, capsys):
     assert out.startswith("[4,2] self-dual code over GF(13)\n")
 
 
+def test_each_setting_has_one_name(tmp_path):
+    """--enum-limit and the enumeration_limit key set one CliConfig
+    field, as --samples and sample_count do; the flag wins over the
+    file, and --help keeps the flags' names."""
+    cfg = tmp_path / "grsdual.cfg"
+    cfg.write_text("enumeration_limit = 11\nsample_count = 12\n")
+    parse = cli._build_parser().parse_args
+    base = ["verify", "--config", str(cfg)]
+    got = cli._load_config(parse(base))
+    assert (got.enumeration_limit, got.sample_count) == (11, 12)
+    got = cli._load_config(parse(base + ["--enum-limit", "21",
+                                         "--samples", "22"]))
+    assert (got.enumeration_limit, got.sample_count) == (21, 22)
+    usage = cli._build_parser().format_help()
+    assert "--enum-limit ENUM_LIMIT" in usage
+    assert "--samples SAMPLES" in usage
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     # a method or dunder of the config object is no config key either
     cfg = tmp_path / "grsdual.cfg"

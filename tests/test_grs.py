@@ -27,7 +27,6 @@ from grsdual.errors import (
     DuplicatePoints,
     EnumerationTooLarge,
     EvenLength,
-    MultipliersUnset,
     OddLength,
     SchemaError,
     ShapeMismatch,
@@ -245,9 +244,11 @@ def test_solve_extended_even_length_rejected():
 
 def test_eval_set_validation():
     with pytest.raises(DuplicatePoints):
-        EvalSet(F, (1, 1))
+        EvalSet(F, (1, 1), (1, 2))
     with pytest.raises(ValueError):
-        EvalSet(F, (0, 13))
+        EvalSet(F, (0, 13), (1, 2))
+    with pytest.raises(TypeError):  # a code is its points and multipliers
+        EvalSet(F, (1, 2))
     with pytest.raises(ZeroArgument):
         EvalSet(F, (1, 2), (0, 3))
     with pytest.raises(ZeroArgument):
@@ -268,8 +269,6 @@ def _reference_eval_set(q, points, multipliers):
         raise DuplicatePoints("more points than field elements")
     if any(not 0 <= x < q for x in pts):
         raise ValueError("point encoding out of range")
-    if multipliers is None:
-        return pts, None
     v = tuple(int(x) for x in multipliers)
     if len(v) != len(pts):
         raise ShapeMismatch("one multiplier per point is required")
@@ -359,8 +358,6 @@ def test_generator_matrix_extended_unit_column():
 
 
 def test_generator_matrix_errors():
-    with pytest.raises(MultipliersUnset):
-        generator_matrix(EvalSet(F, (1, 2)), 1)
     es = EvalSet(F, (1, 2), (1, 2))
     with pytest.raises(ShapeMismatch):
         generator_matrix(es, 0)
@@ -380,6 +377,31 @@ def test_check_self_dual_positive_and_negative():
     # 0 x 0 passes the k = n/2 test, but holds no code to prove
     with pytest.raises(ShapeMismatch, match="0 x 0"):
         check_self_dual(GeneratorMatrix(F, np.zeros((0, 0), dtype=np.int64)))
+
+
+def test_only_generator_matrix_pairs_g_with_nodes():
+    """No caller hands the proofs nodes: given th8_code(13,1,3,0,2)'s
+    points as nodes, a G with one entry of row 10 changed would pass,
+    since the Hankel Gram never forms row 10.  Read off G, it fails."""
+    from grsdual import th8_code
+    code = th8_code(13, 1, 3, 0, 2)
+    g = code.generator_matrix()
+    bad = g.data.copy()
+    bad[10, 0] = code.field.add(int(bad[10, 0]), 1)
+    with pytest.raises(TypeError):
+        GeneratorMatrix(code.field, bad, g.nodes)
+    assert GeneratorMatrix(code.field, bad).nodes is None
+    assert not check_self_dual(GeneratorMatrix(code.field, bad))
+    assert check_self_dual(GeneratorMatrix(code.field, g.data))
+
+
+def test_generator_matrix_nodes_are_the_points():
+    """Its points, with 0 at the unit column of an extended code."""
+    ve = solve_extended_multipliers(F, encs([0, 8, 12, 5, 1]))
+    for extended, pts, v in ((False, (1, 2), (1, 2)),
+                             (True, tuple(encs([0, 8, 12, 5, 1])), ve)):
+        g = generator_matrix(EvalSet(F, pts, v, extended), 1)
+        assert g.nodes.tolist() == list(pts) + [0] * extended
 
 
 def test_min_distance_fixtures():

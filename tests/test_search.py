@@ -3,13 +3,19 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import grsdual
 from grsdual import make_field
-from grsdual.errors import GreedyFailed, HypothesisViolated, VerificationFailed
+from grsdual.errors import (
+    EnumerationTooLarge,
+    GreedyFailed,
+    HypothesisViolated,
+    VerificationFailed,
+)
 from grsdual.field import DEFAULT_TABLE_LIMIT, factor_prime_power
 from grsdual.grs import code_from_obj, lagrange_products
 from grsdual.search import (
@@ -226,6 +232,24 @@ def test_catalog_builds_one_certificate_per_row(q, monkeypatch):
     assert all(e.provenance[0] == e.certificate["provenance"] for e in rows)
     if q > 7:  # rows with more witnesses than certificates
         assert sum(len(e.provenance) for e in rows) > len(rows)
+
+
+def test_catalog_past_the_verify_limit_refuses_before_it_builds(monkeypatch):
+    """n = 4490 over GF(4489) is past the verify limit: the refusal the
+    build of its certificate raised after every shorter one's, now
+    before any build."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a certificate was built")
+
+    for mod in (grsdual.subspace, grsdual.cosets, grsdual.search):
+        monkeypatch.setattr(mod, "build_verified_code", refused)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge) as exc:
+        catalog(4489, 4490)
+    assert time.perf_counter() - start < 2
+    assert str(exc.value) == (
+        "verifying a [4490,2245] code needs a 2245 x 4490 matrix, past "
+        "the verify limit of 10000000 entries")
 
 
 def test_a_failed_certificate_build_is_a_bug(monkeypatch):
