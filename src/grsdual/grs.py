@@ -67,8 +67,8 @@ _LAGRANGE_BLOCK = 1 << 16
 
 _SAMPLE_SEED = 0x5D5EED
 
-# Entries per block of candidate words in min_distance, and per chunk
-# of stacked minors in check_mds.
+# Entries per block of candidate words in min_distance, and per block
+# of minors or Laplace terms in check_mds.
 _DISTANCE_BLOCK = 1 << 16
 _MINOR_BLOCK = 1 << 15
 
@@ -385,39 +385,34 @@ def check_mds(gmat, mode="exhaustive", enum_limit=DEFAULT_ENUM_LIMIT,
     """MDS test in one of three modes.
 
     exhaustive: min_distance == n - k + 1 (exact, q^k bounded);
-    minors:     every k x k minor of G nonsingular (exact, C(n,k) bounded);
-    sampled:    `samples` seeded random k-column subsets nonsingular
-                (probabilistic; a pass is evidence, not proof), or every
-                k-subset once, as minors, when C(n,k) <= samples (exact).
-
-    sampled tests min(C(n,k), samples) subsets and minors C(n,k); a
-    count past minor_limit is refused before any minor.  Subsets go
-    through linalg.nonsingular in chunks of about _MINOR_BLOCK entries,
-    and the first chunk with a singular minor ends the test.
+    minors:     every k x k minor of G nonzero, by linalg.minors_nonzero
+                (exact; refused past minor_limit C(n, min(k, n//2)));
+    sampled:    `samples` seeded random k-column subsets nonsingular, in
+                chunks of about _MINOR_BLOCK entries (probabilistic; a
+                pass is evidence, not proof; refused past minor_limit),
+                or every k-subset once, as minors, when C(n,k) <= samples.
     """
-    f = gmat.field
-    g = gmat.data
+    f, g = gmat.field, gmat.data
     k, n = g.shape
     if mode == "exhaustive":
         return min_distance(gmat, enum_limit) == n - k + 1
     if mode not in ("minors", "sampled"):
         raise ValueError(f"unknown mds mode {mode!r}")
-    count = math.comb(n, k)
-    if mode == "sampled" and samples < count:
+    if mode == "sampled" and samples < math.comb(n, k):
         if samples > minor_limit:
             raise EnumerationTooLarge(f"{samples} samples exceed {minor_limit}")
         rng = random.Random(_SAMPLE_SEED)
         subsets = (sorted(rng.sample(range(n), k)) for _ in range(samples))
-    elif count > minor_limit:
-        raise EnumerationTooLarge(f"C({n},{k}) = {count} exceeds {minor_limit}")
-    else:
-        subsets = itertools.combinations(range(n), k)
-    step = max(1, _MINOR_BLOCK // max(1, k * k))
-    while chunk := list(itertools.islice(subsets, step)):
-        cols = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)
-        if not linalg.nonsingular(f, g[:, cols].transpose(1, 0, 2)).all():
-            return False
-    return True
+        step = max(1, _MINOR_BLOCK // max(1, k * k))
+        while chunk := list(itertools.islice(subsets, step)):
+            cols = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)
+            if not linalg.nonsingular(f, g[:, cols].transpose(1, 0, 2)).all():
+                return False
+        return True
+    if math.comb(n, held := min(k, n // 2)) > minor_limit:
+        raise EnumerationTooLarge(
+            f"C({n},{held}) = {math.comb(n, held)} exceeds {minor_limit}")
+    return linalg.minors_nonzero(f, g, _MINOR_BLOCK)
 
 
 @dataclass(frozen=True)

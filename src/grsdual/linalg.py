@@ -12,7 +12,8 @@ every v_j nonzero and the a_j distinct every k columns are independent
 (grs_mds), so a leading square block proves full rank.  Any other
 matrix takes the general path: the same row-block Gram loop against the
 planes of all of it, and the rank of its systematic form.  The
-systematic form and the batched minor test run in Zech arithmetic.
+systematic form and the stacked elimination run in Zech arithmetic;
+every k x k minor of G comes from one Laplace expansion along rows.
 """
 
 from __future__ import annotations
@@ -70,7 +71,13 @@ def _products(field, left, right):
     low = np.array(field.modulus[:m], dtype=np.int64)[:, None, None]
     for u in range(2 * m - 2, m - 1, -1):
         acc[u - m:u] -= low * (acc[u] % p)
-    vals = p ** np.arange(m) @ (acc[:m] % p).transpose(1, 0, 2)
+    return _encode(field, acc[:m])
+
+
+def _encode(field, coeffs):
+    """Encodings of the elements with x**s coefficients coeffs[s] (mod p)."""
+    vals = (field.p ** np.arange(field.m)
+            @ np.moveaxis(coeffs % field.p, 0, -2))
     return field._log[vals] + 1  # _log[0] is -1, so 0 stays 0
 
 
@@ -265,3 +272,46 @@ def nonsingular(field, stack):
                 a[:, c + 1:, c + 1:],
                 field.vmul(factors[:, :, None], a[:, c, None, c + 1:]))
     return ok
+
+
+def minors_nonzero(field, g, block):
+    """Whether det G[:, S] != 0 for every k-subset S of the columns.
+
+    Laplace expansion along rows, each sub-minor formed once: D_1[{j}] is
+    g[0, j] and D_{r+1}[S] = sum_t (-1)**(r+t) g[r, S_t] D_r[S - S_t].  A
+    level lists its subsets in colex order (level r's first C(j, r), plus
+    j, for each largest j), so S - S_t has rank sum_{i<t} C(S_i, i+1) +
+    sum_{i>t} C(S_i, i).  Levels below k are kept; level k is formed in
+    blocks of about `block` terms, and its first zero minor ends the test.
+    """
+    k, n = g.shape
+    if k < 2:
+        return k == 0 or bool(g[0].all())
+    binom = np.array([[math.comb(x, i) for i in range(k + 1)]
+                      for x in range(n + 1)], dtype=np.int64)
+    signed = np.stack([g, field.vneg(g)], axis=1).reshape(k, 2 * n)
+    kept = g[0], np.arange(n, dtype=np.min_scalar_type(n))[None]
+    for r in range(1, k):
+        vals, elems = kept
+        size, total = r + 1, int(binom[n, r + 1])
+        col = np.arange(size)[:, None]
+        if r < k - 1:
+            kept = (np.empty(total, np.int32),
+                    np.empty((size, total), np.min_scalar_type(n)))
+        step = max(1, block // size)
+        for a in range(0, total, step):
+            rank = np.arange(a, min(a + step, total))
+            top = np.searchsorted(binom[:, size], rank, side="right") - 1
+            sub = np.vstack([elems[:, rank - binom[top, size]], top])
+            at = sub * (k + 1) + col
+            down, up = binom.take(at), binom.take(at + 1)
+            drop = np.cumsum(up - down, axis=0) - up + down.sum(axis=0)
+            terms = field.vmul(signed[r].take(sub + (r + col) % 2 * n),
+                               vals.take(drop))
+            det = _encode(field, field.digits().take(terms, axis=1)
+                          .sum(axis=1, dtype=np.int64))
+            if r < k - 1:
+                kept[0][a:a + step], kept[1][:, a:a + step] = det, sub
+            elif not det.all():
+                return False
+    return True

@@ -151,6 +151,7 @@ def test_verify_sampled_is_bounded_by_the_minor_limit(tmp_path, capsys,
     small = tmp_path / "th1.json"
     small.write_text(th1_code(41, 1, 0, 4).to_json())
     monkeypatch.setattr(grsdual.grs.linalg, "nonsingular", None)
+    monkeypatch.setattr(grsdual.grs.linalg, "minors_nonzero", None)
     start = time.perf_counter()
     rc, out, err = run(capsys, ["verify", "--in", str(big), "--mds",
                                 "sampled", "--samples", "2000000"])

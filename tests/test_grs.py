@@ -17,12 +17,14 @@ import json
 import math
 import random
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grsdual import grs, linalg, make_field
+from grsdual.cosets import th11_code
 from grsdual.errors import (
     DuplicatePoints,
     EnumerationTooLarge,
@@ -629,29 +631,28 @@ def test_check_mds_sampled_draws_the_seeded_subsets(monkeypatch):
 
 
 def test_check_mds_sampled_enumerates_when_every_subset_fits(monkeypatch):
-    """With C(n,k) <= samples, sampled tests each k-subset once, in
-    combinations order, and draws nothing."""
+    """With C(n,k) <= samples, sampled tests every k-subset once, as
+    minors does: one call of the Laplace kernel on G, and no draw."""
     f = make_field(17)
     n, k = 8, 4
     g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
     seen = []
-    nonsingular = linalg.nonsingular
+    minors_nonzero = linalg.minors_nonzero
 
-    def spy(field, stack):
-        seen.extend(np.asarray(stack))
-        return nonsingular(field, stack)
+    def spy(field, mat, block):
+        seen.append(np.array(mat))
+        return minors_nonzero(field, mat, block)
 
     def no_draw(*args, **kwargs):
         raise AssertionError("sampled drew a subset")
 
-    monkeypatch.setattr(grs.linalg, "nonsingular", spy)
+    monkeypatch.setattr(grs.linalg, "minors_nonzero", spy)
+    monkeypatch.setattr(grs.linalg, "nonsingular", None)
     monkeypatch.setattr(random.Random, "sample", no_draw)
-    want = [g[:, list(s)] for s in itertools.combinations(range(n), k)]
     for samples in (math.comb(n, k), 1000):
         seen.clear()
         assert check_mds(GeneratorMatrix(f, g), "sampled", samples=samples)
-        assert len(seen) == len(want) == 70
-        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+        assert len(seen) == 1 and np.array_equal(seen[0], g)
 
 
 def test_check_mds_sampled_finds_the_singular_minor_its_draws_miss():
@@ -687,6 +688,7 @@ def test_check_mds_sampled_is_bounded_by_the_minor_limit(monkeypatch):
     gmat = GeneratorMatrix(f, vandermonde(f, [f.from_int(x)
                                               for x in range(1, 13)], 5))
     monkeypatch.setattr(grs.linalg, "nonsingular", None)
+    monkeypatch.setattr(grs.linalg, "minors_nonzero", None)
     every = "^C\\(12,5\\) = 792 exceeds 791$"
     with pytest.raises(EnumerationTooLarge, match=every):
         check_mds(gmat, "sampled", minor_limit=791, samples=792)
@@ -793,6 +795,93 @@ def test_check_mds_minors_memory_stays_below_the_full_stack():
     finally:
         tracemalloc.stop()
     assert peak < full, (peak, full)
+
+
+@st.composite
+def minor_inputs(draw):
+    """A k x n matrix, 1 <= k <= n <= 10, with zero entries: random, or
+    a GRS one (every minor nonzero) with a few entries redrawn; and a
+    block of Laplace terms from one term to the default."""
+    p, m = draw(st.sampled_from(DISTANCE_FIELDS))
+    f = make_field(p, m)
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if n <= f.q and draw(st.booleans()):
+        g = vandermonde(f, rng.permutation(f.q)[:n], k)
+        for _ in range(draw(st.integers(0, 2))):
+            g[rng.integers(0, k), rng.integers(0, n)] = rng.integers(0, f.q)
+    else:
+        g = rng.integers(0, f.q, size=(k, n))
+        g[rng.random((k, n)) < 0.15] = 0
+    block = draw(st.sampled_from([1, 2, 3, 7, grs._MINOR_BLOCK]))
+    return f, g, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(minor_inputs())
+@example((make_field(7), vandermonde(make_field(7), range(1, 7), 1), 1))
+@example((make_field(5), np.array([[1, 2, 0], [0, 3, 4], [2, 0, 1]]), 2))
+@example((make_field(3, 2), vandermonde(make_field(3, 2), range(9), 9), 5))
+def test_minors_kernel_matches_every_subset_eliminated(case):
+    """The Laplace kernel, its levels cut into blocks as small as one
+    term, against nonsingular on every k-subset."""
+    f, g, block = case
+    k, n = g.shape
+    cols = np.array(list(itertools.combinations(range(n), k)))
+    want = bool(linalg.nonsingular(f, g[:, cols].transpose(1, 0, 2)).all())
+    with unittest.mock.patch.object(grs, "_MINOR_BLOCK", block):
+        assert check_mds(GeneratorMatrix(f, g), "minors") == want
+
+
+def test_minors_kernel_finds_the_last_subset_singular():
+    """Only the last k-subset of a [9,6] G is singular, past n = 2k:
+    every block size finds it in the last block."""
+    f = make_field(1009)
+    n, k = 9, 6
+    subsets = list(itertools.combinations(range(n), k))
+    g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
+    coeffs = np.random.default_rng(3)
+    while True:
+        col = np.zeros(k, dtype=np.int64)
+        for j, c in zip(subsets[-1][:-1], coeffs.integers(1, f.q, size=5)):
+            col = f.vadd(col, f.vmul(c, g[:, j]))
+        g[:, n - 1] = col
+        singular = [s for s in subsets if linalg.rank(f, g[:, list(s)]) < k]
+        if singular == [subsets[-1]]:
+            break
+    for block in (1, 7, 6 * math.comb(n, k) - 1, grs._MINOR_BLOCK):
+        assert not linalg.minors_nonzero(f, g, block)
+
+
+def test_check_mds_refuses_the_middle_level_past_n_over_2(monkeypatch):
+    """With 2k > n the expansion holds C(n, n//2) sub-minors: C(24,20)
+    = 10,626 minors but C(24,12) = 2,704,156, refused before any."""
+    f = make_field(29)
+    gmat = GeneratorMatrix(f, vandermonde(f, [f.from_int(x)
+                                              for x in range(1, 25)], 20))
+    monkeypatch.setattr(grs.linalg, "nonsingular", None)
+    monkeypatch.setattr(grs.linalg, "minors_nonzero", None)
+    every = "^C\\(24,12\\) = 2704156 exceeds 1000000$"
+    with pytest.raises(EnumerationTooLarge, match=every):
+        check_mds(gmat, "minors")
+    with pytest.raises(EnumerationTooLarge, match=every):
+        check_mds(gmat, "sampled", samples=10 ** 5)
+
+
+def test_check_mds_minors_of_a_22_11_code_stay_within_48_mb():
+    """All C(22,11) = 705,432 minors of the th11 [22,11] code over
+    GF(41): the tracemalloc peak stays at most 48 MB."""
+    code = th11_code(41, 1, 1, 0, 20)
+    gmat = generator_matrix(code.eval_set, code.k)
+    assert gmat.data.shape == (11, 22)
+    tracemalloc.start()
+    try:
+        assert check_mds(gmat, "minors")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 10 ** 6, peak
 
 
 def test_extended_three_point_soundness():
