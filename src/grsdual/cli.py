@@ -36,7 +36,6 @@ from .field import DEFAULT_TABLE_LIMIT
 from .grs import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MINOR_LIMIT,
-    DEFAULT_SAMPLE_COUNT,
     check_mds,
     check_self_dual,
     check_verify_scale,
@@ -64,12 +63,10 @@ class CliConfig:
     table_limit: int = DEFAULT_TABLE_LIMIT
     enumeration_limit: int = DEFAULT_ENUM_LIMIT
     minor_limit: int = DEFAULT_MINOR_LIMIT
-    sample_count: int = DEFAULT_SAMPLE_COUNT
     format: str = "json"
 
     def validate(self):
-        for name in ("table_limit", "enumeration_limit", "minor_limit",
-                     "sample_count"):
+        for name in ("table_limit", "enumeration_limit", "minor_limit"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.format not in ("json", "text"):
@@ -101,9 +98,6 @@ def _build_parser():
                         help="max q^k for exhaustive distance enumeration")
     common.add_argument("--minor-limit", type=int, default=sup,
                         help="max C(n,k) for the full minor check")
-    common.add_argument("--samples", type=int, default=sup,
-                        dest="sample_count", metavar="SAMPLES",
-                        help="column subsets drawn by the sampled MDS check")
     common.add_argument("--format", choices=("json", "text"), default=sup,
                         help="output format (default json)")
     common.add_argument("--config", default=sup, metavar="FILE",
@@ -220,7 +214,8 @@ def cmd_construct(args, cfg):
 def _mds_report(gmat, mode, cfg):
     """Returns (passed, report fields); mode 'none' always passes.  grs
     proves MDS by the GRS shape of G's rows 0 and k-1 (every G from an
-    EvalSet has it), d = n - k + 1; other modes read all of G, gmat."""
+    EvalSet has it), d = n - k + 1; other modes read all of G, gmat.
+    sampled is the old name of minors, and reports under its own."""
     if mode == "none":
         return True, {"mds": "skipped"}
     k, n = gmat.shape
@@ -232,8 +227,7 @@ def _mds_report(gmat, mode, cfg):
         d = min_distance(gmat, cfg.enumeration_limit)
         return d == n - k + 1, {"mds": d == n - k + 1, "d": d,
                                 "mode": "exhaustive"}
-    ok = check_mds(gmat, mode, cfg.enumeration_limit, cfg.minor_limit,
-                   cfg.sample_count)
+    ok = check_mds(gmat, "minors", minor_limit=cfg.minor_limit)
     return ok, {"mds": ok, "mode": mode}
 
 

@@ -27,8 +27,7 @@ information-set search (M. Grassl, "Searching for linear codes with
 large minimum distance", 2006) that enumerates low-weight messages only,
 under the guard that refuses q^k past the enumeration limit.  Past it,
 `verify --mds auto` proves MDS by the GRS shape of G (linalg.grs_mds);
-`minors` and `sampled`, run only when asked for, test k x k minors, and
-`sampled` tests each k-subset once, exactly, when C(n,k) <= samples.
+`minors`, run only when asked for, tests every k x k minor of G.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -58,17 +56,14 @@ from .field import DEFAULT_TABLE_LIMIT, Field, canonical_modulus, make_field
 
 DEFAULT_ENUM_LIMIT = 10 ** 7
 DEFAULT_MINOR_LIMIT = 10 ** 6
-DEFAULT_SAMPLE_COUNT = 1000
 DEFAULT_VERIFY_LIMIT = 10 ** 7
 
 # Entries per block of point differences in L (lagrange_products and
 # products_at).
 _LAGRANGE_BLOCK = 1 << 16
 
-_SAMPLE_SEED = 0x5D5EED
-
 # Entries per block of candidate words in min_distance, and per block
-# of minors or Laplace terms in check_mds.
+# of Laplace terms in check_mds.
 _DISTANCE_BLOCK = 1 << 16
 _MINOR_BLOCK = 1 << 15
 
@@ -381,34 +376,19 @@ def min_distance(gmat, enum_limit=DEFAULT_ENUM_LIMIT):
 
 
 def check_mds(gmat, mode="exhaustive", enum_limit=DEFAULT_ENUM_LIMIT,
-              minor_limit=DEFAULT_MINOR_LIMIT, samples=DEFAULT_SAMPLE_COUNT):
-    """MDS test in one of three modes.
+              minor_limit=DEFAULT_MINOR_LIMIT):
+    """Exact MDS test in one of two modes.
 
-    exhaustive: min_distance == n - k + 1 (exact, q^k bounded);
+    exhaustive: min_distance == n - k + 1 (q^k bounded);
     minors:     every k x k minor of G nonzero, by linalg.minors_nonzero
-                (exact; refused past minor_limit C(n, min(k, n//2)));
-    sampled:    `samples` seeded random k-column subsets nonsingular, in
-                chunks of about _MINOR_BLOCK entries (probabilistic; a
-                pass is evidence, not proof; refused past minor_limit),
-                or every k-subset once, as minors, when C(n,k) <= samples.
+                (refused past minor_limit C(n, min(k, n//2))).
     """
     f, g = gmat.field, gmat.data
     k, n = g.shape
     if mode == "exhaustive":
         return min_distance(gmat, enum_limit) == n - k + 1
-    if mode not in ("minors", "sampled"):
+    if mode != "minors":
         raise ValueError(f"unknown mds mode {mode!r}")
-    if mode == "sampled" and samples < math.comb(n, k):
-        if samples > minor_limit:
-            raise EnumerationTooLarge(f"{samples} samples exceed {minor_limit}")
-        rng = random.Random(_SAMPLE_SEED)
-        subsets = (sorted(rng.sample(range(n), k)) for _ in range(samples))
-        step = max(1, _MINOR_BLOCK // max(1, k * k))
-        while chunk := list(itertools.islice(subsets, step)):
-            cols = np.array(chunk, dtype=np.int64).reshape(len(chunk), k)
-            if not linalg.nonsingular(f, g[:, cols].transpose(1, 0, 2)).all():
-                return False
-        return True
     if math.comb(n, held := min(k, n // 2)) > minor_limit:
         raise EnumerationTooLarge(
             f"C({n},{held}) = {math.comb(n, held)} exceeds {minor_limit}")

@@ -12,8 +12,8 @@ every v_j nonzero and the a_j distinct every k columns are independent
 (grs_mds), so a leading square block proves full rank.  Any other
 matrix takes the general path: the same row-block Gram loop against the
 planes of all of it, and the rank of its systematic form.  The
-systematic form and the stacked elimination run in Zech arithmetic;
-every k x k minor of G comes from one Laplace expansion along rows.
+systematic form runs in Zech arithmetic; every k x k minor of G comes
+from one Laplace expansion along rows.
 """
 
 from __future__ import annotations
@@ -238,40 +238,6 @@ def systematic(field, g, order):
                 field.vmul(field.vneg(a[others, c])[:, None], a[r][None, :]))
         pivots.append(int(c))
     return a[:len(pivots)], pivots
-
-
-def nonsingular(field, stack):
-    """One bool per square matrix of a (B, k, k) stack: nonsingular?
-
-    Elimination runs on the whole stack at once: at each column every
-    matrix takes its first nonzero entry at or below the diagonal as
-    pivot, found by one argmax, and matrices with none are singular and
-    drop out of the stack.
-    """
-    a = np.array(stack, dtype=np.int64)
-    count, k = a.shape[0], a.shape[1]
-    ok = np.ones(count, dtype=bool)
-    live = np.arange(count)
-    for c in range(k):
-        nz = a[:, c:, c] != 0
-        has = nz.any(axis=1)
-        if not has.all():
-            ok[live[~has]] = False
-            a, live, nz = a[has], live[has], nz[has]
-            if not live.size:
-                break
-        piv = c + np.argmax(nz, axis=1)
-        at = np.arange(live.size)
-        top = a[at, piv, c:]
-        a[at, piv, c:] = a[:, c, c:]
-        a[:, c, c:] = top
-        if c + 1 < k:
-            factors = field.vmul(field.vneg(a[:, c + 1:, c]),
-                                 field.vinv(a[:, c, c])[:, None])
-            a[:, c + 1:, c + 1:] = field.vadd(
-                a[:, c + 1:, c + 1:],
-                field.vmul(factors[:, :, None], a[:, c, None, c + 1:]))
-    return ok
 
 
 def minors_nonzero(field, g, block):

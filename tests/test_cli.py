@@ -8,9 +8,11 @@ enough to read by eye, and its serialized form is frozen below.
 
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
+import math
 import random
 import time
 
@@ -143,21 +145,20 @@ def test_verify_mds_modes(tmp_path, capsys):
 
 def test_verify_sampled_is_bounded_by_the_minor_limit(tmp_path, capsys,
                                                      monkeypatch):
-    """sampled tests min(C(n,k), --samples) minors and refuses a count
-    past --minor-limit with exit 6 before testing any; the defaults
-    never refuse."""
+    """sampled runs minors, so C(n,k) past --minor-limit exits 6 before
+    any minor is tested: the th4 [170,85] file at once."""
     big = tmp_path / "th4.json"
     big.write_text(th4_code(13, 3, 1, 12).to_json())
     small = tmp_path / "th1.json"
     small.write_text(th1_code(41, 1, 0, 4).to_json())
-    monkeypatch.setattr(grsdual.grs.linalg, "nonsingular", None)
     monkeypatch.setattr(grsdual.grs.linalg, "minors_nonzero", None)
     start = time.perf_counter()
     rc, out, err = run(capsys, ["verify", "--in", str(big), "--mds",
-                                "sampled", "--samples", "2000000"])
+                                "sampled"])
     assert time.perf_counter() - start < 1
     assert (rc, out) == (6, "")
-    assert err == "enumeration too large: 2000000 samples exceed 1000000\n"
+    assert err == (f"enumeration too large: C(170,85) = "
+                   f"{math.comb(170, 85)} exceeds 1000000\n")
     rc, out, err = run(capsys, ["verify", "--in", str(small), "--mds",
                                 "sampled", "--minor-limit", "10"])
     assert (rc, out) == (6, "")
@@ -167,6 +168,33 @@ def test_verify_sampled_is_bounded_by_the_minor_limit(tmp_path, capsys,
                               "sampled"])
     assert rc == 0
     assert json.loads(out)["mds"] is True
+
+
+def test_verify_sampled_runs_the_minors_kernel_once(tmp_path, capsys,
+                                                   monkeypatch):
+    """sampled makes one minors_nonzero call, with G, on an [8,4] file
+    and on a [14,7] one, C(14,7) = 3,432 subsets, and reports under its
+    own name."""
+    codes = [th1_code(41, 1, 0, 4).to_obj(),
+             next(e.certificate for e in catalog(13, 14) if e.n == 14)]
+    seen = []
+    minors_nonzero = grsdual.linalg.minors_nonzero
+
+    def spy(field, mat, block):
+        seen.append(np.array(mat))
+        return minors_nonzero(field, mat, block)
+
+    monkeypatch.setattr(grsdual.grs.linalg, "minors_nonzero", spy)
+    path = tmp_path / "code.json"
+    for obj in codes:
+        path.write_text(json.dumps(obj))
+        seen.clear()
+        rc, out, _ = run(capsys, ["verify", "--in", str(path), "--mds",
+                                  "sampled"])
+        assert (rc, json.loads(out)["mode"]) == (0, "sampled")
+        code = code_from_obj(obj)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], code.generator_matrix().data)
 
 
 def test_verify_bytes_over_the_catalog_certificates(tmp_path, capsys):
@@ -187,6 +215,34 @@ def test_verify_bytes_over_the_catalog_certificates(tmp_path, capsys):
             digest.update(repr((i, mode, rc, out, err)).encode())
     assert digest.hexdigest() == ("10e1b33600a5b5e08c5e826866e9ef54"
                                   "7a54ab411ba7cfe0bcbc0a757d43fddf")
+
+
+@functools.cache
+def catalog_certificates():
+    """The 45 catalog certificates of GF(13), 25, 27, 49, 81, 121 and
+    169 up to length 16."""
+    return [e.certificate for q in (13, 25, 27, 49, 81, 121, 169)
+            for e in catalog(q, 16) if e.certificate]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 44),
+       st.sampled_from(("auto", "exhaustive", "minors", "sampled", "none")),
+       st.integers(1, 10 ** 5), st.integers(1, 2 * 10 ** 4))
+def test_no_file_that_loads_exits_5(tmp_path_factory, index, mode,
+                                    enum_limit, minor_limit):
+    """Every file that loads is a GRS code, hence MDS: verify exits 0,
+    or 6 with nothing on stdout when a limit refuses the work, in every
+    --mds mode and under any limits."""
+    code = tmp_path_factory.mktemp("cert") / "code.json"
+    code.write_text(json.dumps(catalog_certificates()[index]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", "--in", str(code), "--mds", mode,
+                   "--enum-limit", str(enum_limit),
+                   "--minor-limit", str(minor_limit)])
+    assert rc in (0, 6), (rc, err.getvalue())
+    assert rc == 0 or out.getvalue() == ""
 
 
 def test_verify_auto_past_the_enum_limit_proves_mds_by_shape(tmp_path,
@@ -554,20 +610,21 @@ def test_config_format_key(tmp_path, capsys):
 
 def test_each_setting_has_one_name(tmp_path):
     """--enum-limit and the enumeration_limit key set one CliConfig
-    field, as --samples and sample_count do; the flag wins over the
-    file, and --help keeps the flags' names."""
+    field; the flag wins over the file, and --help keeps the flag's
+    name.  --samples and its sample_count key are gone."""
     cfg = tmp_path / "grsdual.cfg"
-    cfg.write_text("enumeration_limit = 11\nsample_count = 12\n")
+    cfg.write_text("enumeration_limit = 11\n")
     parse = cli._build_parser().parse_args
     base = ["verify", "--config", str(cfg)]
-    got = cli._load_config(parse(base))
-    assert (got.enumeration_limit, got.sample_count) == (11, 12)
-    got = cli._load_config(parse(base + ["--enum-limit", "21",
-                                         "--samples", "22"]))
-    assert (got.enumeration_limit, got.sample_count) == (21, 22)
+    assert cli._load_config(parse(base)).enumeration_limit == 11
+    got = cli._load_config(parse(base + ["--enum-limit", "21"]))
+    assert got.enumeration_limit == 21
     usage = cli._build_parser().format_help()
     assert "--enum-limit ENUM_LIMIT" in usage
-    assert "--samples SAMPLES" in usage
+    assert "--samples" not in usage
+    cfg.write_text("sample_count = 12\n")
+    with pytest.raises(ValueError, match="bad config line"):
+        cli._load_config(parse(base))
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
@@ -746,7 +803,7 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys,
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = [run(capsys, argv) for argv in calls]
     assert cached == fresh
-    assert [rc for rc, _, _ in cached] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1,
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 1, 1, 0, 0, 0, 0, 1,
                                            0, 1, 0]
 
 

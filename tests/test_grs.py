@@ -15,7 +15,6 @@ is the differential oracle for that search.
 import itertools
 import json
 import math
-import random
 import tracemalloc
 import unittest.mock
 
@@ -422,9 +421,9 @@ def test_check_mds_modes_agree():
     g = generator_matrix(EvalSet(F, encs([0, 1, 2, 3]), tuple(int(x) for x in v)), 2)
     assert check_mds(g, "exhaustive")
     assert check_mds(g, "minors")
-    assert check_mds(g, "sampled")
-    with pytest.raises(ValueError):
-        check_mds(g, "nonsense")
+    for mode in ("sampled", "nonsense"):
+        with pytest.raises(ValueError, match=f"unknown mds mode '{mode}'"):
+            check_mds(g, mode)
     with pytest.raises(EnumerationTooLarge):
         check_mds(g, "minors", minor_limit=1)
 
@@ -611,60 +610,14 @@ def test_check_mds_catches_a_singular_minor_in_the_last_partial_chunk(
     assert check_mds(GeneratorMatrix(f, g), "minors")
 
 
-def test_check_mds_sampled_draws_the_seeded_subsets(monkeypatch):
-    f = make_field(17)
-    n, k, samples = 12, 5, 300
-    g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
-    seen = []
-    nonsingular = linalg.nonsingular
-
-    def spy(field, stack):
-        seen.extend(np.asarray(stack))
-        return nonsingular(field, stack)
-
-    monkeypatch.setattr(grs.linalg, "nonsingular", spy)
-    assert check_mds(GeneratorMatrix(f, g), "sampled", samples=samples)
-    rng = random.Random(grs._SAMPLE_SEED)
-    want = [g[:, sorted(rng.sample(range(n), k))] for _ in range(samples)]
-    assert len(seen) == samples
-    assert all(np.array_equal(a, b) for a, b in zip(seen, want))
-
-
-def test_check_mds_sampled_enumerates_when_every_subset_fits(monkeypatch):
-    """With C(n,k) <= samples, sampled tests every k-subset once, as
-    minors does: one call of the Laplace kernel on G, and no draw."""
-    f = make_field(17)
-    n, k = 8, 4
-    g = vandermonde(f, [f.from_int(x) for x in range(1, n + 1)], k)
-    seen = []
-    minors_nonzero = linalg.minors_nonzero
-
-    def spy(field, mat, block):
-        seen.append(np.array(mat))
-        return minors_nonzero(field, mat, block)
-
-    def no_draw(*args, **kwargs):
-        raise AssertionError("sampled drew a subset")
-
-    monkeypatch.setattr(grs.linalg, "minors_nonzero", spy)
-    monkeypatch.setattr(grs.linalg, "nonsingular", None)
-    monkeypatch.setattr(random.Random, "sample", no_draw)
-    for samples in (math.comb(n, k), 1000):
-        seen.clear()
-        assert check_mds(GeneratorMatrix(f, g), "sampled", samples=samples)
-        assert len(seen) == 1 and np.array_equal(seen[0], g)
-
-
 def test_check_mds_sampled_finds_the_singular_minor_its_draws_miss():
-    """The seeded draws of a [10,5] code hit 248 of its 252 k-subsets
-    but not (0,1,2,4,7); a G singular only there passed sampled while
-    it drew, and fails it now that it enumerates, as minors does."""
+    """The 1,000 seeded draws that the sampled mode once made on a [10,5]
+    code hit 248 of its 252 k-subsets but not (0,1,2,4,7); a G singular
+    only there passed those draws, and fails minors, which sampled now
+    names."""
     f = make_field(1009)
     n, k = 10, 5
     bad = (0, 1, 2, 4, 7)
-    rng = random.Random(grs._SAMPLE_SEED)
-    drawn = {tuple(sorted(rng.sample(range(n), k))) for _ in range(1000)}
-    assert len(drawn) == 248 and bad not in drawn
     subsets = list(itertools.combinations(range(n), k))
     coeffs = np.random.default_rng(11)
     while True:
@@ -676,29 +629,21 @@ def test_check_mds_sampled_finds_the_singular_minor_its_draws_miss():
         singular = [s for s in subsets if linalg.rank(f, g[:, list(s)]) < k]
         if singular == [bad]:
             break
-    gmat = GeneratorMatrix(f, g)
-    assert not check_mds(gmat, "sampled")
-    assert not check_mds(gmat, "minors")
+    assert not check_mds(GeneratorMatrix(f, g), "minors")
 
 
 def test_check_mds_sampled_is_bounded_by_the_minor_limit(monkeypatch):
-    """sampled refuses min(C(n,k), samples) past minor_limit before any
-    minor is tested; the minors message is unchanged."""
+    """minors, which the CLI's sampled runs, refuses C(n,k) past
+    minor_limit before any minor is tested, and runs at the limit."""
     f = make_field(17)
     gmat = GeneratorMatrix(f, vandermonde(f, [f.from_int(x)
                                               for x in range(1, 13)], 5))
-    monkeypatch.setattr(grs.linalg, "nonsingular", None)
     monkeypatch.setattr(grs.linalg, "minors_nonzero", None)
-    every = "^C\\(12,5\\) = 792 exceeds 791$"
-    with pytest.raises(EnumerationTooLarge, match=every):
-        check_mds(gmat, "sampled", minor_limit=791, samples=792)
-    with pytest.raises(EnumerationTooLarge, match=every):
+    with pytest.raises(EnumerationTooLarge,
+                       match="^C\\(12,5\\) = 792 exceeds 791$"):
         check_mds(gmat, "minors", minor_limit=791)
-    with pytest.raises(EnumerationTooLarge, match="^300 samples exceed 299$"):
-        check_mds(gmat, "sampled", minor_limit=299, samples=300)
     monkeypatch.undo()
-    assert check_mds(gmat, "sampled", minor_limit=300, samples=300)
-    assert check_mds(gmat, "sampled", minor_limit=792, samples=10 ** 9)
+    assert check_mds(gmat, "minors", minor_limit=792)
 
 
 def information_sets_reference(field, g):
@@ -825,11 +770,12 @@ def minor_inputs(draw):
 @example((make_field(3, 2), vandermonde(make_field(3, 2), range(9), 9), 5))
 def test_minors_kernel_matches_every_subset_eliminated(case):
     """The Laplace kernel, its levels cut into blocks as small as one
-    term, against nonsingular on every k-subset."""
+    term, against the rank of every k-subset up to the first singular
+    one."""
     f, g, block = case
     k, n = g.shape
-    cols = np.array(list(itertools.combinations(range(n), k)))
-    want = bool(linalg.nonsingular(f, g[:, cols].transpose(1, 0, 2)).all())
+    want = all(linalg.rank(f, g[:, list(s)]) == k
+               for s in itertools.combinations(range(n), k))
     with unittest.mock.patch.object(grs, "_MINOR_BLOCK", block):
         assert check_mds(GeneratorMatrix(f, g), "minors") == want
 
@@ -860,13 +806,10 @@ def test_check_mds_refuses_the_middle_level_past_n_over_2(monkeypatch):
     f = make_field(29)
     gmat = GeneratorMatrix(f, vandermonde(f, [f.from_int(x)
                                               for x in range(1, 25)], 20))
-    monkeypatch.setattr(grs.linalg, "nonsingular", None)
     monkeypatch.setattr(grs.linalg, "minors_nonzero", None)
-    every = "^C\\(24,12\\) = 2704156 exceeds 1000000$"
-    with pytest.raises(EnumerationTooLarge, match=every):
+    with pytest.raises(EnumerationTooLarge,
+                       match="^C\\(24,12\\) = 2704156 exceeds 1000000$"):
         check_mds(gmat, "minors")
-    with pytest.raises(EnumerationTooLarge, match=every):
-        check_mds(gmat, "sampled", samples=10 ** 5)
 
 
 def test_check_mds_minors_of_a_22_11_code_stay_within_48_mb():
