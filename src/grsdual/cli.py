@@ -37,7 +37,6 @@ from .grs import (
     DEFAULT_ENUM_LIMIT,
     DEFAULT_MINOR_LIMIT,
     check_mds,
-    check_self_dual,
     check_verify_scale,
     code_from_obj,
     min_distance,
@@ -211,18 +210,20 @@ def cmd_construct(args, cfg):
     return EXIT_OK
 
 
-def _mds_report(gmat, mode, cfg):
+def _mds_report(code, mode, cfg):
     """Returns (passed, report fields); mode 'none' always passes.  grs
-    proves MDS by the GRS shape of G's rows 0 and k-1 (every G from an
-    EvalSet has it), d = n - k + 1; other modes read all of G, gmat.
+    proves MDS by the GRS shape of the code's rows 0 and k-1 (every
+    EvalSet's rows have it), d = n - k + 1; other modes read all of G.
     sampled is the old name of minors, and reports under its own."""
     if mode == "none":
         return True, {"mds": "skipped"}
-    k, n = gmat.shape
+    k, n = code.k, code.length
     if mode == "grs":
-        if not grs_mds(gmat.field, gmat, gmat.nodes):
+        src = code.rows()
+        if not grs_mds(code.field, src, src.nodes):
             raise VerificationFailed("generator matrix lacks the GRS shape")
         return True, {"mds": True, "d": n - k + 1, "mode": "grs"}
+    gmat = code.generator_matrix()
     if mode == "exhaustive":
         d = min_distance(gmat, cfg.enumeration_limit)
         return d == n - k + 1, {"mds": d == n - k + 1, "d": d,
@@ -252,14 +253,13 @@ def cmd_verify(args, cfg):
         return EXIT_TOO_LARGE
     big = code.field.q ** code.k > cfg.enumeration_limit
     mode = ("grs" if big else "exhaustive") if args.mds == "auto" else args.mds
-    gmat = code.rows() if mode in ("grs", "none") else code.generator_matrix()
     report = {"field": code.field.name, "length": code.length, "k": code.k,
-              "self_dual": bool(check_self_dual(gmat))}
+              "self_dual": code.verify()}
     if not report["self_dual"]:
         _emit_report(report, cfg)
         return EXIT_NOT_SELF_DUAL
     try:
-        ok, extra = _mds_report(gmat, mode, cfg)
+        ok, extra = _mds_report(code, mode, cfg)
     except EnumerationTooLarge as exc:
         sys.stderr.write(f"enumeration too large: {exc}\n")
         return EXIT_TOO_LARGE

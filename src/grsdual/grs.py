@@ -20,7 +20,7 @@ solve_multipliers / solve_extended_multipliers realize those criteria
 with the canonical square root, so multiplier vectors are
 reproducible.  check_self_dual, min_distance and check_mds are
 independent oracles that read rows of G, never the construction: a
-verify forms only the rows its proofs read, and checks each one.
+verify reads GrsRows, the rows' one definition, so none lacks the GRS shape.
 
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
@@ -212,11 +212,9 @@ class EvalSet:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """G, a row source; only generator_matrix sets nodes, to its code's
-    points, and any other G has its GRS shape read off it (_grs_nodes)."""
+    """G, a row source whose GRS shape, if any, is read off its entries."""
     field: Field
     data: np.ndarray
-    nodes: np.ndarray | None = dc_field(default=None, init=False)
 
     @property
     def shape(self):
@@ -260,7 +258,7 @@ class GrsRows:
 
 
 def generator_matrix(eval_set, k):
-    """All k rows of GrsRows in cache-sized row blocks, and its nodes."""
+    """All k rows of GrsRows in cache-sized row blocks."""
     if not 0 < k <= eval_set.length:
         raise ShapeMismatch(f"k = {k} out of range for length {eval_set.length}")
     src = GrsRows(eval_set, k)
@@ -268,19 +266,18 @@ def generator_matrix(eval_set, k):
     rows = max(1, linalg._BLOCK_BYTES // (8 * eval_set.n))
     for r0 in range(0, k, rows):
         g[r0:r0 + rows] = src[r0:r0 + rows]
-    gmat = GeneratorMatrix(eval_set.field, g)
-    object.__setattr__(gmat, "nodes", src.nodes)
-    return gmat
+    return GeneratorMatrix(eval_set.field, g)
 
 
 def check_self_dual(gmat):
     """True iff G has shape k x 2k, rank k, and G @ G.T == 0, from rows
-    of gmat (GrsRows or GeneratorMatrix) on its nodes, else _grs_nodes."""
+    of gmat on the nodes of a GrsRows, else those _grs_nodes reads once."""
     k, n = gmat.shape
     if not n or n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
-    f, nodes = gmat.field, gmat.nodes
-    nodes = linalg._grs_nodes(f, gmat) if nodes is None else nodes
+    f = gmat.field
+    nodes = (gmat.nodes if isinstance(gmat, GrsRows)
+             else linalg._grs_nodes(f, gmat))
     if np.any(linalg.gram(f, gmat, nodes)):
         return False
     return linalg.rank(f, gmat, nodes) == k

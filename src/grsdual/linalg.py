@@ -1,19 +1,18 @@
 """Dense linear algebra on integer-encoding matrices over a Field.
 
-Matrices are numpy arrays of encodings.  The Gram matrix runs on float64
-BLAS over GF(p) coefficient planes, which is exact because every matmul
-entry is an integer below 2**53 (asserted before the matmuls).  The
+Matrices are numpy arrays of encodings.  The Gram matrix runs on BLAS
+over GF(p) coefficient planes, exact because every matmul entry is an
+integer below 2**24 in float32, else 2**53 in float64 (asserted).  The
 Gram, the rank and the MDS proof use the GRS shape, rows v_j * a_j**i,
-on the code's nodes a_j, checked in each row they form (_shaped), or
-on those _grs_nodes reads off G entry by entry; nodes are passed only
-as grs sets them, the points that formed the rows.  Where it holds,
-G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and with
-every v_j nonzero and the a_j distinct every k columns are independent
-(grs_mds), so a leading square block proves full rank.  Any other
-matrix takes the general path: the same row-block Gram loop against the
-planes of all of it, and the rank of its systematic form.  The
-systematic form runs in Zech arithmetic; every k x k minor of G comes
-from one Laplace expansion along rows.
+on nodes a_j: a code's points, from which grs.GrsRows forms its rows,
+so none lacks the shape, or those _grs_nodes reads off a bare G,
+checking each row once.  Where it holds, G @ G.T is Hankel and
+O(sqrt k) of its rows give all of it, and with every v_j nonzero and
+the a_j distinct every k columns are independent (grs_mds), so a
+leading square block proves full rank.  Any other matrix takes the
+general path: the row-block Gram loop against the planes of all of it,
+and the rank of its systematic form, in Zech arithmetic; every k x k
+minor of G comes from one Laplace expansion along rows.
 """
 
 from __future__ import annotations
@@ -23,26 +22,27 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import TableLimitExceeded, VerificationFailed
+from .errors import TableLimitExceeded
 
-# float64 holds every integer below this exactly
-_EXACT = 2 ** 53
+# float64 and float32 hold every integer below these exactly
+_EXACT, _EXACT32 = 2 ** 53, 2 ** 24
 # bytes per row block of G, of its planes or of their products: cache-sized
 _BLOCK_BYTES = 1 << 18
 
 
 def _coeff_planes(field, g, chunks, width):
-    """Coefficient planes of g as float64, shape (chunks, k, m, width).
+    """Coefficient planes of g, shape (chunks, k, m, width).
 
     Plane s holds the coefficient of x**s of every entry, read from the
     field's digit table; the column axis is cut into chunks of the given
-    width, zero-padded at the end.
-    """
+    width, zero-padded at the end; float64, or float32 where every partial
+    sum of a matmul of two, at most width * (p-1)**2, is below 2**24."""
     k, n = g.shape
     if chunks * width > n:
         g = np.pad(g, ((0, 0), (0, chunks * width - n)))
     idx = g.reshape(k, chunks, width).transpose(1, 0, 2)
-    planes = np.empty((chunks, k, field.m, width), dtype=np.float64)
+    dtype = np.float32 if width * (field.p - 1) ** 2 < _EXACT32 else np.float64
+    planes = np.empty((chunks, k, field.m, width), dtype=dtype)
     for s, digit in enumerate(field.digits()):
         planes[:, :, s, :] = digit[idx]
     return planes
@@ -52,7 +52,7 @@ def _products(field, left, right):
     """Encodings of L @ R.T over the field, from the planes of L and R.
 
     Entry (i, j) is sum_u x**u sum_{s+t=u} <c_s(L_i), c_t(R_j)>, with
-    each inner product from one exact float64 matmul per column chunk;
+    each inner product from one exact matmul per column chunk;
     the 2m-1 sums are folded through the modulus and reduced mod p."""
     p, m = field.p, field.m
     (chunks, r, _, width), r2 = left.shape, right.shape[1]
@@ -85,32 +85,20 @@ def _grs_nodes(field, g):
     """a = row 1 / row 0 if g has the shape of an (extended) GRS
     generator matrix, else None: every column with a nonzero row 0 is
     [v_j * a_j**i], and every other column is zero above its last row.
-    Checked by _shaped, in row blocks of about _BLOCK_BYTES."""
+    Every row is checked, in row blocks of about _BLOCK_BYTES."""
     k, n = g.shape
     head = g[0]
     # a_j = g[1, j] where g[0, j] = 0, so rows 1..k-2 there must be 0
     a = field.vmul(g[min(1, k - 1)], field.vinv(np.where(head != 0, head, 1)))
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    try:
-        for r0 in range(0, k, rows):
-            _shaped(field, g, np.arange(r0, min(k, r0 + rows)), a, head)
-    except VerificationFailed:
-        return None
-    return a
-
-
-def _shaped(field, g, idx, nodes, head=None):
-    """Rows idx (an int array) of g; given nodes, each must be v_j a_j**i,
-    v = head (row 0, else rows[0]), free in row k-1 where v_j = 0."""
-    rows = g[idx]
-    if nodes is not None:
-        head = rows[0] if head is None else head
-        want = field.vpow(nodes, idx[:, None], head)
-        free = (idx[:, None] == g.shape[0] - 1) & (head == 0)
-        np.copyto(want, rows, where=free)
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for r0 in range(0, k, step):
+        i = np.arange(r0, min(k, r0 + step))[:, None]
+        rows, want = g[r0:r0 + step], field.vpow(a, i, head)
+        # row k-1 is free where v_j = 0: the unit column's c_j
+        np.copyto(want, rows, where=(i == k - 1) & (head == 0))
         if not (rows == want).all():
-            raise VerificationFailed("generator matrix lacks the GRS shape")
-    return rows
+            return None
+    return a
 
 
 def _sumset_rows(k, rows):
@@ -125,15 +113,15 @@ def _sumset_rows(k, rows):
 def gram(field, g, nodes=None):
     """G @ G.T over the field; rows of g are codeword generators.
 
-    Products are exact float64 matmuls of coefficient planes over column
-    chunks of width w with w * (p-1)**2 < 2**53: held rows against one
-    block of streamed rows at a time.  If g has the GRS shape of
-    _grs_nodes, with c_j in the last row of its other columns, entry
+    Products are exact matmuls of coefficient planes (_coeff_planes)
+    over column chunks of width w with w * (p-1)**2 < 2**53: held rows
+    against one block of streamed rows at a time.  If g has the GRS
+    shape of _grs_nodes, c_j in the last row of its other columns, entry
     (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
     the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
     pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
     not a copy.  Any other g holds and streams every row.  Given nodes,
-    g may be a row source (grs.GrsRows), each row read checked (_shaped)."""
+    those of grs.GrsRows or of _grs_nodes, g may be a row source."""
     g = np.asarray(g[:], dtype=np.int64) if nodes is None else g
     k, n = g.shape
     p, m = field.p, field.m
@@ -157,13 +145,12 @@ def gram(field, g, nodes=None):
     held, streamed = ((np.arange(k),) * 2 if nodes is None
                       else _sumset_rows(k, rows))
     out = np.empty(stride * (k - 1) + k, dtype=np.int64)
-    # held[0] is row 0; the first streamed block comes in the same call
-    first = _shaped(field, g, np.concatenate([held, streamed[:rows]]), nodes)
+    # the first streamed block is formed in the same call as the held rows
+    first = g[np.concatenate([held, streamed[:rows]])]
     left = _coeff_planes(field, first[:held.size], chunks, width)
     for r0 in range(0, streamed.size, rows):
         idx = streamed[r0:r0 + rows]
-        block = (first[held.size:] if r0 == 0
-                 else _shaped(field, g, idx, nodes, first[0]))
+        block = first[held.size:] if r0 == 0 else g[idx]
         block = _coeff_planes(field, block, chunks, width)
         out[held[:, None] * stride + idx] = _products(field, left, block)
     if nodes is None:
@@ -175,14 +162,14 @@ def grs_mds(field, g, nodes=None):
     """Whether the GRS shape of g proves every k columns independent.
 
     k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes (given
-    nodes, _shaped checks rows 0 and k-1), the nodes a_j of columns with
+    nodes, only rows 0 and k-1 are read), the nodes a_j of columns with
     v_j != 0 are distinct, and at most one other column, c e_(k-1) with
     c != 0, is left.  k geometric columns then have determinant
     prod v_j * prod_{i<j} (a_j - a_i), and k-1 beside the unit column
     +-c prod v_j times a (k-1)-node Vandermonde determinant: none is 0
     (MacWilliams-Sloane, ch. 11)."""
     k, n = g.shape
-    head, last = _shaped(field, g, np.array([0, k - 1]), nodes)
+    head, last = g[np.array([0, k - 1])]
     if k == 1:
         return bool(head.all())
     a = _grs_nodes(field, g) if nodes is None else nodes

@@ -87,8 +87,9 @@ def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
                                                 monkeypatch):
     """G is formed whole at most once: never for --mds none or the grs
     rung, which read the rows their proofs need, and once for the modes
-    that read all of it, whose Gram then reads G's rows rather than
-    forming them again.  No mode reads the GRS shape off G."""
+    that read all of it, after self-duality is proved from the rows of
+    the code's GrsRows in every mode.  No mode reads the GRS shape off
+    G."""
     calls, rows = [], []
     original = grsdual.grs.generator_matrix
     formed = grsdual.grs.GrsRows.__getitem__
@@ -116,9 +117,10 @@ def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
         rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", mode])
         assert rc == 0 and json.loads(out)["self_dual"] is True
         assert len(calls) == times, mode
-        # G in one block, or the Gram's held rows with its first block of
-        # streamed rows, and row 0 for the rank
-        assert len(rows) == (1 if times else 2), (mode, rows)
+        # the Gram's held rows with its first block of streamed rows, row
+        # 0 for the rank, then G in one block where it is formed
+        assert len(rows) == 2 + times, (mode, rows)
+        assert [isinstance(i, slice) for i in rows[2:]] == [True] * times
     calls.clear()
     rows.clear()
     rc, out, _ = run(capsys, ["verify", "--in", str(code), "--enum-limit",
@@ -284,26 +286,23 @@ def test_verify_auto_never_reads_the_grs_shape(tmp_path, capsys,
 
 def test_verify_auto_refuses_a_g_without_the_grs_shape(tmp_path, capsys,
                                                        monkeypatch):
-    """Every row verify forms has the GRS shape; one without it is a
-    bug, exit 3.  Adding row 0 to row 2 or row k-1 keeps the code, but
-    the Gram checks each row it reads against the code's points, in
-    every mode, on the rows of G or of the row source."""
+    """The rows of a code's GrsRows have the GRS shape, so no verify file
+    reaches exit 3 here; a grs rung that finds them without it is a bug,
+    exit 3 with nothing on stdout.  Two equal nodes, put in after
+    self-duality is proved, make grs_mds refuse the rows."""
     code = tmp_path / "th8.json"
     code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
-    formed = grsdual.grs.GrsRows.__getitem__
-    for row in (2, 182):
-        def mixed(self, idx, row=row):
-            g = formed(self, idx)
-            hit = np.arange(self.shape[0])[idx] == row
-            g[hit] = self.field.vadd(g[hit], formed(self, 0))
-            return g
+    shape = cli.grs_mds
 
-        monkeypatch.setattr(grsdual.grs.GrsRows, "__getitem__", mixed)
-        for mode in ("auto", "none", "exhaustive"):
-            rc, out, err = run(capsys, ["verify", "--in", str(code),
-                                        "--mds", mode])
-            assert (rc, out) == (3, ""), (row, mode)
-            assert "lacks the GRS shape" in err
+    def repeated(field, g, nodes):
+        nodes = nodes.copy()
+        nodes[1] = nodes[0]
+        return shape(field, g, nodes)
+
+    monkeypatch.setattr(cli, "grs_mds", repeated)
+    rc, out, err = run(capsys, ["verify", "--in", str(code), "--mds", "auto"])
+    assert (rc, out) == (3, "")
+    assert "lacks the GRS shape" in err
 
 
 def test_verify_text_format(tmp_path, capsys):

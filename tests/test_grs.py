@@ -381,28 +381,59 @@ def test_check_self_dual_positive_and_negative():
 
 
 def test_only_generator_matrix_pairs_g_with_nodes():
-    """No caller hands the proofs nodes: given th8_code(13,1,3,0,2)'s
-    points as nodes, a G with one entry of row 10 changed would pass,
-    since the Hankel Gram never forms row 10.  Read off G, it fails."""
+    """No caller hands the proofs nodes, and no G carries any, not even
+    the one generator_matrix forms: only a code's GrsRows pairs rows
+    with nodes.  Given th8_code(13,1,3,0,2)'s points as nodes, a G with
+    one entry of row 10 changed would pass, since the Hankel Gram never
+    forms row 10.  Read off G, it fails."""
     from grsdual import th8_code
     code = th8_code(13, 1, 3, 0, 2)
     g = code.generator_matrix()
     bad = g.data.copy()
     bad[10, 0] = code.field.add(int(bad[10, 0]), 1)
     with pytest.raises(TypeError):
-        GeneratorMatrix(code.field, bad, g.nodes)
-    assert GeneratorMatrix(code.field, bad).nodes is None
+        GeneratorMatrix(code.field, bad, code.rows().nodes)
+    assert not hasattr(g, "nodes")
+    assert not hasattr(GeneratorMatrix(code.field, bad), "nodes")
     assert not check_self_dual(GeneratorMatrix(code.field, bad))
     assert check_self_dual(GeneratorMatrix(code.field, g.data))
 
 
+def test_check_self_dual_refuses_a_bare_g_off_the_grs_shape():
+    """A bare G is proved from its own entries: a G off the GRS shape
+    takes the general Gram and rank.  th8_code(13,1,3,0,2)'s G with one
+    entry of row 10 changed, a row the Hankel Gram never reads, is
+    refused; with row 0 added to row 2 or to row k-1, the same code, it
+    is proved self-dual."""
+    from grsdual import th8_code
+    code = th8_code(13, 1, 3, 0, 2)
+    f, g = code.field, code.generator_matrix().data
+    bad = g.copy()
+    bad[10, 0] = f.add(int(bad[10, 0]), 1)
+    assert linalg._grs_nodes(f, bad) is None
+    assert not check_self_dual(GeneratorMatrix(f, bad))
+    for row in (2, code.k - 1):
+        mixed = g.copy()
+        mixed[row] = f.vadd(mixed[row], g[0])
+        assert linalg._grs_nodes(f, mixed) is None
+        assert check_self_dual(GeneratorMatrix(f, mixed))
+    assert check_self_dual(GeneratorMatrix(f, g))
+
+
 def test_generator_matrix_nodes_are_the_points():
-    """Its points, with 0 at the unit column of an extended code."""
+    """The nodes of a code's proofs are its points, 0 at the unit column
+    of an extended code: those GrsRows forms its rows from, and those
+    _grs_nodes reads off the G that generator_matrix forms, which
+    carries none itself."""
     ve = solve_extended_multipliers(F, encs([0, 8, 12, 5, 1]))
-    for extended, pts, v in ((False, (1, 2), (1, 2)),
+    for extended, pts, v in ((False, (1, 2, 3), (1, 2, 5)),
                              (True, tuple(encs([0, 8, 12, 5, 1])), ve)):
-        g = generator_matrix(EvalSet(F, pts, v, extended), 1)
-        assert g.nodes.tolist() == list(pts) + [0] * extended
+        es = EvalSet(F, pts, v, extended)
+        want = list(pts) + [0] * extended
+        assert GrsRows(es, 1).nodes.tolist() == want
+        g = generator_matrix(es, 3)
+        assert not hasattr(g, "nodes")
+        assert linalg._grs_nodes(F, g).tolist() == want
 
 
 def test_min_distance_fixtures():

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from grsdual import linalg, make_field
 from grsdual.errors import ZeroArgument
 from grsdual.field import _build_field, factor_prime_power
-from grsdual.grs import EvalSet, GrsRows, generator_matrix
+from grsdual.grs import EvalSet, GrsRows, SelfDualCode, generator_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -258,21 +258,33 @@ def test_coeff_planes_match_the_divmod_kernel(fm, k, n, chunks, zeros, seed):
     width = -(-n // chunks)
     got = linalg._coeff_planes(f, g, chunks, width)
     ref = ref_coeff_planes(f, g, chunks, width)
-    assert got.dtype == np.float64 and got.shape == ref.shape
-    assert np.array_equal(got, ref)
+    exact32 = width * (f.p - 1) ** 2 < 2 ** 24
+    assert got.dtype == (np.float32 if exact32 else np.float64)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("fm", FIELDS)
 def test_gram_over_many_chunks_matches_the_divmod_planes(fm, monkeypatch):
+    """Chunks of 3 columns: float32 planes up to p = 251 and 257, float64
+    at p = 4194301, each against the float64 divmod planes."""
     f = make_field(*fm)
     rng = np.random.default_rng(f.q)
     g = rng.integers(0, f.q, size=(6, 29))
     es = EvalSet(f, rng.choice(f.q, size=min(f.q, 29), replace=False),
                  rng.integers(1, f.q, size=min(f.q, 29)))
     grs = generator_matrix(es, min(6, es.n)).data
+    planes, dtypes = linalg._coeff_planes, set()
+
+    def recorded(*args):
+        out = planes(*args)
+        dtypes.add(out.dtype.type)
+        return out
+
     # chunks of at most 3 columns, on a general and a Hankel Gram
     monkeypatch.setattr(linalg, "_EXACT", 3 * (f.p - 1) ** 2 + 1)
+    monkeypatch.setattr(linalg, "_coeff_planes", recorded)
     fast = [linalg.gram(f, g), linalg.gram(f, grs)]
+    assert dtypes == {np.float64 if f.p > 2 ** 12 else np.float32}
     monkeypatch.setattr(linalg, "_coeff_planes", ref_coeff_planes)
     slow = [linalg.gram(f, g), linalg.gram(f, grs)]
     for x, y in zip(fast, slow):
@@ -284,6 +296,11 @@ def test_gram_over_many_chunks_matches_the_divmod_planes(fm, monkeypatch):
        st.booleans(), st.integers(1, 3), st.data())
 def test_generator_matrix_matches_the_scalar_formula(fm, n, node0, extended,
                                                      block, data):
+    """Row i of a code's G is v_j a_j**i, 1 in row k-1 of the unit column,
+    by scalar power and mul: through code.rows()[idx] for an int, a slice
+    and an index array (any order, repeats), and through generator_matrix
+    in row blocks; plain and extended sets, k = 1, k = length // 2 and a
+    drawn k.  GrsRows is the one row formula every proof reads."""
     f = make_field(*fm)
     n = min(n, f.q)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -292,20 +309,31 @@ def test_generator_matrix_matches_the_scalar_formula(fm, n, node0, extended,
         a[rng.integers(0, n)] = 0
     v = rng.integers(1, f.q, size=n)
     es = EvalSet(f, a, v, extended)
-    k = data.draw(st.integers(1, es.length))
-    expect = np.zeros((k, es.length), dtype=np.int64)
-    for i in range(k):
-        for j in range(n):
-            expect[i, j] = f.mul(int(v[j]), f.power(int(a[j]), i))
-    if extended:
-        expect[k - 1, n] = 1
-    with pytest.MonkeyPatch.context() as mp:  # `block` rows at a time
-        mp.setattr(linalg, "_BLOCK_BYTES", 8 * n * block)
-        got = generator_matrix(es, k).data
-    assert np.array_equal(got, expect)
-    assert np.array_equal(generator_matrix(es, k).data, expect)
-    ref = ref_vmul(f, v, ref_vpow(f, a, np.arange(k)[:, None]))
-    assert np.array_equal(got[:, :n], ref)
+    drawn = data.draw(st.integers(1, es.length))
+    for k in sorted({1, max(1, es.length // 2), drawn}):
+        expect = np.zeros((k, es.length), dtype=np.int64)
+        for i in range(k):
+            for j in range(n):
+                expect[i, j] = f.mul(int(v[j]), f.power(int(a[j]), i))
+        if extended:
+            expect[k - 1, n] = 1
+        rows = SelfDualCode(es, k).rows()
+        i = data.draw(st.integers(0, k - 1))
+        lo, hi = sorted(data.draw(st.tuples(st.integers(0, k),
+                                            st.integers(0, k))))
+        idx = np.array(data.draw(st.lists(st.integers(0, k - 1),
+                                          max_size=2 * k)), dtype=np.int64)
+        for key in (i, slice(lo, hi), idx):
+            got = rows[key]
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect[key]), key
+        with pytest.MonkeyPatch.context() as mp:  # `block` rows at a time
+            mp.setattr(linalg, "_BLOCK_BYTES", 8 * n * block)
+            got = generator_matrix(es, k).data
+        assert np.array_equal(got, expect)
+        assert np.array_equal(generator_matrix(es, k).data, expect)
+        ref = ref_vmul(f, v, ref_vpow(f, a, np.arange(k)[:, None]))
+        assert np.array_equal(got[:, :n], ref)
 
 
 def test_generator_matrix_costs_about_one_copy_of_g():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from grsdual import linalg, make_field
 from grsdual.cosets import th8_code
-from grsdual.errors import TableLimitExceeded, VerificationFailed
+from grsdual.errors import TableLimitExceeded
 from grsdual.grs import (
     EvalSet,
     GeneratorMatrix,
@@ -648,9 +648,8 @@ def test_hankel_gram_is_a_read_only_view_of_its_edge():
 
 def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
     """On a bare G, the Gram and the rank proof take the nodes of one
-    _grs_nodes read per call; on G formed by generator_matrix, which
-    carries the code's points as nodes, or on its GrsRows, nothing
-    reads it."""
+    _grs_nodes read per call, and neither reads it again; on a code's
+    GrsRows, whose rows are formed from its points, nothing reads it."""
     calls, nodes = [], linalg._grs_nodes
 
     def counted(field, g):
@@ -660,12 +659,11 @@ def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
     monkeypatch.setattr(linalg, "_grs_nodes", counted)
     for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
         gmat = code.generator_matrix()
-        bare = GeneratorMatrix(code.field, gmat.data)
         calls.clear()
-        assert check_self_dual(bare)
+        assert check_self_dual(gmat)
         assert calls == [gmat.shape]
-        assert check_self_dual(bare) and len(calls) == 2
-        assert check_self_dual(gmat) and code.verify()
+        assert check_self_dual(gmat) and len(calls) == 2
+        assert check_self_dual(code.rows()) and code.verify()
         assert len(calls) == 2
 
 
@@ -716,31 +714,55 @@ def test_gram_of_a_row_source_matches_zech_oracle(src):
 @settings(max_examples=80, deadline=None)
 @given(grs_sources(), st.data())
 def test_gram_refuses_a_formed_row_off_the_nodes(src, data):
-    """Every row the Hankel Gram forms is checked against the nodes and
-    row 0: one changed entry of a held or streamed row i >= 1, or a
-    nonzero unit column above row k-1, raises VerificationFailed.  The
-    unit column of row k-1 is free, and a changed row 0 only redefines
-    v: the Gram is then that of the changed G, unless a row disagrees."""
+    """gram takes no row of a bare G on trust: with one entry of any row
+    changed, one the Hankel Gram reads or not, it equals zech_gram of
+    the changed G.  A changed row i >= 2, off the free unit column of
+    row k-1, leaves the GRS shape: _grs_nodes refuses G, and the general
+    path runs."""
     f, (k, cols) = src.field, src.shape
-    held, streamed = sumset_rows(k, block_rows(f, k, cols))
-    row = data.draw(st.sampled_from(sorted(set(held) | set(streamed))))
+    row = data.draw(st.integers(0, k - 1))
     col = data.draw(st.integers(0, cols - 1))
-    g, rows = src[:], GrsRows.__getitem__
+    g = src[:]
     g[row, col] = (g[row, col] + data.draw(st.integers(1, f.q - 1))) % f.q
     unit = src.extended and (row, col) == (k - 1, cols - 1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(GrsRows, "__getitem__", lambda self, idx: g[idx])
-        if row and not unit:
-            with pytest.raises(VerificationFailed, match="GRS shape"):
-                linalg.gram(f, src, src.nodes)
-        else:
-            try:
-                got = linalg.gram(f, src, src.nodes)
-            except VerificationFailed:
-                assert row == 0
-            else:
-                assert np.array_equal(got, zech_gram(f, g))
-    assert np.array_equal(rows(src, np.arange(k)), src[:])
+    if row >= 2 and not unit:
+        assert linalg._grs_nodes(f, g) is None
+    assert np.array_equal(linalg.gram(f, g), zech_gram(f, g))
+
+
+def test_gram_is_exact_on_either_side_of_the_float32_bound(monkeypatch):
+    """Over GF(4093), (p-1)**2 = 2**24 - 32752: chunks of one column put
+    width * (p-1)**2 below 2**24, so the planes are float32 and every
+    matmul entry comes within 32752 of the bound; wider chunks are past
+    it, and float64.  On one G of each path, a random G and a GRS G of
+    the Hankel path, both Grams equal zech_gram."""
+    f = make_field(4093)
+    assert (f.p - 1) ** 2 < linalg._EXACT32 < 2 * (f.p - 1) ** 2
+    rng = np.random.default_rng(4093)
+    es = EvalSet(f, rng.choice(f.q, size=40, replace=False),
+                 rng.integers(1, f.q, size=40))
+    planes, dtypes = linalg._coeff_planes, set()
+
+    def recorded(field, a, chunks, width):
+        out = planes(field, a, chunks, width)
+        dtypes.add((width, out.dtype.type))
+        return out
+
+    monkeypatch.setattr(linalg, "_coeff_planes", recorded)
+    # p - 1 = 4092 in every entry: each product is the largest, (p-1)**2
+    top = np.full((5, 40), f.from_int(f.p - 1))
+    for g in (rng.integers(0, f.q, size=(7, 40)), generator_matrix(es, 9).data,
+              top):
+        want = zech_gram(f, g)
+        dtypes.clear()
+        wide = linalg.gram(f, g)
+        assert dtypes == {(40, np.float64)}
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_EXACT", (f.p - 1) ** 2 + 1)  # width 1
+            dtypes.clear()
+            narrow = linalg.gram(f, g)
+        assert dtypes == {(1, np.float32)}
+        assert np.array_equal(wide, want) and np.array_equal(narrow, want)
 
 
 def test_check_self_dual_peak_stays_below_half_a_copy_of_g():
