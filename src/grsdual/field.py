@@ -419,6 +419,20 @@ class Field:
             np.copyto(out, a, where=b == 0)
         return out
 
+    def zech_diffs(self, x, a):
+        """int32 z[..., i, j] = log(x_i - a_j) - log x_i (log 0 = -1), -1
+        exactly where x_i = a_j, for int64 rows x (..., r) of sets a (..., n):
+        one Zech entry per pair, x - a = x (1 + theta**(a - x + (q-1)/2))."""
+        z = self._zech.take(a[..., None, :] - (x - self._half)[..., None],
+                            mode="wrap")
+        if np.count_nonzero(a) < a.size:  # x - 0 = x
+            np.copyto(z, 0, where=a[..., None, :] == 0)
+        if np.count_nonzero(x) < x.size:  # 0 - a = -a: log(-a) + 1 = vneg(a)
+            zr = np.nonzero(x == 0)
+            az = a[zr[:-1]]  # the set of each zero row
+            z[zr] = np.where(az == 0, -1, self.vneg(az))
+        return z
+
     def vmul(self, a, b):
         a, b = self.varray(a), self.varray(b)
         s = self._log_sum(a + b - 2)

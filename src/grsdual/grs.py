@@ -16,11 +16,12 @@ L(a_i) = prod_{j != i} (a_i - a_j):
 * odd n, extended: the extended code with v_i^2 = (-L(a_i))^-1 is
   self-dual whenever every -L(a_i) is a square.
 
-solve_multipliers / solve_extended_multipliers realize those criteria
-with the canonical square root, so multiplier vectors are
-reproducible.  check_self_dual, min_distance and check_mds are
-independent oracles that read rows of G, never the construction: a
-verify reads GrsRows, the rows' one definition, so none lacks the GRS shape.
+lagrange_products forms L from one Zech entry per pair (Field.zech_diffs),
+and solve_multipliers / solve_extended_multipliers realize those criteria
+with the canonical square root, so multiplier vectors are reproducible.
+check_self_dual, min_distance and check_mds are independent oracles that
+read rows of G, never the construction: a verify reads GrsRows, the
+rows' one definition, so none lacks the GRS shape.
 
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
@@ -58,8 +59,8 @@ DEFAULT_ENUM_LIMIT = 10 ** 7
 DEFAULT_MINOR_LIMIT = 10 ** 6
 DEFAULT_VERIFY_LIMIT = 10 ** 7
 
-# Entries per block of point differences in L (lagrange_products and
-# products_at).
+# Zech entries per block of L (lagrange_products, products_at, and the
+# selftest's root products): block // n points, each against all n.
 _LAGRANGE_BLOCK = 1 << 16
 
 # Entries per block of candidate words in min_distance, and per block
@@ -69,21 +70,21 @@ _MINOR_BLOCK = 1 << 15
 
 
 def _products_rows(field, a, rows):
-    """L(a_i) for i in rows within every set (row of the 2-D a), a block
-    of flat (set, row) pairs at a time: O(a.size + _LAGRANGE_BLOCK) memory."""
-    out = np.empty(len(a) * rows.size, dtype=np.int64)
-    step = max(1, _LAGRANGE_BLOCK // max(1, a.shape[1]))
-    for s in range(0, out.size, step):
-        k = np.arange(s, min(s + step, out.size))
-        own, idx = k // rows.size, rows[k % rows.size]
-        # one set broadcasts its row; a stack gathers each pair's set
-        d = field.vsub(a[own, idx, None], a[own] if len(a) > 1 else a)
-        d[np.arange(idx.size), idx] = 1  # empty factor for the point itself
-        try:
-            out[s:s + step] = field.vprod(d, axis=1)
-        except ZeroArgument:
-            raise DuplicatePoints("evaluation points are not distinct") from None
-    return out
+    """L(a_i) for i in rows within every set (row of the 2-D a), a block of
+    whole sets, or of one set's rows, at a time: O(a.size + _LAGRANGE_BLOCK)
+    memory.  A row's own -1 Zech entry cancels; another is a repeat."""
+    out = np.empty((len(a), rows.size), dtype=np.int64)
+    per = max(1, _LAGRANGE_BLOCK // max(1, a.shape[1]))  # rows a block
+    sets = max(1, per // max(1, rows.size))
+    for s, r in itertools.product(range(0, len(a), sets),
+                                  range(0, rows.size, per)):
+        x = a[s:s + sets, rows[r:r + per]]
+        z = field.zech_diffs(x, a[s:s + sets])
+        if np.count_nonzero(z == -1) != x.size:
+            raise DuplicatePoints("evaluation points are not distinct")
+        logs = z.sum(axis=-1, dtype=np.int64) + (a.shape[1] - 1) * (x - 1)
+        out[s:s + sets, r:r + per] = (logs + 1) % (field.q - 1) + 1
+    return out.ravel()
 
 
 def lagrange_products(field, points):

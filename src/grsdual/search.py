@@ -72,8 +72,8 @@ def square_clique_greedy(field, n):
         clique.append(pick)
         if len(clique) == n:
             return clique
-        d = field.vsub(encs, pick)
-        live &= (d != 0) & (field.vsign(np.where(d == 0, 1, d)) == 1)
+        z = field.zech_diffs(encs, np.array([pick]))[:, 0]
+        live &= (z != -1) & ((encs + z) % 2 == 1)  # log(x - pick) even
         nxt = np.flatnonzero(live)
         if nxt.size == 0:
             return None

@@ -3,10 +3,13 @@
 ref_vadd, ref_vsub, ref_vneg, ref_vmul, ref_vpow and ref_coeff_planes
 below are the plain kernels: the modulus q-1 through int64 %, and the
 coefficient planes through m rounds of % p and // p on the base-p value
-of every entry.  They live here only, as oracles for Field.vadd,
-Field.vsub, Field.vneg, Field.vmul, Field.vpow, linalg._coeff_planes
-(which reads the field's digit table) and generator_matrix (which calls
-the field kernels in row blocks).  The module also bounds the memory of
+of every entry.  ref_lagrange_products forms L(a_i) by vsub and vprod
+over the whole difference matrix.  They live here only, as oracles for
+Field.vadd, Field.vsub, Field.vneg, Field.vmul, Field.vpow,
+linalg._coeff_planes (which reads the field's digit table),
+generator_matrix (which calls the field kernels in row blocks) and
+lagrange_products and products_at (one Zech entry per pair, through
+Field.zech_diffs).  The module also bounds the memory of
 generator_matrix, checks that the digit table waits for a Gram, and
 that the int32 field tables never reach a kernel's or a matrix's dtype.
 """
@@ -21,10 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grsdual import linalg, make_field
-from grsdual.errors import ZeroArgument
+from grsdual import grs, linalg, make_field
+from grsdual.errors import DuplicatePoints, ZeroArgument
 from grsdual.field import _build_field, factor_prime_power
-from grsdual.grs import EvalSet, GrsRows, SelfDualCode, generator_matrix
+from grsdual.grs import (EvalSet, GrsRows, SelfDualCode, generator_matrix,
+                         lagrange_products, products_at)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -82,6 +86,25 @@ def ref_coeff_planes(field, g, chunks, width):
         planes[:, :, s, :] = vals % p
         vals = vals // p
     return planes
+
+
+def ref_lagrange_products(field, points, rows=None):
+    """L(a_i) for i in rows (all of them by default) within every set
+    (last axis of points): vsub over each set's difference matrix, 1 on
+    the point itself, then vprod.  A zero difference raises."""
+    a = np.array(points, dtype=np.int64)
+    n = a.shape[-1]
+    idx = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    out = []
+    for s in a.reshape(-1, n):
+        d = field.vsub(s[idx, None], s)
+        d[np.arange(idx.size), idx] = 1  # empty factor for the point itself
+        try:
+            out.append(field.vprod(d, axis=1))
+        except ZeroArgument:
+            raise DuplicatePoints("evaluation points are not distinct") from None
+    out = np.concatenate(out)
+    return out if rows is not None else out.reshape(a.shape)
 
 
 def scalar_grid(op, a, b):
@@ -376,3 +399,92 @@ def test_make_field_builds_no_digit_table():
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("q", [3, 9, 25, 27, 49, 125, 169])
+def test_zech_diffs_are_the_logs_of_every_difference(q):
+    """log(x - a) = log x + z with log 0 = -1, and z = -1 exactly where
+    x = a, on every pair; stacked, the rows of each set meet its own
+    points only."""
+    f = make_field(*factor_prime_power(q))
+    x = np.arange(q, dtype=np.int64)
+    rng = np.random.default_rng(q)
+    xs, sets = (rng.permuted(np.tile(x, (4, 1)), axis=1) for _ in range(2))
+    for rows, a in ((x, x), (xs, sets), (xs[:, :3], sets)):
+        z = f.zech_diffs(rows, a)
+        assert z.dtype == np.int32
+        assert z.shape == rows.shape + a.shape[-1:]
+        rows, a = rows[..., None], a[..., None, :]
+        same = rows == a
+        assert np.array_equal(z == -1, same)
+        logs = (rows - 1 + z) % (q - 1) + 1
+        assert np.array_equal(np.where(same, 0, logs), ref_vsub(f, rows, a))
+
+
+L_FIELDS = [(3, 1), (5, 2), (13, 1), (3, 4), (4093, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(L_FIELDS), st.integers(0, 4), st.integers(1, 12),
+       st.sampled_from(["distinct", "zero", "repeat", "two zeros"]),
+       st.sampled_from(["1", "n", "3n", "2^16"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_lagrange_products_match_the_vsub_vprod_kernel(fm, stack, n, kind,
+                                                       block, seed):
+    """One set (stack 0) or an (s, n) stack, with 0 in every set or none,
+    in blocks of one row up to 2^16 entries: the same L as the
+    reference, and DuplicatePoints from both for a repeated point, two
+    zeros included."""
+    f = make_field(*fm)
+    n = min(n, f.q)
+    rng = np.random.default_rng(seed)
+    a = np.array([rng.choice(f.q, size=n, replace=False)
+                  for _ in range(max(stack, 1))], dtype=np.int64)
+    if kind != "distinct":
+        for s in a:
+            if 0 not in s:
+                s[rng.integers(n)] = 0
+    if kind in ("repeat", "two zeros") and n > 1:
+        s = a[rng.integers(len(a))]
+        i, j = rng.choice(n, size=2, replace=False)
+        s[i] = 0 if kind == "two zeros" else s[j]
+        s[j] = s[i]
+    if not stack:
+        a = a[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grs, "_LAGRANGE_BLOCK",
+                   {"1": 1, "n": n, "3n": 3 * n, "2^16": 1 << 16}[block])
+        try:
+            want = ref_lagrange_products(f, a)
+        except DuplicatePoints:
+            with pytest.raises(DuplicatePoints):
+                lagrange_products(f, a)
+            return
+        got = lagrange_products(f, a)
+    assert got.dtype == np.int64 and got.shape == a.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fm", L_FIELDS)
+@pytest.mark.parametrize("block", [1, 2, 1 << 16])
+def test_products_at_raises_only_for_a_requested_repeat(fm, block,
+                                                        monkeypatch):
+    """A repeated pair (two zeros, or a nonzero pair) outside the requested
+    rows leaves the reference values; a request of either point raises."""
+    f = make_field(*fm)
+    monkeypatch.setattr(grs, "_LAGRANGE_BLOCK", block)
+    rng = np.random.default_rng(f.q)
+    base = rng.choice(np.arange(1, f.q), size=min(f.q - 1, 6), replace=False)
+    for pair in (0, int(base[0])):
+        a = np.concatenate([base[1:], [pair, pair]])  # the pair is last
+        n = a.size
+        for rows in [[0], list(range(n - 2)), [n - 3, 0, n - 3]]:
+            rows = [r for r in rows if 0 <= r < n - 2]
+            if rows:
+                assert np.array_equal(products_at(f, a, rows),
+                                      ref_lagrange_products(f, a, rows))
+            for bad in ([n - 2], [n - 1], rows + [n - 1]):
+                with pytest.raises(DuplicatePoints):
+                    ref_lagrange_products(f, a, bad)
+                with pytest.raises(DuplicatePoints):
+                    products_at(f, a, bad)

@@ -90,6 +90,32 @@ def test_greedy_clique_pairwise_property():
                 assert f.sign(f.sub(clique[i], clique[j])) == 1
 
 
+def vsub_greedy_clique(field):
+    """square_clique_greedy's reference, grown until no candidate is left:
+    the sign of x - pick by vsub and vsign over all q encodings."""
+    encs = np.arange(field.q, dtype=np.int64)
+    live = np.ones(field.q, dtype=bool)
+    clique = [0]
+    while True:
+        d = field.vsub(encs, clique[-1])
+        live &= (d != 0) & (field.vsign(np.where(d == 0, 1, d)) == 1)
+        nxt = np.flatnonzero(live)
+        if nxt.size == 0:
+            return clique
+        clique.append(int(nxt[0]))
+
+
+def test_greedy_clique_matches_the_vsub_greedy_below_2000():
+    """The same picks, and None one past the maximal clique, for every
+    q = 1 (mod 4) below 2000."""
+    for q in odd_prime_powers(1999):
+        if q % 4 == 1:
+            f = make_field(*factor_prime_power(q))
+            want = vsub_greedy_clique(f)
+            assert square_clique_greedy(f, len(want)) == want, q
+            assert square_clique_greedy(f, len(want) + 1) is None, q
+
+
 def test_greedy_clique_exhausts_small_field():
     assert square_clique_greedy(make_field(13), 4) is None
 

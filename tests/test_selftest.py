@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from grsdual import make_field
+from grsdual import make_field, selftest
 from grsdual.field import factor_prime_power
 from grsdual.grs import lagrange_products
 from grsdual.search import divisors, odd_prime_powers
@@ -17,6 +17,7 @@ from grsdual.selftest import (
     _coset_derivative,
     _coset_distinctness,
     _coset_factorization,
+    _root_product,
     _roots_product,
     run_selftest,
     selftest_passed,
@@ -132,6 +133,33 @@ def sequential_coset_factorization(fld, rng, res):
             root = (i * f1) % (q - 1) + 1
             rhs = fld.vmul(rhs, fld.vsub(ys, root))
         res.compare(lhs, rhs, f"{fld.name} union e1={e1} idx={idx}")
+
+
+def vsub_root_product(fld, xs, roots):
+    """_root_product's reference: one vsub and one vmul per root."""
+    out = np.ones(xs.size, dtype=np.int64)
+    for s in roots:
+        out = fld.vmul(out, fld.vsub(xs, s))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 9, 13, 25, 27, 49, 81, 125, 169])
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_root_product_matches_one_vsub_per_root(q, block, monkeypatch):
+    """xs with 0 and repeats, as the rhs side's vpow(xs, f1) has; roots
+    of unity, every field element and a set holding 0; blocks of one
+    root up to 2^16 entries."""
+    fld = make_field(*factor_prime_power(q))
+    monkeypatch.setattr(selftest, "_LAGRANGE_BLOCK", block)
+    rng = np.random.default_rng(q)
+    xs = np.arange(q, dtype=np.int64)
+    for f1 in (1, 2, (q - 1) // 2):
+        ys = fld.vpow(xs, f1)
+        for roots in (np.arange(f1, dtype=np.int64) * ((q - 1) // f1) + 1,
+                      xs, rng.choice(q, size=min(q, 5), replace=False)):
+            for x in (xs, ys, rng.integers(0, q, size=2 * q)):
+                assert np.array_equal(_root_product(fld, x, roots),
+                                      vsub_root_product(fld, x, roots))
 
 
 def corrupted(p, m, i):
