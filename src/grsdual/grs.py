@@ -21,14 +21,17 @@ and solve_multipliers / solve_extended_multipliers realize those criteria
 with the canonical square root, so multiplier vectors are reproducible.
 check_self_dual, min_distance and check_mds are independent oracles that
 read rows of G, never the construction: a verify reads GrsRows, the
-rows' one definition, so none lacks the GRS shape.
+rows' one definition, so none lacks the GRS shape.  Such a code, on
+distinct points with nonzero multipliers, has rank k and is MDS
+(MacWilliams-Sloane, ch. 11): the rank of a GrsRows and the `grs` MDS
+rung rest on the EvalSet checks, and form no row.
 
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
 large minimum distance", 2006) that enumerates low-weight messages only,
 under the guard that refuses q^k past the enumeration limit.  Past it,
-`verify --mds auto` proves MDS by the GRS shape of G (linalg.grs_mds);
-`minors`, run only when asked for, tests every k x k minor of G.
+`verify --mds auto` takes the `grs` rung; `minors`, run only when asked
+for, tests every k x k minor of G.
 """
 
 from __future__ import annotations
@@ -73,6 +76,9 @@ def _products_rows(field, a, rows):
     """L(a_i) for i in rows within every set (row of the 2-D a), a block of
     whole sets, or of one set's rows, at a time: O(a.size + _LAGRANGE_BLOCK)
     memory.  A row's own -1 Zech entry cancels; another is a repeat."""
+    # one reduction: the uint64 view reads a negative encoding as past q
+    if a.size and a.view(np.uint64).max() >= field.q:
+        raise ValueError("point encoding out of range")
     out = np.empty((len(a), rows.size), dtype=np.int64)
     per = max(1, _LAGRANGE_BLOCK // max(1, a.shape[1]))  # rows a block
     sets = max(1, per // max(1, rows.size))
@@ -91,7 +97,8 @@ def lagrange_products(field, points):
     """L(a_i) = prod_{j != i}(a_i - a_j) for every point, vectorized.
 
     points of shape (..., n) stack independent sets along the last axis,
-    and L has their shape.  n = 1 gives [1].  A duplicate in any set raises.
+    and L has their shape.  n = 1 gives [1].  A duplicate in any set raises
+    DuplicatePoints, an encoding outside [0, q) ValueError, as in EvalSet.
     """
     a = np.array(points, dtype=np.int64)
     if a.size == 0:
@@ -271,17 +278,19 @@ def generator_matrix(eval_set, k):
 
 
 def check_self_dual(gmat):
-    """True iff G has shape k x 2k, rank k, and G @ G.T == 0, from rows
-    of gmat on the nodes of a GrsRows, else those _grs_nodes reads once."""
+    """True iff G has shape k x 2k, rank k, and G @ G.T == 0: a GrsRows
+    by its Gram alone, on its points, as its rank rests on the EvalSet
+    checks; a bare G by the Gram and the rank on the nodes, or None, of
+    one _grs_nodes read."""
     k, n = gmat.shape
     if not n or n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
     f = gmat.field
-    nodes = (gmat.nodes if isinstance(gmat, GrsRows)
-             else linalg._grs_nodes(f, gmat))
-    if np.any(linalg.gram(f, gmat, nodes)):
-        return False
-    return linalg.rank(f, gmat, nodes) == k
+    if isinstance(gmat, GrsRows):
+        return not np.any(linalg.gram(f, gmat, gmat.nodes))
+    nodes = linalg._grs_nodes(f, gmat)
+    return (not np.any(linalg.gram(f, gmat, nodes))
+            and linalg.rank(f, gmat[:], nodes) == k)
 
 
 def _information_sets(field, g):

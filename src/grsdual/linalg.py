@@ -3,16 +3,16 @@
 Matrices are numpy arrays of encodings.  The Gram matrix runs on BLAS
 over GF(p) coefficient planes, exact because every matmul entry is an
 integer below 2**24 in float32, else 2**53 in float64 (asserted).  The
-Gram, the rank and the MDS proof use the GRS shape, rows v_j * a_j**i,
-on nodes a_j: a code's points, from which grs.GrsRows forms its rows,
-so none lacks the shape, or those _grs_nodes reads off a bare G,
-checking each row once.  Where it holds, G @ G.T is Hankel and
-O(sqrt k) of its rows give all of it, and with every v_j nonzero and
-the a_j distinct every k columns are independent (grs_mds), so a
-leading square block proves full rank.  Any other matrix takes the
-general path: the row-block Gram loop against the planes of all of it,
-and the rank of its systematic form, in Zech arithmetic; every k x k
-minor of G comes from one Laplace expansion along rows.
+Gram and the rank take the nodes a_j of the GRS shape, rows
+v_j * a_j**i, from their caller: a code's points, from which
+grs.GrsRows forms its rows, or those _grs_nodes reads once off a bare
+G, checking each row; None means the general path.  With nodes,
+G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and a
+leading square block with no zero in row 0 and distinct nodes is a
+scaled Vandermonde matrix, which proves full rank.  Any other matrix
+takes the general path: the row-block Gram loop against the planes of
+all of it, and the rank of its systematic form, in Zech arithmetic;
+every k x k minor of G comes from one Laplace expansion along rows.
 """
 
 from __future__ import annotations
@@ -120,8 +120,9 @@ def gram(field, g, nodes=None):
     (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
     the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
     pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
-    not a copy.  Any other g holds and streams every row.  Given nodes,
-    those of grs.GrsRows or of _grs_nodes, g may be a row source."""
+    not a copy.  nodes is that shape, from grs.GrsRows or _grs_nodes,
+    and g may then be a row source; nodes=None holds and streams every
+    row of the array g."""
     g = np.asarray(g[:], dtype=np.int64) if nodes is None else g
     k, n = g.shape
     p, m = field.p, field.m
@@ -134,8 +135,6 @@ def gram(field, g, nodes=None):
     chunks = -(-n // most)
     width = -(-n // chunks)
     assert width * (p - 1) ** 2 < _EXACT, "float64 Gram would be inexact"
-    if nodes is None:
-        nodes = _grs_nodes(field, g)
     # at least 8 rows where G has 16 m of them: one-row blocks of a long
     # G cost a round each, and 8 rows of planes stay below half of G
     rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width),
@@ -158,41 +157,20 @@ def gram(field, g, nodes=None):
     return as_strided(out, (k, k), out.strides * 2, writeable=False)
 
 
-def grs_mds(field, g, nodes=None):
-    """Whether the GRS shape of g proves every k columns independent.
-
-    k = 1: no zero entry.  k >= 2: g has the shape of _grs_nodes (given
-    nodes, only rows 0 and k-1 are read), the nodes a_j of columns with
-    v_j != 0 are distinct, and at most one other column, c e_(k-1) with
-    c != 0, is left.  k geometric columns then have determinant
-    prod v_j * prod_{i<j} (a_j - a_i), and k-1 beside the unit column
-    +-c prod v_j times a (k-1)-node Vandermonde determinant: none is 0
-    (MacWilliams-Sloane, ch. 11)."""
-    k, n = g.shape
-    head, last = g[np.array([0, k - 1])]
-    if k == 1:
-        return bool(head.all())
-    a = _grs_nodes(field, g) if nodes is None else nodes
-    geo = head != 0
-    return (a is not None and n - np.count_nonzero(geo) <= 1
-            and bool(last[~geo].all()) and np.diff(np.sort(a[geo])).all())
-
-
 def rank(field, mat, nodes=None):
     """Rank over the field.
 
-    If rows <= cols and the leading square block has no zero in row 0
-    and distinct nodes (given, else _grs_nodes), it is nonsingular
-    (grs_mds) and the rank is rows; of a row source, only row 0 is read.
-    Any other matrix is brought to systematic form whole."""
-    mat = np.asarray(mat[:], dtype=np.int64) if nodes is None else mat
+    Given the nodes of mat's GRS shape (_grs_nodes), if rows <= cols
+    and the leading square block has no zero in row 0 and distinct
+    nodes, it is a Vandermonde matrix times diag(row 0), nonsingular,
+    and the rank is rows.  Any other matrix is brought to systematic
+    form whole."""
+    mat = np.asarray(mat, dtype=np.int64)
     rows, cols = mat.shape
-    if rows and rows <= cols and mat[0][:rows].all():
-        lead = (_grs_nodes(field, mat[:, :rows]) if nodes is None
-                else nodes[:rows])
-        if lead is not None and np.diff(np.sort(lead)).all():
-            return rows
-    return len(systematic(field, mat[:rows], range(cols))[1])
+    if (nodes is not None and 0 < rows <= cols and mat[0, :rows].all()
+            and np.diff(np.sort(nodes[:rows])).all()):
+        return rows
+    return len(systematic(field, mat, range(cols))[1])
 
 
 def systematic(field, g, order):

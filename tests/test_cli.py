@@ -86,10 +86,10 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
 def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
                                                 monkeypatch):
     """G is formed whole at most once: never for --mds none or the grs
-    rung, which read the rows their proofs need, and once for the modes
-    that read all of it, after self-duality is proved from the rows of
-    the code's GrsRows in every mode.  No mode reads the GRS shape off
-    G."""
+    rung, which forms no row, and once for the modes that read all of
+    it, after self-duality is proved from the Gram rows of the code's
+    GrsRows in every mode; rank k rests on the EvalSet checks.  No mode
+    reads the GRS shape off G."""
     calls, rows = [], []
     original = grsdual.grs.generator_matrix
     formed = grsdual.grs.GrsRows.__getitem__
@@ -117,16 +117,16 @@ def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
         rc, out, _ = run(capsys, ["verify", "--in", str(code), "--mds", mode])
         assert rc == 0 and json.loads(out)["self_dual"] is True
         assert len(calls) == times, mode
-        # the Gram's held rows with its first block of streamed rows, row
-        # 0 for the rank, then G in one block where it is formed
-        assert len(rows) == 2 + times, (mode, rows)
-        assert [isinstance(i, slice) for i in rows[2:]] == [True] * times
+        # the Gram's held rows with its first block of streamed rows,
+        # then G in one block where it is formed
+        assert len(rows) == 1 + times, (mode, rows)
+        assert [isinstance(i, slice) for i in rows[1:]] == [True] * times
     calls.clear()
     rows.clear()
     rc, out, _ = run(capsys, ["verify", "--in", str(code), "--enum-limit",
                               "1"])
     assert rc == 0 and json.loads(out)["mode"] == "grs" and not calls
-    assert [np.ndim(i) for i in rows] == [1, 0, 1]  # and rows 0, k-1
+    assert [np.ndim(i) for i in rows] == [1]  # the Gram's rows only
 
 
 def test_verify_mds_modes(tmp_path, capsys):
@@ -282,27 +282,6 @@ def test_verify_auto_never_reads_the_grs_shape(tmp_path, capsys,
     assert rc == 0
     assert out == ('{"d":184,"field":"GF(13^3)","k":183,"length":366,'
                    '"mds":true,"mode":"grs","self_dual":true}\n')
-
-
-def test_verify_auto_refuses_a_g_without_the_grs_shape(tmp_path, capsys,
-                                                       monkeypatch):
-    """The rows of a code's GrsRows have the GRS shape, so no verify file
-    reaches exit 3 here; a grs rung that finds them without it is a bug,
-    exit 3 with nothing on stdout.  Two equal nodes, put in after
-    self-duality is proved, make grs_mds refuse the rows."""
-    code = tmp_path / "th8.json"
-    code.write_text(grsdual.cosets.th8_code(13, 1, 3, 0, 2).to_json())
-    shape = cli.grs_mds
-
-    def repeated(field, g, nodes):
-        nodes = nodes.copy()
-        nodes[1] = nodes[0]
-        return shape(field, g, nodes)
-
-    monkeypatch.setattr(cli, "grs_mds", repeated)
-    rc, out, err = run(capsys, ["verify", "--in", str(code), "--mds", "auto"])
-    assert (rc, out) == (3, "")
-    assert "lacks the GRS shape" in err
 
 
 def test_verify_text_format(tmp_path, capsys):

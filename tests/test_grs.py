@@ -191,6 +191,23 @@ def test_lagrange_products_edge_cases():
         lagrange_products(F, [3, 3])
 
 
+@pytest.mark.parametrize("points", [[20, 3], [-5, 3], [3, 13],
+                                    [3, 2 ** 63 - 1], [-2 ** 63, 3]])
+def test_l_refuses_out_of_range_encodings_as_eval_set_does(points):
+    """Both entry points raise EvalSet's error, where the wrapped Zech
+    index read [20, 3] as some encodings and returned [12, 6]; the
+    stacked form checks every set."""
+    with pytest.raises(ValueError, match="point encoding out of range"):
+        EvalSet(F, points, [1, 1])
+    with pytest.raises(ValueError, match="point encoding out of range"):
+        lagrange_products(F, points)
+    with pytest.raises(ValueError, match="point encoding out of range"):
+        products_at(F, points, [0])
+    with pytest.raises(ValueError, match="point encoding out of range"):
+        lagrange_products(F, [[0, 1], points])
+    assert lagrange_products(F, [12, 3]).tolist() == [5, 11]
+
+
 def test_products_at_matches_full_computation():
     pts = encs([0, 1, 2, 3, 5, 8, 11, 12])
     full = lagrange_products(F, pts)

@@ -29,6 +29,8 @@ from grsdual.grs import (
     check_mds,
     check_self_dual,
     generator_matrix,
+    solve_extended_multipliers,
+    solve_multipliers,
 )
 from grsdual.subspace import th4_code
 
@@ -107,11 +109,22 @@ def combine(field, rng, rows, count):
     return out
 
 
+def shaped_gram(field, g):
+    """linalg.gram on the nodes check_self_dual reads off a bare G."""
+    return linalg.gram(field, g, linalg._grs_nodes(field, g))
+
+
+def shaped_rank(field, g):
+    """linalg.rank on the nodes check_self_dual reads off a bare G."""
+    return linalg.rank(field, g, linalg._grs_nodes(field, g))
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_gram_matches_zech_oracle(case):
     f, g = case
     assert np.array_equal(linalg.gram(f, g), zech_gram(f, g))
+    assert np.array_equal(shaped_gram(f, g), zech_gram(f, g))
 
 
 @settings(max_examples=10, deadline=None)
@@ -148,12 +161,12 @@ def test_gram_of_a_self_dual_code_is_zero():
     from grsdual.subspace import th2_code
     code = th2_code(13, 2, 1, 3)  # [52,26] over GF(13^2)
     g = code.generator_matrix().data
-    assert not np.any(linalg.gram(code.field, g))
+    assert not np.any(shaped_gram(code.field, g))
     bad = g.copy()
     bad[1, 2] = code.field.add(int(bad[1, 2]), 1)
-    assert np.array_equal(linalg.gram(code.field, bad),
-                          zech_gram(code.field, bad))
-    assert np.any(linalg.gram(code.field, bad))
+    got = shaped_gram(code.field, bad)
+    assert np.array_equal(got, zech_gram(code.field, bad))
+    assert np.any(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,6 +175,8 @@ def test_rank_matches_zech_oracle(case):
     f, g = case
     assert linalg.rank(f, g) == zech_rank(f, g)
     assert linalg.rank(f, g.T) == zech_rank(f, g)
+    assert shaped_rank(f, g) == zech_rank(f, g)
+    assert shaped_rank(f, g.T) == zech_rank(f, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,7 +190,7 @@ def test_rank_of_rank_deficient_matrices(pm, r, extra, seed):
     rng.shuffle(g)
     expect = zech_rank(f, g)
     assert expect <= r
-    assert linalg.rank(f, g) == expect
+    assert shaped_rank(f, g) == expect
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,20 +203,21 @@ def test_rank_falls_back_when_the_leading_block_is_singular(pm, k, seed):
     # leading k x k block singular: one of its columns repeats another
     g[:, k - 1] = g[:, 0]
     expect = zech_rank(f, g)
-    assert linalg.rank(f, g) == expect
+    assert shaped_rank(f, g) == expect
     assert zech_rank(f, g[:, :k]) < k
 
 
 def test_rank_fallback_on_a_full_rank_matrix():
     f = make_field(3)
     g = np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert linalg.rank(f, g[:, :2]) == 0
-    assert linalg.rank(f, g) == 2
+    assert shaped_rank(f, g[:, :2]) == 0
+    assert shaped_rank(f, g) == 2
     assert linalg.rank(f, np.zeros((0, 3), dtype=np.int64)) == 0
 
 
 def counted_rank(field, mat):
-    """(linalg.rank, number of systematic forms it took)."""
+    """(linalg.rank on the nodes of _grs_nodes, number of systematic
+    forms it took)."""
     calls = []
     form = linalg.systematic
 
@@ -211,24 +227,30 @@ def counted_rank(field, mat):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "systematic", counted)
-        r = linalg.rank(field, mat)
+        r = shaped_rank(field, mat)
     return r, len(calls)
 
 
 @st.composite
-def grs_matrices(draw, fields=FIELDS):
-    """G of a random GRS code, plain or extended, with 1 <= k <= length,
-    and the number of evaluation points."""
-    p, m = draw(st.sampled_from(fields))
-    f = make_field(p, m)
-    n = draw(st.integers(1, min(f.q, 12)))
+def eval_sets(draw, max_n=12):
+    """A random plain or extended EvalSet over one of FIELDS on 1 to
+    max_n points, at times with the node 0, and random multipliers."""
+    f = make_field(*draw(st.sampled_from(FIELDS)))
+    n = draw(st.integers(1, min(f.q, max_n)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     points = rng.choice(f.q, size=n, replace=False)
     if draw(st.booleans()) and 0 not in points:
         points[rng.integers(0, n)] = 0  # the node 0: a_j**i = 0 for i > 0
-    es = EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
+    return EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
+
+
+@st.composite
+def grs_matrices(draw):
+    """G of a random GRS code, plain or extended, with 1 <= k <= length,
+    and the number of evaluation points."""
+    es = draw(eval_sets())
     k = draw(st.integers(1, es.length))
-    return f, generator_matrix(es, k).data, n
+    return es.field, generator_matrix(es, k).data, es.n
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,7 +281,7 @@ def test_rank_of_corrupted_grs_matrices_matches_zech_oracle(case, kind, seed):
         g[:, j2] = f.vmul(g[:, j], int(rng.integers(1, f.q)))
     else:
         g = g.T
-    assert linalg.rank(f, g) == zech_rank(f, g)
+    assert shaped_rank(f, g) == zech_rank(f, g)
 
 
 def test_rank_proof_on_edge_shapes_and_single_corruptions():
@@ -315,24 +337,13 @@ def test_check_self_dual_proves_rank_without_elimination():
         assert check_self_dual(mixed)
 
 
-@settings(max_examples=120, deadline=None)
-@given(grs_matrices())
-def test_grs_mds_holds_on_grs_matrices_and_agrees_with_minors(case):
-    f, g, _ = case
-    k, n = g.shape
-    assert linalg.grs_mds(f, g)
-    if math.comb(n, k) <= 5000:
-        assert check_mds(GeneratorMatrix(f, g), "minors")
-
-
-def test_grs_mds_refuses_matrices_no_eval_set_gives():
-    """A repeated node, two unit columns, a zero column, a zero in row 0
-    of a geometric column and, for k = 1, a zero entry; the first three
-    are not MDS, which the minor test confirms."""
+def test_minors_refuse_matrices_no_eval_set_gives():
+    """A repeated node, two unit columns, a zero column and the unit
+    column with c = 0: none is MDS, and the minor test refuses each."""
     f = make_field(13)
     es = EvalSet(f, range(6), range(1, 7), True)
     g = generator_matrix(es, 3).data
-    assert linalg.grs_mds(f, g)  # six geometric columns, one unit column
+    assert check_mds(GeneratorMatrix(f, g), "minors")
     node = g.copy()
     node[:, 4] = f.vmul(g[:, 1], 5)  # a_4 = a_1, multiplier 5 v_1
     two = g.copy()
@@ -341,15 +352,7 @@ def test_grs_mds_refuses_matrices_no_eval_set_gives():
     zero[:, 2] = 0
     last[:, 6] = 0  # the unit column with c = 0
     for bad in (node, two, zero, last):
-        assert not linalg.grs_mds(f, bad)
         assert not check_mds(GeneratorMatrix(f, bad), "minors")
-    head = g.copy()
-    head[0, 3] = 0  # [0, v a, v a^2] with a != 0: not the shape
-    assert not linalg.grs_mds(f, head)
-    row = generator_matrix(es, 1).data
-    assert linalg.grs_mds(f, row)
-    row[0, 2] = 0
-    assert not linalg.grs_mds(f, row)
 
 
 def grs_shape(field, g):
@@ -389,43 +392,43 @@ def sqrt_bound(k):
 
 
 def traced_gram(field, g):
-    """(linalg.gram, whether it took the Hankel path).
+    """(linalg.gram on the nodes of _grs_nodes, whether it took the
+    Hankel path).
 
-    The Hankel path is the one where _grs_nodes finds the shape.  Its
+    The Hankel path is the one where _grs_nodes finds the shape, read
+    here once: gram itself reads no shape.  Its
     left operand is the coefficient planes of the baby rows, and it
     forms those of the giant rows one row block at a time: 2b + k/b + 1
     rows in all, at most 2 ceil(sqrt(2k)) + 1 when the block size does
     not cap b, and never more than two row blocks held.  The general
     path's left operand is the planes of all of g, and it forms those
     of every row, one row block at a time."""
-    rows, shape = [], []
-    planes, nodes = linalg._coeff_planes, linalg._grs_nodes
+    rows, planes = [], linalg._coeff_planes
 
     def counted(f, a, chunks, width):
         rows.append(a.shape[0])
         return planes(f, a, chunks, width)
 
-    def found(f, a):
-        a_nodes = nodes(f, a)
-        shape.append(a_nodes is not None)
-        return a_nodes
+    def refuse(f, a):
+        raise AssertionError("gram read the GRS shape")
 
     k, n = g.shape
     cap = block_rows(field, k, n)
+    nodes = linalg._grs_nodes(field, g)
+    hankel = nodes is not None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_coeff_planes", counted)
-        mp.setattr(linalg, "_grs_nodes", found)
-        out = linalg.gram(field, g)
-    assert len(shape) == 1, shape
-    held, streamed = sumset_rows(k, cap) if shape[0] else (range(k),) * 2
+        mp.setattr(linalg, "_grs_nodes", refuse)
+        out = linalg.gram(field, g, nodes)
+    held, streamed = sumset_rows(k, cap) if hankel else (range(k),) * 2
     blocks = [min(cap, len(streamed) - r0)
               for r0 in range(0, len(streamed), cap)]
     assert rows == [len(held)] + blocks, rows
-    if shape[0]:
+    if hankel:
         assert len(held) <= 2 * cap
         if cap >= math.isqrt(k // 2):
             assert sum(rows) <= sqrt_bound(k), rows
-    return out, shape[0]
+    return out, hankel
 
 
 def refuse_full_gram(mp, n, m, k, block=16):
@@ -481,7 +484,9 @@ def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
         g = generator_matrix(es, k).data
     else:
         g = rng.integers(0, f.q, size=(k, n))
-    expect = linalg.gram(f, g)
+    nodes = linalg._grs_nodes(f, g)
+    assert (nodes is not None) == grs
+    expect = linalg.gram(f, g, nodes)
     rows, planes = [], linalg._coeff_planes
 
     def counted(f, a, chunks, width):
@@ -491,7 +496,7 @@ def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_BLOCK_BYTES", 8)
         mp.setattr(linalg, "_coeff_planes", counted)
-        got = linalg.gram(f, g)
+        got = linalg.gram(f, g, nodes)
     assert rows == blocks
     assert np.array_equal(got, expect)
     assert np.array_equal(got, zech_gram(f, g))
@@ -561,8 +566,8 @@ def test_gram_shape_check_reads_every_column(extended):
     for j in range(k, n):
         bad = g.copy()
         bad[k - 1, j] = f.add(int(bad[k - 1, j]), 1)
-        assert not traced_gram(f, bad)[1]
-        assert np.array_equal(linalg.gram(f, bad), zech_gram(f, bad))
+        got, hankel = traced_gram(f, bad)
+        assert not hankel and np.array_equal(got, zech_gram(f, bad))
 
 
 def test_check_self_dual_never_forms_full_gram_planes():
@@ -593,7 +598,7 @@ def test_hankel_gram_memory_stays_below_one_copy_of_g():
     g = generator_matrix(es, k).data
     tracemalloc.start()
     try:
-        got = linalg.gram(f, g)
+        got = shaped_gram(f, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -633,7 +638,7 @@ def test_hankel_gram_is_a_read_only_view_of_its_edge():
     es = EvalSet(f, rng.choice(f.q, size=n, replace=False),
                  rng.integers(1, f.q, size=n), True)
     g = generator_matrix(es, k).data
-    got = linalg.gram(f, g)
+    got = shaped_gram(f, g)
     assert not got.flags.writeable and got.strides == (8, 8)
     with pytest.raises(ValueError):
         got[0, 0] = 1
@@ -641,19 +646,21 @@ def test_hankel_gram_is_a_read_only_view_of_its_edge():
     # the general path has its own (k, k) array
     bad = g.copy()
     bad[2] = f.vadd(bad[2], bad[0])
-    full = linalg.gram(f, bad)
+    full = shaped_gram(f, bad)
     assert full.flags.writeable and full.flags.c_contiguous
     assert np.array_equal(full, zech_gram(f, bad))
 
 
 def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
     """On a bare G, the Gram and the rank proof take the nodes of one
-    _grs_nodes read per call, and neither reads it again; on a code's
-    GrsRows, whose rows are formed from its points, nothing reads it."""
-    calls, nodes = [], linalg._grs_nodes
+    _grs_nodes read per call, or its None off the shape, and neither
+    reads it again; on a code's GrsRows, whose rows are formed from its
+    points, nothing reads it."""
+    calls, nodes, found = [], linalg._grs_nodes, []
 
     def counted(field, g):
         calls.append(g.shape)
+        found.append(nodes(field, g) is not None)
         return nodes(field, g)
 
     monkeypatch.setattr(linalg, "_grs_nodes", counted)
@@ -665,20 +672,47 @@ def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
         assert check_self_dual(gmat) and len(calls) == 2
         assert check_self_dual(code.rows()) and code.verify()
         assert len(calls) == 2
+        # row 0 added to row 2: the same code, off the shape
+        g = gmat.data.copy()
+        g[2] = code.field.vadd(g[2], g[0])
+        calls.clear()
+        found.clear()
+        assert check_self_dual(GeneratorMatrix(code.field, g))
+        assert calls == [gmat.shape] and found == [False]
+
+
+@settings(max_examples=100, deadline=None)
+@given(eval_sets(max_n=16), st.data())
+def test_every_eval_set_gives_an_mds_code_of_rank_k(es, data):
+    """The invariant that the rank of a GrsRows and the grs rung rest
+    on: a GRS code on distinct points with nonzero multipliers, plain or
+    extended, is MDS, every k x k minor nonzero where C(n, k) <= 5000,
+    so of rank k.  At even length, check_self_dual of a code's rows,
+    which forms only their Gram, agrees with that of its bare G, which
+    runs the rank too, on random and on self-dual multipliers."""
+    f = es.field
+    k = data.draw(st.integers(1, es.length))
+    if math.comb(es.length, k) <= 5000:
+        assert check_mds(generator_matrix(es, k), "minors")
+    if es.length % 2:
+        return
+    v = None
+    if data.draw(st.booleans()):  # self-dual multipliers, where some are
+        v = (solve_extended_multipliers(f, es.points) if es.extended
+             else (solve_multipliers(f, es.points) or (0, None))[1])
+    if v is not None:
+        es = EvalSet(f, es.points, v, es.extended)
+    code = SelfDualCode(es, es.length // 2)
+    assert check_self_dual(code.rows()) == check_self_dual(
+        code.generator_matrix())
+    assert check_self_dual(code.rows()) or v is None
 
 
 @st.composite
-def grs_sources(draw, fields=FIELDS):
+def grs_sources(draw):
     """The row source of G of a random plain or extended EvalSet,
     possibly with the node 0, with 1 <= k <= length."""
-    p, m = draw(st.sampled_from(fields))
-    f = make_field(p, m)
-    n = draw(st.integers(1, min(f.q, 30)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    points = rng.choice(f.q, size=n, replace=False)
-    if draw(st.booleans()) and 0 not in points:
-        points[rng.integers(0, n)] = 0
-    es = EvalSet(f, points, rng.integers(1, f.q, size=n), draw(st.booleans()))
+    es = draw(eval_sets(max_n=30))
     return GrsRows(es, draw(st.integers(1, es.length)))
 
 
@@ -725,9 +759,10 @@ def test_gram_refuses_a_formed_row_off_the_nodes(src, data):
     g = src[:]
     g[row, col] = (g[row, col] + data.draw(st.integers(1, f.q - 1))) % f.q
     unit = src.extended and (row, col) == (k - 1, cols - 1)
+    nodes = linalg._grs_nodes(f, g)
     if row >= 2 and not unit:
-        assert linalg._grs_nodes(f, g) is None
-    assert np.array_equal(linalg.gram(f, g), zech_gram(f, g))
+        assert nodes is None
+    assert np.array_equal(linalg.gram(f, g, nodes), zech_gram(f, g))
 
 
 def test_gram_is_exact_on_either_side_of_the_float32_bound(monkeypatch):
@@ -753,14 +788,14 @@ def test_gram_is_exact_on_either_side_of_the_float32_bound(monkeypatch):
     top = np.full((5, 40), f.from_int(f.p - 1))
     for g in (rng.integers(0, f.q, size=(7, 40)), generator_matrix(es, 9).data,
               top):
-        want = zech_gram(f, g)
+        want, nodes = zech_gram(f, g), linalg._grs_nodes(f, g)
         dtypes.clear()
-        wide = linalg.gram(f, g)
+        wide = linalg.gram(f, g, nodes)
         assert dtypes == {(40, np.float64)}
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_EXACT", (f.p - 1) ** 2 + 1)  # width 1
             dtypes.clear()
-            narrow = linalg.gram(f, g)
+            narrow = linalg.gram(f, g, nodes)
         assert dtypes == {(1, np.float32)}
         assert np.array_equal(wide, want) and np.array_equal(narrow, want)
 
