@@ -48,19 +48,6 @@ DEFAULT_TABLE_LIMIT = 2 ** 22
 _EXP_BLOCK = 16384  # table entries per block: m coefficients an exponent
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n):
     """Sorted distinct prime factors of n."""
     out = []
@@ -529,7 +516,7 @@ def _check_field_args(p, m, table_limit):
         raise TableLimitExceeded(f"q = {p}**{m} is past exact float64 tables")
     if p ** m > 2 ** 31:  # q - 1 >= 2**31 would wrap the int32 tables
         raise TableLimitExceeded(f"q = {p}**{m} is past int32 tables")
-    if p == 2 or not _is_prime(p):
+    if p == 2 or _prime_factors(p) != [p]:
         raise CompositeCharacteristic(f"{p} is not an odd prime")
 
 

@@ -24,7 +24,8 @@ read rows of G, never the construction: a verify reads GrsRows, the
 rows' one definition, so none lacks the GRS shape.  Such a code, on
 distinct points with nonzero multipliers, has rank k and is MDS
 (MacWilliams-Sloane, ch. 11): the rank of a GrsRows and the `grs` MDS
-rung rest on the EvalSet checks, and form no row.
+rung rest on the EvalSet checks, and form no row.  A bare G has that
+rank proof only as some EvalSet's rows (_grs_eval_set).
 
 min_distance, the `exhaustive` MDS mode, is exact: a Brouwer-Zimmermann
 information-set search (M. Grassl, "Searching for linear codes with
@@ -220,9 +221,15 @@ class EvalSet:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """G, a row source whose GRS shape, if any, is read off its entries."""
+    """G, a row source of encodings in [0, q), GRS if _grs_eval_set says."""
     field: Field
     data: np.ndarray
+
+    def __post_init__(self):
+        # one reduction, as in _products_rows: negatives read as past q
+        d = np.asarray(self.data, dtype=np.int64)
+        if d.size and d.view(np.uint64).max() >= self.field.q:
+            raise ValueError("matrix encoding out of range")
 
     @property
     def shape(self):
@@ -271,26 +278,49 @@ def generator_matrix(eval_set, k):
         raise ShapeMismatch(f"k = {k} out of range for length {eval_set.length}")
     src = GrsRows(eval_set, k)
     g = np.empty(src.shape, dtype=np.int64)
-    rows = max(1, linalg._BLOCK_BYTES // (8 * eval_set.n))
+    rows = max(1, linalg._BLOCK_BYTES // (8 * eval_set.length))
     for r0 in range(0, k, rows):
         g[r0:r0 + rows] = src[r0:r0 + rows]
     return GeneratorMatrix(eval_set.field, g)
 
 
+def _grs_eval_set(gmat):
+    """The EvalSet es with generator_matrix(es, k) equal to G, or None.
+
+    Multipliers are row 0, points row 1 / row 0, and es is extended
+    when the last column is e_{k-1}; es is returned only if GrsRows(es, k)
+    equals G entry for entry, compared in row blocks.  None for k < 2,
+    for k past the length, for a zero in row 0 and for repeated points."""
+    f, g = gmat.field, gmat[:]
+    k, n = g.shape
+    if not 2 <= k <= n:
+        return None
+    ext = bool(g[-1, -1] == 1 and not g[:-1, -1].any())
+    head = g[0, :n - ext]
+    if not head.all():
+        return None
+    try:
+        es = EvalSet(f, f.vmul(g[1, :n - ext], f.vinv(head)), head, ext)
+    except DuplicatePoints:
+        return None
+    src, rows = GrsRows(es, k), max(1, linalg._BLOCK_BYTES // (8 * n))
+    return es if all(np.array_equal(src[r:r + rows], g[r:r + rows])
+                     for r in range(0, k, rows)) else None
+
+
 def check_self_dual(gmat):
-    """True iff G has shape k x 2k, rank k, and G @ G.T == 0: a GrsRows
-    by its Gram alone, on its points, as its rank rests on the EvalSet
-    checks; a bare G by the Gram and the rank on the nodes, or None, of
-    one _grs_nodes read."""
+    """True iff G has shape k x 2k, rank k, and G @ G.T == 0.
+
+    A GrsRows, or a bare G that _grs_eval_set reads as some EvalSet's
+    rows, by its Hankel Gram alone, as its rank rests on the EvalSet
+    checks; any other G by the general Gram and rank by elimination."""
     k, n = gmat.shape
     if not n or n % 2 or k != n // 2:
         raise ShapeMismatch(f"{k} x {n} is not a self-dual shape")
     f = gmat.field
-    if isinstance(gmat, GrsRows):
-        return not np.any(linalg.gram(f, gmat, gmat.nodes))
-    nodes = linalg._grs_nodes(f, gmat)
-    return (not np.any(linalg.gram(f, gmat, nodes))
-            and linalg.rank(f, gmat[:], nodes) == k)
+    if isinstance(gmat, GrsRows) or _grs_eval_set(gmat) is not None:
+        return not np.any(linalg.gram(f, gmat, hankel=True))
+    return not np.any(linalg.gram(f, gmat)) and linalg.rank(f, gmat[:]) == k
 
 
 def _information_sets(field, g):

@@ -2,17 +2,15 @@
 
 Matrices are numpy arrays of encodings.  The Gram matrix runs on BLAS
 over GF(p) coefficient planes, exact because every matmul entry is an
-integer below 2**24 in float32, else 2**53 in float64 (asserted).  The
-Gram and the rank take the nodes a_j of the GRS shape, rows
-v_j * a_j**i, from their caller: a code's points, from which
-grs.GrsRows forms its rows, or those _grs_nodes reads once off a bare
-G, checking each row; None means the general path.  With nodes,
-G @ G.T is Hankel and O(sqrt k) of its rows give all of it, and a
-leading square block with no zero in row 0 and distinct nodes is a
-scaled Vandermonde matrix, which proves full rank.  Any other matrix
-takes the general path: the row-block Gram loop against the planes of
-all of it, and the rank of its systematic form, in Zech arithmetic;
-every k x k minor of G comes from one Laplace expansion along rows.
+integer below 2**24 in float32, else 2**53 in float64 (asserted).  No
+function here reads a GRS shape: the caller says, by gram's hankel
+flag, that g is the generator matrix of some (extended) GRS code
+(grs.GrsRows, or a bare G that grs._grs_eval_set has read as one), so
+that G @ G.T is Hankel and O(sqrt k) of its rows give all of it.  Any
+other matrix takes the general path: the row-block Gram loop against
+the planes of all of it.  The rank is that of the systematic form, in
+Zech arithmetic; every k x k minor of G comes from one Laplace
+expansion along rows.
 """
 
 from __future__ import annotations
@@ -81,26 +79,6 @@ def _encode(field, coeffs):
     return field._log[vals] + 1  # _log[0] is -1, so 0 stays 0
 
 
-def _grs_nodes(field, g):
-    """a = row 1 / row 0 if g has the shape of an (extended) GRS
-    generator matrix, else None: every column with a nonzero row 0 is
-    [v_j * a_j**i], and every other column is zero above its last row.
-    Every row is checked, in row blocks of about _BLOCK_BYTES."""
-    k, n = g.shape
-    head = g[0]
-    # a_j = g[1, j] where g[0, j] = 0, so rows 1..k-2 there must be 0
-    a = field.vmul(g[min(1, k - 1)], field.vinv(np.where(head != 0, head, 1)))
-    step = max(1, _BLOCK_BYTES // (8 * n))
-    for r0 in range(0, k, step):
-        i = np.arange(r0, min(k, r0 + step))[:, None]
-        rows, want = g[r0:r0 + step], field.vpow(a, i, head)
-        # row k-1 is free where v_j = 0: the unit column's c_j
-        np.copyto(want, rows, where=(i == k - 1) & (head == 0))
-        if not (rows == want).all():
-            return None
-    return a
-
-
 def _sumset_rows(k, rows):
     """(baby, giant) rows whose sums i + l cover 0..2k-2: 0..b-1 and
     k-b..k-1, and the multiples of b below k-1 and k-1, 2b + k/b + 1 in
@@ -110,20 +88,20 @@ def _sumset_rows(k, rows):
     return baby, np.append(np.arange(0, k - 1, b), k - 1)
 
 
-def gram(field, g, nodes=None):
+def gram(field, g, hankel=False):
     """G @ G.T over the field; rows of g are codeword generators.
 
     Products are exact matmuls of coefficient planes (_coeff_planes)
     over column chunks of width w with w * (p-1)**2 < 2**53: held rows
-    against one block of streamed rows at a time.  If g has the GRS
-    shape of _grs_nodes, c_j in the last row of its other columns, entry
-    (i, l) is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2] sum_j c_j**2:
-    the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
+    against one block of streamed rows at a time.  hankel says that g
+    is an (extended) GRS generator matrix, rows v_j * a_j**i and the
+    unit column e_{k-1}, and may then be a row source: entry (i, l) is
+    S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2 and extended], so the
+    O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
     pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
-    not a copy.  nodes is that shape, from grs.GrsRows or _grs_nodes,
-    and g may then be a row source; nodes=None holds and streams every
-    row of the array g."""
-    g = np.asarray(g[:], dtype=np.int64) if nodes is None else g
+    not a copy.  Otherwise every row of the array g is held and
+    streamed."""
+    g = g if hankel else np.asarray(g[:], dtype=np.int64)
     k, n = g.shape
     p, m = field.p, field.m
     if k == 0 or n == 0:
@@ -140,9 +118,9 @@ def gram(field, g, nodes=None):
     rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width),
                min(8, k // (2 * m)))
     # entry (i, l) goes to out[i * stride + l]: G G^T flat, or S_{i+l}
-    stride = k if nodes is None else 1
-    held, streamed = ((np.arange(k),) * 2 if nodes is None
-                      else _sumset_rows(k, rows))
+    stride = 1 if hankel else k
+    held, streamed = (_sumset_rows(k, rows) if hankel
+                      else (np.arange(k),) * 2)
     out = np.empty(stride * (k - 1) + k, dtype=np.int64)
     # the first streamed block is formed in the same call as the held rows
     first = g[np.concatenate([held, streamed[:rows]])]
@@ -152,25 +130,14 @@ def gram(field, g, nodes=None):
         block = first[held.size:] if r0 == 0 else g[idx]
         block = _coeff_planes(field, block, chunks, width)
         out[held[:, None] * stride + idx] = _products(field, left, block)
-    if nodes is None:
-        return out.reshape(k, k)
-    return as_strided(out, (k, k), out.strides * 2, writeable=False)
+    if hankel:
+        return as_strided(out, (k, k), out.strides * 2, writeable=False)
+    return out.reshape(k, k)
 
 
-def rank(field, mat, nodes=None):
-    """Rank over the field.
-
-    Given the nodes of mat's GRS shape (_grs_nodes), if rows <= cols
-    and the leading square block has no zero in row 0 and distinct
-    nodes, it is a Vandermonde matrix times diag(row 0), nonsingular,
-    and the rank is rows.  Any other matrix is brought to systematic
-    form whole."""
-    mat = np.asarray(mat, dtype=np.int64)
-    rows, cols = mat.shape
-    if (nodes is not None and 0 < rows <= cols and mat[0, :rows].all()
-            and np.diff(np.sort(nodes[:rows])).all()):
-        return rows
-    return len(systematic(field, mat, range(cols))[1])
+def rank(field, mat):
+    """Rank over the field: the pivot count of mat's systematic form."""
+    return len(systematic(field, mat, range(np.shape(mat)[1]))[1])
 
 
 def systematic(field, g, order):

@@ -109,7 +109,7 @@ def test_verify_forms_the_generator_matrix_once(tmp_path, capsys,
     run(capsys, T2_ARGS + ["--out", str(code)])
     monkeypatch.setattr(grsdual.grs, "generator_matrix", counting)
     monkeypatch.setattr(grsdual.grs.GrsRows, "__getitem__", counted)
-    monkeypatch.setattr(grsdual.linalg, "_grs_nodes", refuse)
+    monkeypatch.setattr(grsdual.grs, "_grs_eval_set", refuse)
     for mode, times in (("none", 0), ("auto", 1), ("exhaustive", 1),
                         ("minors", 1), ("sampled", 1)):
         calls.clear()
@@ -276,7 +276,7 @@ def test_verify_auto_never_reads_the_grs_shape(tmp_path, capsys,
     def refuse(*args):
         raise AssertionError("formed G or read its shape")
 
-    monkeypatch.setattr(grsdual.linalg, "_grs_nodes", refuse)
+    monkeypatch.setattr(grsdual.grs, "_grs_eval_set", refuse)
     monkeypatch.setattr(grsdual.grs, "generator_matrix", refuse)
     rc, out, _ = run(capsys, ["verify", "--in", str(code)])
     assert rc == 0

@@ -329,8 +329,9 @@ def test_make_field_is_cached():
 
 
 def test_field_construction_errors():
-    with pytest.raises(CompositeCharacteristic):
-        make_field(15)
+    for p in (1, 9, 15, 21):  # no prime factor, or one below p
+        with pytest.raises(CompositeCharacteristic, match="not an odd prime"):
+            make_field(p)
     with pytest.raises(CompositeCharacteristic):
         make_field(4)
     with pytest.raises(CompositeCharacteristic):

@@ -373,6 +373,9 @@ def test_generator_matrix_extended_unit_column():
     g = generator_matrix(es, 3)
     assert g.shape == (3, 6)
     assert list(g.data[:, 5]) == [0, 0, 1]
+    # the unit column alone: row blocks sized by the length, not by the
+    # zero points (a ZeroDivisionError before)
+    assert generator_matrix(EvalSet(F, (), (), True), 1).data.tolist() == [[1]]
 
 
 def test_generator_matrix_errors():
@@ -427,21 +430,21 @@ def test_check_self_dual_refuses_a_bare_g_off_the_grs_shape():
     f, g = code.field, code.generator_matrix().data
     bad = g.copy()
     bad[10, 0] = f.add(int(bad[10, 0]), 1)
-    assert linalg._grs_nodes(f, bad) is None
+    assert grs._grs_eval_set(GeneratorMatrix(f, bad)) is None
     assert not check_self_dual(GeneratorMatrix(f, bad))
     for row in (2, code.k - 1):
         mixed = g.copy()
         mixed[row] = f.vadd(mixed[row], g[0])
-        assert linalg._grs_nodes(f, mixed) is None
+        assert grs._grs_eval_set(GeneratorMatrix(f, mixed)) is None
         assert check_self_dual(GeneratorMatrix(f, mixed))
     assert check_self_dual(GeneratorMatrix(f, g))
 
 
 def test_generator_matrix_nodes_are_the_points():
     """The nodes of a code's proofs are its points, 0 at the unit column
-    of an extended code: those GrsRows forms its rows from, and those
-    _grs_nodes reads off the G that generator_matrix forms, which
-    carries none itself."""
+    of an extended code: those GrsRows forms its rows from.  The G that
+    generator_matrix forms carries none itself, and _grs_eval_set reads
+    the EvalSet back off it."""
     ve = solve_extended_multipliers(F, encs([0, 8, 12, 5, 1]))
     for extended, pts, v in ((False, (1, 2, 3), (1, 2, 5)),
                              (True, tuple(encs([0, 8, 12, 5, 1])), ve)):
@@ -450,7 +453,7 @@ def test_generator_matrix_nodes_are_the_points():
         assert GrsRows(es, 1).nodes.tolist() == want
         g = generator_matrix(es, 3)
         assert not hasattr(g, "nodes")
-        assert linalg._grs_nodes(F, g).tolist() == want
+        assert grs._grs_eval_set(g) == es
 
 
 def test_min_distance_fixtures():
@@ -928,6 +931,24 @@ def eval_sets(draw):
 
 
 @settings(max_examples=200, deadline=None)
+@given(eval_sets())
+def test_grs_eval_set_reads_back_every_eval_set(case):
+    """_grs_eval_set of generator_matrix(es, k) is es, points,
+    multipliers and extension flag, for every k >= 2, and from the text
+    form too; with k = 1, one row, it reads nothing."""
+    es, k = case
+    g = generator_matrix(es, k)
+    got = grs._grs_eval_set(g)
+    if k < 2:
+        assert got is None
+        return
+    assert (got.points, got.multipliers, got.extended) == (
+        es.points, es.multipliers, es.extended)
+    assert grs._grs_eval_set(GeneratorMatrix.from_text(es.field,
+                                                       g.to_text())) == es
+
+
+@settings(max_examples=200, deadline=None)
 @given(eval_sets(), st.data())
 def test_grs_rows_are_the_rows_of_the_generator_matrix(case, data):
     """GrsRows forms exactly rows idx of generator_matrix, and of the
@@ -961,7 +982,7 @@ def test_build_verified_code_forms_no_generator_matrix(monkeypatch):
         raise AssertionError("formed G or read its shape")
 
     monkeypatch.setattr(grs, "generator_matrix", refuse)
-    monkeypatch.setattr(linalg, "_grs_nodes", refuse)
+    monkeypatch.setattr(grs, "_grs_eval_set", refuse)
     from grsdual import th4_code, th8_code
     for code in (build_verified_code(F, encs([0, 1, 2, 3]), False, {}),
                  th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
@@ -1025,3 +1046,27 @@ def test_generator_matrix_text_roundtrip():
         GeneratorMatrix.from_text(F, "1 2\n3\n")
     with pytest.raises(SchemaError):
         GeneratorMatrix.from_text(F, "\n")
+
+
+def test_generator_matrix_refuses_encodings_outside_the_field():
+    """An entry shifted by q, up or down, is refused when G is made,
+    through the constructor and through from_text, as EvalSet refuses
+    such a point: read as itself, G[0, 0] - 13 passed check_self_dual
+    and min_distance, and G[0, 0] + 13 raised an IndexError."""
+    from grsdual.subspace import th2_code
+    code = th2_code(13, 1, 0, 3)
+    g = code.generator_matrix().data
+    for i, j in ((0, 0), (1, 3)):
+        for shift in (-code.field.q, code.field.q):
+            bad = g.copy()
+            bad[i, j] += shift
+            with pytest.raises(ValueError, match="encoding out of range"):
+                GeneratorMatrix(code.field, bad)
+            text = "\n".join(" ".join(map(str, row)) for row in bad.tolist())
+            with pytest.raises(ValueError, match="encoding out of range"):
+                GeneratorMatrix.from_text(code.field, text)
+    assert check_self_dual(GeneratorMatrix.from_text(code.field,
+                                                     code.generator_matrix()
+                                                     .to_text()))
+    # an empty matrix holds no entry to check
+    assert GeneratorMatrix(F, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)

@@ -255,9 +255,9 @@ def test_int32_tables_leave_every_kernel_and_matrix_int64(fm, data):
     k = data.draw(st.integers(1, es.length))
     g, src = generator_matrix(es, k), GrsRows(es, k)
     assert g.data.dtype == src[np.arange(k)].dtype == np.int64
-    nodes = linalg._grs_nodes(f, g.data)  # read off G
-    assert linalg.gram(f, g.data, nodes).dtype == np.int64
-    assert linalg.gram(f, src, src.nodes).dtype == np.int64  # row source
+    hankel = grs._grs_eval_set(g) is not None  # read off G
+    assert linalg.gram(f, g.data, hankel).dtype == np.int64
+    assert linalg.gram(f, src, hankel=True).dtype == np.int64  # row source
 
 
 @pytest.mark.parametrize("p, m, dtype", [
@@ -296,8 +296,8 @@ def test_gram_over_many_chunks_matches_the_divmod_planes(fm, monkeypatch):
     g = rng.integers(0, f.q, size=(6, 29))
     es = EvalSet(f, rng.choice(f.q, size=min(f.q, 29), replace=False),
                  rng.integers(1, f.q, size=min(f.q, 29)))
-    grs = generator_matrix(es, min(6, es.n)).data
-    nodes = linalg._grs_nodes(f, grs)
+    h = generator_matrix(es, min(6, es.n))
+    assert grs._grs_eval_set(h) is not None  # the Hankel path of a bare G
     planes, dtypes = linalg._coeff_planes, set()
 
     def recorded(*args):
@@ -308,10 +308,10 @@ def test_gram_over_many_chunks_matches_the_divmod_planes(fm, monkeypatch):
     # chunks of at most 3 columns, on a general and a Hankel Gram
     monkeypatch.setattr(linalg, "_EXACT", 3 * (f.p - 1) ** 2 + 1)
     monkeypatch.setattr(linalg, "_coeff_planes", recorded)
-    fast = [linalg.gram(f, g), linalg.gram(f, grs, nodes)]
+    fast = [linalg.gram(f, g), linalg.gram(f, h.data, True)]
     assert dtypes == {np.float64 if f.p > 2 ** 12 else np.float32}
     monkeypatch.setattr(linalg, "_coeff_planes", ref_coeff_planes)
-    slow = [linalg.gram(f, g), linalg.gram(f, grs, nodes)]
+    slow = [linalg.gram(f, g), linalg.gram(f, h.data, True)]
     for x, y in zip(fast, slow):
         assert np.array_equal(x, y)
 

@@ -6,8 +6,9 @@ sum is a fold of Zech additions and the row reduction touches every
 column of every row.  They share nothing with grsdual.linalg except the
 field's own vadd/vmul, so agreement is a differential check of the
 coefficient-plane Gram, its chunking and row blocking, of the Hankel
-Gram of GRS-shaped matrices and its fallback to every row, of the
-scaled-Vandermonde rank proof and its fallback to the systematic form.
+Gram of GRS generator matrices and its fallback to every row, and of
+the rank.  A bare G takes the Hankel Gram, with no elimination, exactly
+when grs._grs_eval_set reads it as some EvalSet's rows.
 """
 
 import math
@@ -16,9 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from grsdual import linalg, make_field
+from grsdual import grs, linalg, make_field
 from grsdual.cosets import th8_code
 from grsdual.errors import TableLimitExceeded
 from grsdual.grs import (
@@ -109,14 +110,15 @@ def combine(field, rng, rows, count):
     return out
 
 
+def is_grs(field, g):
+    """Whether check_self_dual takes the Hankel path on the bare G g:
+    _grs_eval_set reads it as some EvalSet's rows."""
+    return grs._grs_eval_set(GeneratorMatrix(field, g)) is not None
+
+
 def shaped_gram(field, g):
-    """linalg.gram on the nodes check_self_dual reads off a bare G."""
-    return linalg.gram(field, g, linalg._grs_nodes(field, g))
-
-
-def shaped_rank(field, g):
-    """linalg.rank on the nodes check_self_dual reads off a bare G."""
-    return linalg.rank(field, g, linalg._grs_nodes(field, g))
+    """linalg.gram on the path check_self_dual takes for a bare G."""
+    return linalg.gram(field, g, is_grs(field, g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,8 +177,6 @@ def test_rank_matches_zech_oracle(case):
     f, g = case
     assert linalg.rank(f, g) == zech_rank(f, g)
     assert linalg.rank(f, g.T) == zech_rank(f, g)
-    assert shaped_rank(f, g) == zech_rank(f, g)
-    assert shaped_rank(f, g.T) == zech_rank(f, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,7 +190,7 @@ def test_rank_of_rank_deficient_matrices(pm, r, extra, seed):
     rng.shuffle(g)
     expect = zech_rank(f, g)
     assert expect <= r
-    assert shaped_rank(f, g) == expect
+    assert linalg.rank(f, g) == expect
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,32 +203,31 @@ def test_rank_falls_back_when_the_leading_block_is_singular(pm, k, seed):
     # leading k x k block singular: one of its columns repeats another
     g[:, k - 1] = g[:, 0]
     expect = zech_rank(f, g)
-    assert shaped_rank(f, g) == expect
+    assert linalg.rank(f, g) == expect
     assert zech_rank(f, g[:, :k]) < k
 
 
 def test_rank_fallback_on_a_full_rank_matrix():
     f = make_field(3)
     g = np.array([[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert shaped_rank(f, g[:, :2]) == 0
-    assert shaped_rank(f, g) == 2
+    assert linalg.rank(f, g[:, :2]) == 0
+    assert linalg.rank(f, g) == 2
     assert linalg.rank(f, np.zeros((0, 3), dtype=np.int64)) == 0
 
 
 def counted_rank(field, mat):
-    """(linalg.rank on the nodes of _grs_nodes, number of systematic
-    forms it took)."""
-    calls = []
-    form = linalg.systematic
-
-    def counted(f, a, order):
-        calls.append(1)
-        return form(f, a, order)
+    """(linalg.rank, whether check_self_dual would prove it without
+    elimination): is_grs, read with systematic refused; where it holds,
+    the rank is the row count."""
+    def refuse(f, a, order):
+        raise AssertionError("eliminated")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "systematic", counted)
-        r = shaped_rank(field, mat)
-    return r, len(calls)
+        mp.setattr(linalg, "systematic", refuse)
+        proved = is_grs(field, mat)
+    r = linalg.rank(field, mat)
+    assert r == mat.shape[0] or not proved
+    return r, proved
 
 
 @st.composite
@@ -256,12 +255,12 @@ def grs_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(grs_matrices())
 def test_rank_of_grs_matrices_is_proved_without_elimination(case):
-    # only an extended code with k = length has the extra column in its
-    # leading block, and only that matrix is reduced
+    # every G of k >= 2 rows reads as its EvalSet, extended with
+    # k = length too; one row is eliminated
     f, g, n = case
     k = g.shape[0]
     assert zech_rank(f, g) == k
-    assert counted_rank(f, g) == (k, int(k > n))
+    assert counted_rank(f, g) == (k, k >= 2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,26 +280,26 @@ def test_rank_of_corrupted_grs_matrices_matches_zech_oracle(case, kind, seed):
         g[:, j2] = f.vmul(g[:, j], int(rng.integers(1, f.q)))
     else:
         g = g.T
-    assert shaped_rank(f, g) == zech_rank(f, g)
+    assert counted_rank(f, g)[0] == zech_rank(f, g)
 
 
 def test_rank_proof_on_edge_shapes_and_single_corruptions():
     f = make_field(13)
     g = generator_matrix(EvalSet(f, range(8), range(1, 9)), 4).data
     square = g[:, :4]
-    assert counted_rank(f, g[:1]) == (1, 0)  # k = 1
-    assert counted_rank(f, square) == (4, 0)
-    assert counted_rank(f, g.T) == (4, 1)  # tall
+    assert counted_rank(f, g[:1]) == (1, False)  # k = 1
+    assert counted_rank(f, square) == (4, True)
+    assert counted_rank(f, g.T) == (4, False)  # tall
     zero = g.copy()
     zero[:, 1] = 0
-    assert counted_rank(f, zero) == (4, 1)
+    assert counted_rank(f, zero) == (4, False)
     # a repeated node: the leading block is singular, the whole matrix
     # is not unless it is that block
     node = g.copy()
     node[:, 3] = f.vmul(g[:, 0], 5)
-    assert counted_rank(f, node) == (4, 1)
+    assert counted_rank(f, node) == (4, False)
     assert zech_rank(f, node[:, :4]) == 3
-    assert counted_rank(f, node[:, :4]) == (3, 1)
+    assert counted_rank(f, node[:, :4]) == (3, False)
     # one entry of the last row altered: det is affine in it, and its
     # cofactor is a Vandermonde determinant, so one value is singular
     for j in range(4):
@@ -311,8 +310,8 @@ def test_rank_proof_on_edge_shapes_and_single_corruptions():
             tries.append(bad)
         singular = [b for b in tries if zech_rank(f, b[:, :4]) < 4]
         assert len(singular) == 1
-        assert counted_rank(f, singular[0][:, :4]) == (3, 1)
-        assert counted_rank(f, singular[0]) == (4, 1)
+        assert counted_rank(f, singular[0][:, :4]) == (3, False)
+        assert counted_rank(f, singular[0]) == (4, False)
 
 
 def test_check_self_dual_proves_rank_without_elimination():
@@ -356,17 +355,21 @@ def test_minors_refuse_matrices_no_eval_set_gives():
 
 
 def grs_shape(field, g):
-    """Whether every column is [v_j * a_j**i] with v_j != 0, or zero
-    above its last row: the shape of linalg._grs_nodes, in scalar ops."""
-    k = g.shape[0]
-    for col in g.T.tolist():
-        if col[0]:
-            a = field.mul(col[min(1, k - 1)], field.inv(col[0]))
-            if any(col[i + 1] != field.mul(col[i], a) for i in range(k - 1)):
-                return False
-        elif any(col[:k - 1]):
-            return False
-    return True
+    """Whether g is generator_matrix(es, k) of some EvalSet es with
+    2 <= k, in scalar ops: every column [v_j * a_j**i] with v_j != 0 and
+    distinct a_j, but a last column (0, ..., 0, 1), the unit column."""
+    k, n = g.shape
+    cols = g.T.tolist()
+    if not 2 <= k <= n:
+        return False
+    if cols[-1] == [0] * (k - 1) + [1]:
+        cols.pop()
+    if any(col[0] == 0 for col in cols):
+        return False
+    a = [field.mul(col[1], field.inv(col[0])) for col in cols]
+    return len(set(a)) == len(a) and all(
+        col[i + 1] == field.mul(col[i], x)
+        for col, x in zip(cols, a) for i in range(k - 1))
 
 
 def block_rows(field, k, n):
@@ -392,11 +395,11 @@ def sqrt_bound(k):
 
 
 def traced_gram(field, g):
-    """(linalg.gram on the nodes of _grs_nodes, whether it took the
-    Hankel path).
+    """(linalg.gram on the path check_self_dual takes for a bare G,
+    whether that is the Hankel path).
 
-    The Hankel path is the one where _grs_nodes finds the shape, read
-    here once: gram itself reads no shape.  Its
+    The Hankel path is the one where _grs_eval_set reads G as some
+    EvalSet's rows, read here once: gram itself reads no shape.  Its
     left operand is the coefficient planes of the baby rows, and it
     forms those of the giant rows one row block at a time: 2b + k/b + 1
     rows in all, at most 2 ceil(sqrt(2k)) + 1 when the block size does
@@ -414,12 +417,11 @@ def traced_gram(field, g):
 
     k, n = g.shape
     cap = block_rows(field, k, n)
-    nodes = linalg._grs_nodes(field, g)
-    hankel = nodes is not None
+    hankel = is_grs(field, g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_coeff_planes", counted)
-        mp.setattr(linalg, "_grs_nodes", refuse)
-        out = linalg.gram(field, g, nodes)
+        mp.setattr(grs, "_grs_eval_set", refuse)
+        out = linalg.gram(field, g, hankel)
     held, streamed = sumset_rows(k, cap) if hankel else (range(k),) * 2
     blocks = [min(cap, len(streamed) - r0)
               for r0 in range(0, len(streamed), cap)]
@@ -450,18 +452,19 @@ def refuse_full_gram(mp, n, m, k, block=16):
 @settings(max_examples=80, deadline=None)
 @given(grs_matrices())
 def test_gram_of_grs_matrices_takes_the_hankel_path(case):
+    # a one-row G reads as no EvalSet, and its Gram is one entry
     f, g, n = case
     expect = zech_gram(f, g)
     got, hankel = traced_gram(f, g)
-    assert hankel
+    assert hankel == (g.shape[0] >= 2)
     assert np.array_equal(got, expect)
-    # many column chunks and row blocks, on both the shape check and
-    # the planes
+    # many column chunks and row blocks, on both the reader and the
+    # planes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_EXACT", 3 * (f.p - 1) ** 2 + 1)
         mp.setattr(linalg, "_BLOCK_BYTES", 8 * f.m * g.shape[1] * 2)
-        got, hankel = traced_gram(f, g)
-    assert hankel
+        got, again = traced_gram(f, g)
+    assert again == hankel
     assert np.array_equal(got, expect)
 
 
@@ -484,9 +487,9 @@ def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
         g = generator_matrix(es, k).data
     else:
         g = rng.integers(0, f.q, size=(k, n))
-    nodes = linalg._grs_nodes(f, g)
-    assert (nodes is not None) == grs
-    expect = linalg.gram(f, g, nodes)
+    hankel = is_grs(f, g)
+    assert hankel == grs
+    expect = linalg.gram(f, g, hankel)
     rows, planes = [], linalg._coeff_planes
 
     def counted(f, a, chunks, width):
@@ -496,7 +499,7 @@ def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_BLOCK_BYTES", 8)
         mp.setattr(linalg, "_coeff_planes", counted)
-        got = linalg.gram(f, g, nodes)
+        got = linalg.gram(f, g, hankel)
     assert rows == blocks
     assert np.array_equal(got, expect)
     assert np.array_equal(got, zech_gram(f, g))
@@ -527,8 +530,8 @@ def corrupt(f, g, n, kind, rng):
 @given(grs_matrices(), st.sampled_from(["past", "ext", "head", "random"]),
        st.integers(0, 2 ** 32 - 1))
 def test_gram_of_corrupted_grs_matrices_matches_zech_oracle(case, kind, seed):
-    # a corrupted matrix takes the general path unless it still has the
-    # shape, as every matrix with k <= 2 does
+    # a corrupted matrix takes the general path unless it is still some
+    # EvalSet's rows, as a G of k = 2 with a new row 0 or 1 may be
     f, g, n = case
     bad = corrupt(f, g, n, kind, np.random.default_rng(seed))
     expect = zech_gram(f, bad)
@@ -561,8 +564,7 @@ def test_gram_shape_check_reads_every_column(extended):
             assert not hankel, (kind, seed)
             assert not grs_shape(f, bad)
             assert np.array_equal(got, zech_gram(f, bad)), (kind, seed)
-    # the last row of every GRS column past the leading block (that of
-    # the unit column is free)
+    # the last row of every GRS column past the leading block
     for j in range(k, n):
         bad = g.copy()
         bad[k - 1, j] = f.add(int(bad[k - 1, j]), 1)
@@ -652,23 +654,24 @@ def test_hankel_gram_is_a_read_only_view_of_its_edge():
 
 
 def test_check_self_dual_reads_the_grs_shape_once(monkeypatch):
-    """On a bare G, the Gram and the rank proof take the nodes of one
-    _grs_nodes read per call, or its None off the shape, and neither
-    reads it again; on a code's GrsRows, whose rows are formed from its
-    points, nothing reads it."""
-    calls, nodes, found = [], linalg._grs_nodes, []
+    """On a bare G, check_self_dual reads it as an EvalSet's rows once
+    per call (_grs_eval_set), and takes the Hankel Gram alone on an
+    EvalSet or the general path on None; on a code's GrsRows, whose rows
+    are formed from its points, nothing reads it."""
+    calls, read, found = [], grs._grs_eval_set, []
 
-    def counted(field, g):
-        calls.append(g.shape)
-        found.append(nodes(field, g) is not None)
-        return nodes(field, g)
+    def counted(gmat):
+        calls.append(gmat.shape)
+        found.append(read(gmat) is not None)
+        return read(gmat)
 
-    monkeypatch.setattr(linalg, "_grs_nodes", counted)
+    monkeypatch.setattr(grs, "_grs_eval_set", counted)
     for code in (th8_code(13, 1, 3, 0, 2), th4_code(13, 3, 1, 12)):
         gmat = code.generator_matrix()
         calls.clear()
+        found.clear()
         assert check_self_dual(gmat)
-        assert calls == [gmat.shape]
+        assert calls == [gmat.shape] and found == [True]
         assert check_self_dual(gmat) and len(calls) == 2
         assert check_self_dual(code.rows()) and code.verify()
         assert len(calls) == 2
@@ -708,6 +711,34 @@ def test_every_eval_set_gives_an_mds_code_of_rank_k(es, data):
     assert check_self_dual(code.rows()) or v is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(eval_sets(), st.data())
+def test_check_self_dual_of_a_changed_g_matches_zech_oracle(es, data):
+    """After one in-range entry of a k x 2k G (self-dual where the
+    points allow) is changed, _grs_eval_set returns None or an EvalSet
+    whose generator matrix is the changed G, for k = 2 at times another
+    GRS code, and check_self_dual, by the Hankel Gram alone on such an
+    EvalSet, else by the general Gram and rank, equals the Zech
+    oracles' verdict."""
+    f = es.field
+    assume(es.length % 2 == 0)
+    v = (solve_extended_multipliers(f, es.points) if es.extended
+         else (solve_multipliers(f, es.points) or (0, None))[1])
+    if v is not None:
+        es = EvalSet(f, es.points, v, es.extended)
+    k = es.length // 2
+    g = generator_matrix(es, k).data
+    row = data.draw(st.integers(0, k - 1))
+    col = data.draw(st.integers(0, 2 * k - 1))
+    g[row, col] = (g[row, col] + data.draw(st.integers(1, f.q - 1))) % f.q
+    gmat = GeneratorMatrix(f, g)
+    read = grs._grs_eval_set(gmat)
+    if read is not None:
+        assert np.array_equal(generator_matrix(read, k).data, g)
+    want = not zech_gram(f, g).any() and zech_rank(f, g) == k
+    assert check_self_dual(gmat) == want
+
+
 @st.composite
 def grs_sources(draw):
     """The row source of G of a random plain or extended EvalSet,
@@ -719,7 +750,7 @@ def grs_sources(draw):
 @settings(max_examples=80, deadline=None)
 @given(grs_sources())
 def test_gram_of_a_row_source_matches_zech_oracle(src):
-    """gram of a GrsRows, with the points as nodes, forms only the rows
+    """gram of a GrsRows, on the Hankel path, forms only the rows
     of _sumset_rows and equals zech_gram of G: plain and extended codes,
     k = 1 included."""
     f, (k, cols) = src.field, src.shape
@@ -739,7 +770,7 @@ def test_gram_of_a_row_source_matches_zech_oracle(src):
             if block:
                 mp.setattr(linalg, "_BLOCK_BYTES", block)
             cap = block_rows(f, k, cols)
-            got = linalg.gram(f, src, src.nodes)
+            got = linalg.gram(f, src, hankel=True)
         assert np.array_equal(got, zech_gram(f, g))
         held, streamed = sumset_rows(k, cap)
         assert formed == held + streamed
@@ -750,19 +781,21 @@ def test_gram_of_a_row_source_matches_zech_oracle(src):
 def test_gram_refuses_a_formed_row_off_the_nodes(src, data):
     """gram takes no row of a bare G on trust: with one entry of any row
     changed, one the Hankel Gram reads or not, it equals zech_gram of
-    the changed G.  A changed row i >= 2, off the free unit column of
-    row k-1, leaves the GRS shape: _grs_nodes refuses G, and the general
-    path runs."""
+    the changed G.  _grs_eval_set reads row 0 and row 1 as the EvalSet,
+    so a changed row i >= 2 leaves G no EvalSet's rows and the general
+    path runs; a changed row 0 or 1 may give another EvalSet, whose
+    generator matrix is the changed G."""
     f, (k, cols) = src.field, src.shape
     row = data.draw(st.integers(0, k - 1))
     col = data.draw(st.integers(0, cols - 1))
     g = src[:]
     g[row, col] = (g[row, col] + data.draw(st.integers(1, f.q - 1))) % f.q
-    unit = src.extended and (row, col) == (k - 1, cols - 1)
-    nodes = linalg._grs_nodes(f, g)
-    if row >= 2 and not unit:
-        assert nodes is None
-    assert np.array_equal(linalg.gram(f, g, nodes), zech_gram(f, g))
+    es = grs._grs_eval_set(GeneratorMatrix(f, g))
+    if row >= 2:
+        assert es is None
+    if es is not None:
+        assert np.array_equal(generator_matrix(es, k).data, g)
+    assert np.array_equal(linalg.gram(f, g, es is not None), zech_gram(f, g))
 
 
 def test_gram_is_exact_on_either_side_of_the_float32_bound(monkeypatch):
@@ -788,14 +821,14 @@ def test_gram_is_exact_on_either_side_of_the_float32_bound(monkeypatch):
     top = np.full((5, 40), f.from_int(f.p - 1))
     for g in (rng.integers(0, f.q, size=(7, 40)), generator_matrix(es, 9).data,
               top):
-        want, nodes = zech_gram(f, g), linalg._grs_nodes(f, g)
+        want, hankel = zech_gram(f, g), is_grs(f, g)
         dtypes.clear()
-        wide = linalg.gram(f, g, nodes)
+        wide = linalg.gram(f, g, hankel)
         assert dtypes == {(40, np.float64)}
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_EXACT", (f.p - 1) ** 2 + 1)  # width 1
             dtypes.clear()
-            narrow = linalg.gram(f, g, nodes)
+            narrow = linalg.gram(f, g, hankel)
         assert dtypes == {(1, np.float32)}
         assert np.array_equal(wide, want) and np.array_equal(narrow, want)
 
