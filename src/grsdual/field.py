@@ -311,14 +311,7 @@ class Field:
     # encodings in, encodings out; hot paths have array twins below
 
     def add(self, a, b):
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        z = int(self._zech[(b - a) % (self.q - 1)])
-        if z < 0:
-            return 0
-        return (a - 1 + z) % (self.q - 1) + 1
+        return int(self.vadd(a, b))
 
     def neg(self, a):
         if a == 0:
@@ -369,22 +362,29 @@ class Field:
 
     def _log_sum(self, s):
         """s % (q-1) + 1 for int64 0 <= s < 2(q-1), in place: as uint64,
-        min(s, s - (q-1)) is s % (q-1).  An int32 table lookup plus an
-        int64 operand is int64, so every kernel hands this int64."""
+        min(s, s - (q-1)) is s % (q-1)."""
         s = np.asarray(s).view(np.uint64)
         np.minimum(s, s - np.uint64(self.q - 1), out=s)
         s += 1
         return s.view(np.int64)
 
+    def zech_sums(self, x, y):
+        """int32 z, log(x + y) = log x + z (log 0 = -1), -1 exactly where
+        x + y = 0, over the broadcast of x and y: one Zech entry each, at
+        y - max(x, 1) in [1-q, q-2], a plain gather; zeros patched in place."""
+        x, y = self.varray(x), self.varray(y)
+        z = np.asarray(self._zech[y - np.maximum(x, 1)])
+        if np.count_nonzero(y) < y.size:  # x + 0 = x
+            np.copyto(z, 0, where=y == 0)
+        if np.count_nonzero(x) < x.size:  # 0 + y = y: log y + 1 = y
+            np.copyto(z, y - (y == 0), where=x == 0)  # -1 at 0 + 0
+        return z
+
     def vadd(self, a, b):
-        a, b = self.varray(a), self.varray(b)
-        z = self._zech.take(b - a, mode="wrap")
-        out = self._log_sum(z + (a - 1))
+        """a + b, broadcast: log a plus a Zech sum, int32 + int64 in int64."""
+        z = self.zech_sums(a, b)
+        out = self._log_sum(z + (self.varray(a) - 1))
         np.copyto(out, 0, where=z < 0)
-        if np.count_nonzero(a) < a.size:
-            np.copyto(out, b, where=a == 0)
-        if np.count_nonzero(b) < b.size:
-            np.copyto(out, a, where=b == 0)
         return out
 
     def vneg(self, a):
@@ -395,30 +395,12 @@ class Field:
         return out
 
     def vsub(self, a, b):
-        # one Zech lookup: -b has discrete log log(b) + (q-1)/2
-        a, b = self.varray(a), self.varray(b)
-        z = self._zech.take(b + (self._half - a), mode="wrap")
-        out = self._log_sum(z + (a - 1))
-        np.copyto(out, 0, where=z < 0)
-        if np.count_nonzero(a) < a.size:  # -b there; b = 0 is set below
-            np.copyto(out, self._log_sum(b + (self._half - 1)), where=a == 0)
-        if np.count_nonzero(b) < b.size:
-            np.copyto(out, a, where=b == 0)
-        return out
+        return self.vadd(a, self.vneg(b))  # a - b = a + (-b)
 
     def zech_diffs(self, x, a):
-        """int32 z[..., i, j] = log(x_i - a_j) - log x_i (log 0 = -1), -1
-        exactly where x_i = a_j, for int64 rows x (..., r) of sets a (..., n):
-        one Zech entry per pair, x - a = x (1 + theta**(a - x + (q-1)/2))."""
-        z = self._zech.take(a[..., None, :] - (x - self._half)[..., None],
-                            mode="wrap")
-        if np.count_nonzero(a) < a.size:  # x - 0 = x
-            np.copyto(z, 0, where=a[..., None, :] == 0)
-        if np.count_nonzero(x) < x.size:  # 0 - a = -a: log(-a) + 1 = vneg(a)
-            zr = np.nonzero(x == 0)
-            az = a[zr[:-1]]  # the set of each zero row
-            z[zr] = np.where(az == 0, -1, self.vneg(az))
-        return z
+        """z[..., i, j] = log(x_i - a_j) - log x_i, -1 exactly at x_i = a_j:
+        zech_sums of rows x (..., r) and of -a, formed per set a (..., n)."""
+        return self.zech_sums(x[..., None], self.vneg(a)[..., None, :])
 
     def vmul(self, a, b):
         a, b = self.varray(a), self.varray(b)

@@ -110,9 +110,12 @@ def lagrange_products(field, points):
 
 
 def products_at(field, points, indices):
-    """L(a_i) for i in indices only (in any order, repeats allowed)."""
+    """L(a_i) for each index i in [0, n), in any order, repeats allowed."""
     a = np.array(points, dtype=np.int64)
-    return _products_rows(field, a[None], np.asarray(indices, dtype=np.int64))
+    rows = np.asarray(indices, dtype=np.int64)  # as uint64, -1 is past n
+    if rows.size and rows.view(np.uint64).max() >= a.shape[-1]:
+        raise ValueError("point index out of range")
+    return _products_rows(field, a[None], rows)
 
 
 def check_verify_scale(k, length):
@@ -226,10 +229,13 @@ class GeneratorMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        # one reduction, as in _products_rows: negatives read as past q
-        d = np.asarray(self.data, dtype=np.int64)
-        if d.size and d.view(np.uint64).max() >= self.field.q:
-            raise ValueError("matrix encoding out of range")
+        try:  # one reduction, as in _products_rows: negatives read as past q
+            d = np.asarray(self.data, dtype=np.int64)
+            if d.size and d.view(np.uint64).max() >= self.field.q:
+                raise OverflowError
+        except OverflowError:  # past q, or an integer past int64
+            raise ValueError("matrix encoding out of range") from None
+        object.__setattr__(self, "data", d)
 
     @property
     def shape(self):
@@ -248,7 +254,7 @@ class GeneratorMatrix:
                 for line in text.strip().splitlines() if line.strip()]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise SchemaError("ragged or empty matrix text")
-        return cls(field, np.array(rows, dtype=np.int64))
+        return cls(field, rows)
 
 
 class GrsRows:

@@ -208,6 +208,18 @@ def test_l_refuses_out_of_range_encodings_as_eval_set_does(points):
     assert lagrange_products(F, [12, 3]).tolist() == [5, 11]
 
 
+@pytest.mark.parametrize("index", [5, 3, -1, 2 ** 63 - 1, -2 ** 63])
+def test_products_at_refuses_an_index_outside_the_set(index):
+    """An index outside [0, n) is refused, where 5 raised a bare
+    IndexError and -1 read L(a_2) Python-style; every index is checked."""
+    with pytest.raises(ValueError, match="point index out of range"):
+        products_at(F, [1, 2, 3], [index])
+    with pytest.raises(ValueError, match="point index out of range"):
+        products_at(F, [1, 2, 3], [0, 2, index])
+    assert products_at(F, [1, 2, 3], [2, 0]).tolist() == (
+        lagrange_products(F, [1, 2, 3])[[2, 0]].tolist())
+
+
 def test_products_at_matches_full_computation():
     pts = encs([0, 1, 2, 3, 5, 8, 11, 12])
     full = lagrange_products(F, pts)
@@ -1070,3 +1082,15 @@ def test_generator_matrix_refuses_encodings_outside_the_field():
                                                      .to_text()))
     # an empty matrix holds no entry to check
     assert GeneratorMatrix(F, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("big", [10 ** 20, -10 ** 20])
+def test_generator_matrix_refuses_an_integer_past_int64(big):
+    """Past int64 is past q: the same ValueError as any other out-of-range
+    entry, where from_text raised an untyped OverflowError."""
+    with pytest.raises(ValueError, match="matrix encoding out of range"):
+        GeneratorMatrix.from_text(F, f"{big} 1")
+    with pytest.raises(ValueError, match="matrix encoding out of range"):
+        GeneratorMatrix(F, [[big, 1]])
+    g = GeneratorMatrix.from_text(F, "3 1\n0 12\n")
+    assert g.data.dtype == np.int64 and g.data.tolist() == [[3, 1], [0, 12]]

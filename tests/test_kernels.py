@@ -9,12 +9,14 @@ Field.vadd, Field.vsub, Field.vneg, Field.vmul, Field.vpow,
 linalg._coeff_planes (which reads the field's digit table),
 generator_matrix (which calls the field kernels in row blocks) and
 lagrange_products and products_at (one Zech entry per pair, through
-Field.zech_diffs).  The module also bounds the memory of
+Field.zech_diffs); brute_zech_sums adds coefficient vectors, the
+oracle of Field.zech_sums.  The module also bounds the memory of
 generator_matrix, checks that the digit table waits for a Gram, and
 that the int32 field tables never reach a kernel's or a matrix's dtype.
 """
 
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -421,6 +423,59 @@ def test_zech_diffs_are_the_logs_of_every_difference(q):
         assert np.array_equal(z == -1, same)
         logs = (rows - 1 + z) % (q - 1) + 1
         assert np.array_equal(np.where(same, 0, logs), ref_vsub(f, rows, a))
+
+
+def brute_zech_sums(field, x, y):
+    """log(x + y) - log x (log 0 = -1), -1 where x + y = 0, by adding
+    coefficient vectors: the base-p values of x and y through _exp_int,
+    digit by digit mod p, and the sum's log through _log."""
+    p, q = field.p, field.q
+    vals = np.concatenate([[0], field._exp_int]).astype(np.int64)
+    u, v = vals[field.varray(x)], vals[field.varray(y)]
+    total, w = np.zeros(np.broadcast_shapes(u.shape, v.shape), np.int64), 1
+    for _ in range(field.m):
+        total += (u // w % p + v // w % p) % p * w
+        w *= p
+    logs = field._log[total].astype(np.int64)  # log 0 is -1 in the table
+    lx = field.varray(x) - 1
+    return np.where(total == 0, -1, np.where(lx < 0, logs + 1,
+                                             (logs - lx) % (q - 1)))
+
+
+@pytest.mark.parametrize("q", [3, 9, 13, 25, 27])
+def test_zech_sums_match_coefficient_addition_on_every_pair(q):
+    """Every pair, zeros included: a (q, 1) x (1, q) broadcast, a stacked
+    (..., r, 1) x (..., 1, n) one, and each pair again as 0-d input; and
+    scalar add and sub equal vadd and vsub on every pair."""
+    f = make_field(*factor_prime_power(q))
+    x, y = np.arange(q)[:, None], np.arange(q)[None, :]
+    z = f.zech_sums(x, y)
+    want = brute_zech_sums(f, x, y)
+    assert z.dtype == np.int32 and z.shape == (q, q)
+    assert np.array_equal(z, want)
+    xs, ys = np.stack([x, x[::-1]]), np.stack([y, y[:, ::-1]])
+    assert np.array_equal(f.zech_sums(xs, ys), brute_zech_sums(f, xs, ys))
+    for u, v in itertools.product(range(q), repeat=2):
+        got = f.zech_sums(u, np.int64(v))
+        assert got.shape == () and int(got) == want[u, v]
+    # the scalar ops, which read the kernels on 0-d input
+    assert np.array_equal(scalar_grid(f.add, x, y), f.vadd(x, y))
+    assert np.array_equal(scalar_grid(f.sub, x, y), f.vsub(x, y))
+
+
+def test_only_zech_sums_reads_the_zech_table():
+    """The one Zech gather: apart from __init__, which stores the table,
+    no Field method reads _zech, and no lookup wraps its index."""
+    import ast
+    import inspect
+    from grsdual import field
+    tree = ast.parse(inspect.getsource(field.Field))
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "_zech"}
+    assert readers == {"__init__", "zech_sums"}
+    assert 'mode="wrap"' not in inspect.getsource(field)
 
 
 L_FIELDS = [(3, 1), (5, 2), (13, 1), (3, 4), (4093, 1)]
