@@ -305,10 +305,11 @@ def _grs_eval_set(gmat):
     head = g[0, :n - ext]
     if not head.all():
         return None
-    try:
-        es = EvalSet(f, f.vmul(g[1, :n - ext], f.vinv(head)), head, ext)
-    except DuplicatePoints:
+    pts = f.vmul(g[1, :n - ext], f.vinv(head))
+    s = np.sort(pts)
+    if (s[1:] == s[:-1]).any():  # before EvalSet reads each point in Python
         return None
+    es = EvalSet(f, pts, head, ext)
     src, rows = GrsRows(es, k), max(1, linalg._BLOCK_BYTES // (8 * n))
     return es if all(np.array_equal(src[r:r + rows], g[r:r + rows])
                      for r in range(0, k, rows)) else None

@@ -213,16 +213,20 @@ def _odd_factor_tuples(total):
                 yield (d,) + rest
 
 
-def _lift_grid(key, ts):
-    """th1..th4: every r^m = q (only r = p when key is "p"), e < m, and
-    t in ts(r)."""
+def _lift_family(key, length, ts, builder, admits):
+    """th1..th4 over every r^m = q (only r = p when key is "p"), e < m,
+    and t in ts(r) ascending; length grows with t, so the grid stops at
+    the first t past cap."""
     def grid(p, big_m, cap):
         pairs = [(p, big_m)] if key == "p" else _factorizations(p, big_m)
         for r, m in pairs:
             for e in range(m):
                 for t in ts(r):
-                    yield {key: r, "m": m, "e": e, "t": t}
-    return grid
+                    params = {key: r, "m": m, "e": e, "t": t}
+                    if length(params) > cap:
+                        break
+                    yield params
+    return Family((key, "m", "e", "t"), length, grid, builder, admits)
 
 
 def _tower_grid(variant, iterated):
@@ -311,23 +315,20 @@ def _large_q_code(q, n, permissive, table_limit):
 
 
 FAMILIES = {
-    "th1": Family(
-        ("r", "m", "e", "t"), lambda a: 2 * a["t"] * a["r"] ** a["e"],
-        _lift_grid("r", lambda r: [t for t in divisors((r - 1) // 2)
-                                   if 2 * t != r - 1]),
+    "th1": _lift_family(
+        "r", lambda a: 2 * a["t"] * a["r"] ** a["e"],
+        lambda r: [t for t in divisors((r - 1) // 2) if 2 * t != r - 1],
         "th1_code", subspace.th1_admits),
-    "th2": Family(
-        ("p", "m", "e", "t"), lambda a: (a["t"] + 1) * a["p"] ** a["e"],
-        _lift_grid("p", lambda p: range(3, p, 2)), "th2_code",
-        subspace.integer_run_admits),
-    "th3": Family(
-        ("p", "m", "e", "t"), lambda a: (a["t"] + 1) * a["p"] ** a["e"] + 1,
-        _lift_grid("p", lambda p: range(2, p, 2)), "th3_code",
+    "th2": _lift_family(
+        "p", lambda a: (a["t"] + 1) * a["p"] ** a["e"],
+        lambda p: range(3, p, 2), "th2_code", subspace.integer_run_admits),
+    "th3": _lift_family(
+        "p", lambda a: (a["t"] + 1) * a["p"] ** a["e"] + 1,
+        lambda p: range(2, p, 2), "th3_code",
         partial(subspace.integer_run_admits, extended=True)),
-    "th4": Family(
-        ("r", "m", "e", "t"), lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
-        _lift_grid("r", lambda r: [t for t in divisors(r - 1)
-                                   if t % 2 == 0]),
+    "th4": _lift_family(
+        "r", lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
+        lambda r: [t for t in divisors(r - 1) if t % 2 == 0],
         "th4_code", subspace.th4_admits),
     **_towers("th8"),
     **_towers("th9"),

@@ -25,7 +25,7 @@ from .grs import _LAGRANGE_BLOCK, lagrange_products
 from .search import divisors, odd_prime_powers
 
 _WITNESS_CAP = 8
-# A run grows about as max_q^2: 0.30 s at 200, 2.0 s at 1000 and 7.8 s
+# A run grows about as max_q^2: 0.29 s at 200, 1.4 s at 1000 and 5.3 s
 # at 2000 in a fresh process, so max_q past this bound is refused.
 MAX_SELFTEST_Q = 1000
 
@@ -47,40 +47,28 @@ class SuiteResult:
     def compare(self, actual, expected, witness):
         """Count one vectorized comparison element by element."""
         actual = np.asarray(actual)
-        expected = np.asarray(expected)
         self.checks += actual.size
-        if np.array_equal(actual, expected):
-            return
         bad = np.flatnonzero(actual != expected)
         if bad.size:
             self.failures += bad.size - 1
             i = int(bad[0])
             self.note(f"{witness}[{i}]: got {int(actual.flat[i])}, "
-                      f"want {int(expected.flat[i])}")
+                      f"want {int(np.asarray(expected).flat[i])}")
 
 
-def _roots_product(fld, rng, res):
-    # L over the m-th roots of unity equals m * x^(m-1), every m | q-1.
-    q = fld.q
-    for m in divisors(q - 1):
-        step = (q - 1) // m
-        pts = np.arange(m, dtype=np.int64) * step + 1
-        actual = lagrange_products(fld, pts)
-        expected = fld.vpow(pts, m - 1, fld.from_int(m))
-        res.compare(actual, expected, f"{fld.name} roots m={m}")
-
-
-def _coset_derivative(fld, rng, res):
-    # L over one coset of the order-f subgroup equals f * x^(f-1).
+def _coset_products(fld, rng, roots, cosets):
+    # L over one coset of the order-f subgroup equals f * x^(f-1), every
+    # f | q-1; shift 0, the f-th roots of unity, is the roots suite's row.
     q = fld.q
     for f in divisors(q - 1):
         e = (q - 1) // f
-        shifts = range(e) if e <= 4 else rng.sample(range(e), 4)
+        shifts = range(e) if e <= 4 else [0, *rng.sample(range(1, e), 3)]
         pts = np.add.outer(shifts, e * np.arange(f)) % (q - 1) + 1
         actual = lagrange_products(fld, pts)  # one row per shift
         expected = fld.vpow(pts, f - 1, fld.from_int(f))
+        roots.compare(actual[0], expected[0], f"{fld.name} roots m={f}")
         for i, got, want in zip(shifts, actual, expected):
-            res.compare(got, want, f"{fld.name} coset f={f} i={i}")
+            cosets.compare(got, want, f"{fld.name} coset f={f} i={i}")
 
 
 def _root_product(fld, xs, roots):
@@ -183,8 +171,8 @@ def _coset_distinctness(fld, rng, res):
     # the index difference vanishes modulo e1/gcd(e1, e2).
     q = fld.q
     divs = [d for d in divisors(q - 1) if d <= 24]
-    idx = np.arange(8)
     for e1 in divs:
+        idx = np.arange(min(2 * e1, 8))  # c <= min(2 e1, 8) rows are read
         f1 = (q - 1) // e1
         # exps[k, i]: coset i for e2 = divs[k], sorted; equal rows, equal sets
         exps = np.sort((np.multiply.outer(divs, idx)[..., None]
@@ -207,14 +195,16 @@ def _odd_divisor_character(fld, rng, res):
                         f"{fld.name} divisor e1={e1}")
 
 
+# (suite names, fn): fn fills one SuiteResult per name, drawing from an
+# rng seeded by the last name.
 _SUITES = (
-    ("roots-product identity", _roots_product),
-    ("coset-derivative identity", _coset_derivative),
-    ("coset-polynomial factorization", _coset_factorization),
-    ("subspace-product character", _subspace_product_character),
-    ("additive-lift transfer", _additive_lift_transfer),
-    ("coset-distinctness criterion", _coset_distinctness),
-    ("odd-divisor character", _odd_divisor_character),
+    (("roots-product identity", "coset-derivative identity"),
+     _coset_products),
+    (("coset-polynomial factorization",), _coset_factorization),
+    (("subspace-product character",), _subspace_product_character),
+    (("additive-lift transfer",), _additive_lift_transfer),
+    (("coset-distinctness criterion",), _coset_distinctness),
+    (("odd-divisor character",), _odd_divisor_character),
 )
 
 
@@ -223,9 +213,9 @@ def run_selftest(max_q=200, table_limit=DEFAULT_TABLE_LIMIT, fields=None):
 
     A caller may inject its own field list (the fault-injection hook
     used by the test suite); any exception a corrupted field raises is
-    recorded as a failure, not raised.  A max_q past the table limit or
-    MAX_SELFTEST_Q is refused before the sieve, and an empty field list
-    before any suite.
+    recorded as a failure of each suite its function fills, not raised.
+    A max_q past the table limit or MAX_SELFTEST_Q is refused before the
+    sieve, and an empty field list before any suite.
     """
     if fields is None:
         limit, what = min((table_limit, "table limit"),
@@ -237,16 +227,17 @@ def run_selftest(max_q=200, table_limit=DEFAULT_TABLE_LIMIT, fields=None):
     if not fields:
         raise HypothesisViolated("no odd prime power q >= 3 to test")
     results = []
-    for name, fn in _SUITES:
-        rng = random.Random(f"selftest:{name}")
-        res = SuiteResult(name)
+    for names, fn in _SUITES:
+        rng = random.Random(f"selftest:{names[-1]}")
+        tallies = [SuiteResult(name) for name in names]
         for fld in fields:
             try:
-                fn(fld, rng, res)
+                fn(fld, rng, *tallies)
             except (GrsDualError, AssertionError, ValueError) as exc:
-                res.checks += 1
-                res.note(f"{fld.name}: raised {exc!r}")
-        results.append(res)
+                for res in tallies:
+                    res.checks += 1
+                    res.note(f"{fld.name}: raised {exc!r}")
+        results += tallies
     return results
 
 

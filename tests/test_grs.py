@@ -452,6 +452,34 @@ def test_check_self_dual_refuses_a_bare_g_off_the_grs_shape():
     assert check_self_dual(GeneratorMatrix(f, g))
 
 
+def test_grs_eval_set_refuses_repeated_points_before_any_eval_set(
+        monkeypatch):
+    """A bare G whose row 1 / row 0 repeats a point is refused before an
+    EvalSet is formed, and check_self_dual proves it by the general Gram
+    and rank.  th8_code(13,1,3,0,2)'s G with point 1 moved onto point 0
+    is not self-dual; with c times row 2 added to row 1, c chosen so
+    that points 0 and 1 collide, it spans the same code and is."""
+    from grsdual import th8_code
+    code = th8_code(13, 1, 3, 0, 2)
+    f, g, a = code.field, code.generator_matrix().data, code.eval_set.points
+    moved = g.copy()
+    moved[1, 1] = f.mul(int(g[0, 1]), a[0])
+    s = f.add(a[0], a[1])
+    assert s != 0
+    mixed = g.copy()
+    mixed[1] = f.vadd(g[1], f.vmul(f.neg(f.inv(s)), g[2]))
+    want = [check_self_dual(GeneratorMatrix(f, x)) for x in (moved, mixed)]
+    assert want == [False, True]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("EvalSet formed")
+    monkeypatch.setattr(grs, "EvalSet", refuse)
+    for x, ok in zip((moved, mixed), want):
+        gmat = GeneratorMatrix(f, x)
+        assert grs._grs_eval_set(gmat) is None
+        assert check_self_dual(gmat) == ok
+
+
 def test_generator_matrix_nodes_are_the_points():
     """The nodes of a code's proofs are its points, 0 at the unit column
     of an extended code: those GrsRows forms its rows from.  The G that

@@ -1,5 +1,6 @@
 """Square-clique greedy search, its q bound, and the catalog sweep."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -21,10 +22,12 @@ from grsdual.grs import code_from_obj, lagrange_products
 from grsdual.search import (
     FAMILIES,
     CatalogEntry,
+    _admitted,
     catalog,
     catalog_to_csv,
     catalog_to_jsonl,
     clique_count_lower_bound,
+    divisors,
     large_q_bound,
     odd_prime_powers,
     square_clique_greedy,
@@ -235,6 +238,62 @@ def test_admits_exactly_when_the_build_succeeds():
                 assert code.length == n, (q, params)
                 admitted += 1
     assert admitted > 2000 and refused > 2000
+
+
+def unbounded_lift_grid(key, ts):
+    """A th1..th4 grid with no cap: every r^m = q (only r = p when key
+    is "p"), e < m and t in ts(r)."""
+    def grid(p, big_m, cap):
+        pairs = ([(p, big_m)] if key == "p" else
+                 [(p ** d, big_m // d) for d in divisors(big_m)])
+        for r, m in pairs:
+            for e in range(m):
+                for t in ts(r):
+                    yield {key: r, "m": m, "e": e, "t": t}
+    return grid
+
+
+UNBOUNDED_LIFT_GRIDS = {
+    "th1": unbounded_lift_grid("r", lambda r: [
+        t for t in divisors((r - 1) // 2) if 2 * t != r - 1]),
+    "th2": unbounded_lift_grid("p", lambda p: range(3, p, 2)),
+    "th3": unbounded_lift_grid("p", lambda p: range(2, p, 2)),
+    "th4": unbounded_lift_grid("r", lambda r: [
+        t for t in divisors(r - 1) if t % 2 == 0]),
+}
+
+
+def test_lift_grids_stop_at_the_cap():
+    """Over every odd prime power up to 2187 and caps 2, 10, 40 and
+    q + 1, each lift family's grid is its unbounded grid filtered to
+    length <= cap, in the same order."""
+    for q in odd_prime_powers(2187):
+        p, m = factor_prime_power(q)
+        for cap in (2, 10, 40, q + 1):
+            for fid, unbounded in UNBOUNDED_LIFT_GRIDS.items():
+                fam = FAMILIES[fid]
+                want = [a for a in unbounded(p, m, cap)
+                        if fam.length(a) <= cap]
+                assert list(fam.grid(p, m, cap)) == want, (q, cap, fid)
+
+
+def test_admitted_is_the_same_from_the_unbounded_lift_grids(monkeypatch):
+    """_admitted over every odd prime power up to 2187 at caps 2, 10
+    and 40 (or q + 1 when smaller) lists the same witnesses, in the same
+    order, as with the unbounded lift grids in place."""
+    def admitted_all():
+        return [(n, params, prov)
+                for q in odd_prime_powers(2187)
+                for cap in sorted({min(c, q + 1) for c in (2, 10, 40)})
+                for n, _, params, prov in _admitted(
+                    make_field(*factor_prime_power(q)), cap)]
+
+    bounded = admitted_all()
+    for fid, unbounded in UNBOUNDED_LIFT_GRIDS.items():
+        monkeypatch.setitem(FAMILIES, fid,
+                            dataclasses.replace(FAMILIES[fid], grid=unbounded))
+    assert admitted_all() == bounded
+    assert len(bounded) > 15000
 
 
 def count_certificates(monkeypatch):

@@ -14,11 +14,10 @@ from grsdual.grs import lagrange_products
 from grsdual.search import divisors, odd_prime_powers
 from grsdual.selftest import (
     SuiteResult,
-    _coset_derivative,
     _coset_distinctness,
     _coset_factorization,
+    _coset_products,
     _root_product,
-    _roots_product,
     run_selftest,
     selftest_passed,
 )
@@ -62,6 +61,14 @@ def test_corrupted_zech_table_is_caught():
     assert witnesses and all("GF(13)" in w for w in witnesses)
     # witness lists stay readable: at most 8 per suite
     assert all(len(r.witnesses) <= 8 for r in results)
+
+
+def test_run_at_200_reports_the_pinned_suites():
+    """Every suite's name, check count and failure count at max_q = 200,
+    as `grsdual selftest --max-q 200` prints them."""
+    assert [(r.name, r.checks, r.failures) for r in run_selftest(200)] == \
+        list(zip(SUITE_NAMES,
+                 [10456, 21916, 14493, 212, 438, 62284, 71], [0] * 7))
 
 
 def test_explicit_field_list_restricts_the_run():
@@ -190,7 +197,7 @@ def test_coset_factorization_matches_the_sequential_reference():
 
 
 def per_coset_roots_product(fld, rng, res):
-    """_roots_product's reference: L over the m-th roots of unity from
+    """The roots suite's reference: L over the m-th roots of unity from
     one lagrange_products call per m."""
     q = fld.q
     for m in divisors(q - 1):
@@ -201,12 +208,13 @@ def per_coset_roots_product(fld, rng, res):
 
 
 def per_coset_derivative(fld, rng, res):
-    """_coset_derivative's reference: one lagrange_products call per
-    (divisor, shift), one coset at a time, with the same rng draws."""
+    """The coset suite's reference: one lagrange_products call per
+    (divisor, shift), one coset at a time, with the same rng draws:
+    every shift when e <= 4, else shift 0 and 3 drawn from 1..e-1."""
     q = fld.q
     for f in divisors(q - 1):
         e = (q - 1) // f
-        shifts = range(e) if e <= 4 else rng.sample(range(e), 4)
+        shifts = range(e) if e <= 4 else [0] + rng.sample(range(1, e), 3)
         for i in shifts:
             pts = (i + e * np.arange(f, dtype=np.int64)) % (q - 1) + 1
             expected = fld.vmul(fld.from_int(f), fld.vpow(pts, f - 1))
@@ -223,28 +231,38 @@ def pairwise_coset_distinctness(fld, rng, res):
             res.compare(same, claim, f"{fld.name} e1={e1} e2={e2} pairs")
 
 
-@pytest.mark.parametrize("suite, reference, name, corrupted_failures", [
-    (_roots_product, per_coset_roots_product, "roots-product identity",
-     (16, 36)),
-    (_coset_derivative, per_coset_derivative, "coset-derivative identity",
-     (24, 48)),
+def two_suites(first, second):
+    """One function filling two results, from two references that each
+    fill one and share the rng, first then second."""
+    def both(fld, rng, res_first, res_second):
+        first(fld, rng, res_first)
+        second(fld, rng, res_second)
+    return both
+
+
+@pytest.mark.parametrize("suite, reference, names, corrupted_failures", [
+    (_coset_products,
+     two_suites(per_coset_roots_product, per_coset_derivative),
+     ("roots-product identity", "coset-derivative identity"),
+     [(16, 24), (36, 48)]),
     (_coset_distinctness, pairwise_coset_distinctness,
-     "coset-distinctness criterion", (0, 0)),
+     ("coset-distinctness criterion",), [(0,), (0,)]),
 ])
 def test_batched_suites_match_their_per_coset_references(
-        suite, reference, name, corrupted_failures):
+        suite, reference, names, corrupted_failures):
     """The same compare calls (values and witness labels), checks,
-    failures and witnesses on every sound field up to 200, on the
-    corrupted GF(13) and on the corrupted GF(25)."""
-    cases = [(make_field(*factor_prime_power(q)), 0)
+    failures and witnesses in each result filled, on every sound field
+    up to 200, on the corrupted GF(13) and on the corrupted GF(25).
+    The rng is seeded by the last name, as run_selftest seeds it."""
+    cases = [(make_field(*factor_prime_power(q)), (0,) * len(names))
              for q in odd_prime_powers(200)]
     cases += zip([corrupted(13, 1, 3), corrupted(5, 2, 2)], corrupted_failures)
     for fld, failures in cases:
         tallies = []
         for fn in (suite, reference):
-            res = Recorder()
-            fn(fld, random.Random(f"selftest:{name}"), res)
-            tallies.append((res.calls, res.labels, res.checks, res.failures,
-                            res.witnesses))
+            recs = [Recorder() for _ in names]
+            fn(fld, random.Random(f"selftest:{names[-1]}"), *recs)
+            tallies.append([(r.calls, r.labels, r.checks, r.failures,
+                             r.witnesses) for r in recs])
         assert tallies[0] == tallies[1], fld.name
-        assert tallies[0][3] == failures, fld.name
+        assert tuple(t[3] for t in tallies[0]) == failures, fld.name
