@@ -240,7 +240,23 @@ def two_suites(first, second):
     return both
 
 
+def _roots_product(fld, rng, res):
+    """The roots-product suite alone: _coset_products with the
+    coset-derivative result set aside."""
+    _coset_products(fld, rng, res, SuiteResult("coset-derivative identity"))
+
+
+def _coset_derivative(fld, rng, res):
+    """The coset-derivative suite alone: _coset_products with the
+    roots-product result set aside."""
+    _coset_products(fld, rng, SuiteResult("roots-product identity"), res)
+
+
 @pytest.mark.parametrize("suite, reference, names, corrupted_failures", [
+    (_roots_product, per_coset_roots_product, ("roots-product identity",),
+     [(16,), (36,)]),
+    (_coset_derivative, per_coset_derivative, ("coset-derivative identity",),
+     [(24,), (48,)]),
     (_coset_products,
      two_suites(per_coset_roots_product, per_coset_derivative),
      ("roots-product identity", "coset-derivative identity"),
