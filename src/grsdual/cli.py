@@ -179,8 +179,8 @@ def _code_report(code, cfg):
     prov = json.dumps(code.provenance, sort_keys=True)
     return (f"[{code.length},{code.k}] self-dual code over {code.field.name}\n"
             f"provenance: {prov}\n"
-            f"a: {' '.join(str(x) for x in code.eval_set.points)}\n"
-            f"v: {' '.join(str(x) for x in code.eval_set.multipliers)}\n"
+            f"a: {' '.join(map(str, code.eval_set.points.tolist()))}\n"
+            f"v: {' '.join(map(str, code.eval_set.multipliers.tolist()))}\n"
             f"extended: {'yes' if code.eval_set.extended else 'no'}\n")
 
 

@@ -211,9 +211,10 @@ def _stages(r, s, ms):
 
 
 def tower_length(variant, r, s, ms, e, t):
-    """T r^e times every stage's e1, plus 1 if extended: tower lengths."""
+    """T r^e times every stage's e1 (a telescoping product), plus 1 if
+    extended: tower lengths."""
     extended, _, extra, _ = TOWER_VARIANTS[variant]
-    expansion = math.prod(e1 for e1, _ in _stages(r, s, ms))
+    expansion = (r ** (s * math.prod(ms)) - 1) // (r ** s - 1)
     return (t + extra) * r ** e * expansion + int(extended)
 
 

@@ -178,40 +178,52 @@ def solve_extended_multipliers(field, points, l_values=None):
     return None if solved is None else solved[1]
 
 
-def _int_tuple(xs):
-    """xs as a tuple of Python ints: a 1-d int64 array by tolist, any
-    other input by int() of each entry."""
+def _encodings(xs, distinct=False):
+    """xs, its entries ascending and, if distinct, whether one repeats:
+    a 1-d int64 array in numpy, any other input as Python ints by int()."""
     if isinstance(xs, np.ndarray) and xs.dtype == np.int64 and xs.ndim == 1:
-        return tuple(xs.tolist())
-    return tuple(map(int, xs))
+        s = xs.copy()
+        s.sort()
+        return xs, s, distinct and np.count_nonzero(s[1:] == s[:-1]) > 0
+    xs = list(map(int, xs))  # may pass int64 until the range check
+    return xs, sorted(xs), distinct and len(set(xs)) != len(xs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalSet:
-    """Distinct points, one nonzero multiplier each, the extension flag."""
+    """Distinct points, one nonzero multiplier each, the extension flag;
+    points and multipliers are read-only 1-d int64 arrays, so a code
+    cannot change after its proof.  Not hashable."""
 
     field: Field
-    points: tuple
-    multipliers: tuple
+    points: np.ndarray
+    multipliers: np.ndarray
     extended: bool = False
 
     def __post_init__(self):
-        # set, min and max loop in C: no Python loop per entry
         q = self.field.q
-        pts = _int_tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if len(set(pts)) != len(pts):
+        pts, s, repeats = _encodings(self.points, distinct=True)
+        if repeats:
             raise DuplicatePoints("evaluation points are not distinct")
         if len(pts) > q:
             raise DuplicatePoints("more points than field elements")
-        if pts and not (0 <= min(pts) and max(pts) < q):
+        if len(s) and not (0 <= s[0] and s[-1] < q):
             raise ValueError("point encoding out of range")
-        v = _int_tuple(self.multipliers)
-        object.__setattr__(self, "multipliers", v)
+        v, s, _ = _encodings(self.multipliers)
         if len(v) != len(pts):
             raise ShapeMismatch("one multiplier per point is required")
-        if v and not (0 < min(v) and max(v) < q):
+        if len(s) and not (0 < s[0] and s[-1] < q):
             raise ZeroArgument("multipliers must be nonzero encodings")
+        for name, xs in (("points", pts), ("multipliers", v)):
+            a = np.array(xs, dtype=np.int64)  # a copy the caller cannot write
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        return (isinstance(other, EvalSet) and self.field == other.field
+                and self.extended == other.extended
+                and np.array_equal(self.points, other.points)
+                and np.array_equal(self.multipliers, other.multipliers))
 
     @property
     def n(self):
@@ -262,11 +274,12 @@ class GrsRows:
     read them; nodes are the points, 0 at the unit column."""
 
     def __init__(self, eval_set, k):
-        f = self.field = eval_set.field
+        self.field = eval_set.field
         self.shape, self.extended = (k, eval_set.length), eval_set.extended
-        pad = (0,) * eval_set.extended  # the unit column: v = a = 0
-        self.nodes = f.varray(eval_set.points + pad)
-        self.multipliers = f.varray(eval_set.multipliers + pad)
+        a, v = eval_set.points, eval_set.multipliers
+        if self.extended:  # the unit column: v = a = 0
+            a, v = np.concatenate([[a, v], [[0], [0]]], axis=1)
+        self.nodes, self.multipliers = a, v
 
     def __getitem__(self, idx):
         """Rows idx (int, slice or int array): v_j a_j**i, 1 in row k-1
@@ -296,7 +309,8 @@ def _grs_eval_set(gmat):
     Multipliers are row 0, points row 1 / row 0, and es is extended
     when the last column is e_{k-1}; es is returned only if GrsRows(es, k)
     equals G entry for entry, compared in row blocks.  None for k < 2,
-    for k past the length, for a zero in row 0 and for repeated points."""
+    for k past the length, for a zero in row 0 and, by EvalSet's check,
+    for repeated points."""
     f, g = gmat.field, gmat[:]
     k, n = g.shape
     if not 2 <= k <= n:
@@ -305,11 +319,10 @@ def _grs_eval_set(gmat):
     head = g[0, :n - ext]
     if not head.all():
         return None
-    pts = f.vmul(g[1, :n - ext], f.vinv(head))
-    s = np.sort(pts)
-    if (s[1:] == s[:-1]).any():  # before EvalSet reads each point in Python
+    try:
+        es = EvalSet(f, f.vmul(g[1, :n - ext], f.vinv(head)), head, ext)
+    except DuplicatePoints:
         return None
-    es = EvalSet(f, pts, head, ext)
     src, rows = GrsRows(es, k), max(1, linalg._BLOCK_BYTES // (8 * n))
     return es if all(np.array_equal(src[r:r + rows], g[r:r + rows])
                      for r in range(0, k, rows)) else None
@@ -467,8 +480,8 @@ class SelfDualCode:
     def to_obj(self):
         return {
             "field": self.field.descriptor(),
-            "a": list(self.eval_set.points),
-            "v": list(self.eval_set.multipliers),
+            "a": self.eval_set.points.tolist(),
+            "v": self.eval_set.multipliers.tolist(),
             "extended": self.eval_set.extended,
             "k": self.k,
             "provenance": self.provenance,
@@ -525,7 +538,7 @@ def build_verified_code(field, points, extended, provenance, l_values=None):
     construction's hypothesis checks or closed form let a bad case
     through, hence VerificationFailed.
     """
-    pts = np.array(points, dtype=np.int64)
+    pts = np.asarray(points, dtype=np.int64)
     n_total = pts.size + (1 if extended else 0)
     check_verify_scale(n_total // 2, n_total)
     if extended:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -229,47 +230,33 @@ def _lift_family(key, length, ts, builder, admits):
     return Family((key, "m", "e", "t"), length, grid, builder, admits)
 
 
-def _tower_grid(variant, iterated):
+def _tower_family(variant, iterated):
     """th8..th11 (one odd factor m) or cor1..cor4 (two or more odd
-    factors >= 3) for every r^(s m1 m2 ...) = q, e < s, t | r-1 of the
-    variant's parity."""
+    factors >= 3) over every r^(s m1 m2 ...) = q, e < s, and t | r-1 of
+    the variant's parity ascending; length grows with t, so the grid
+    stops at the first t past cap."""
     t_parity = TOWER_VARIANTS[variant][1]
+    key = "ms" if iterated else "m"
+
+    def length(a):
+        ms = a["ms"] if iterated else [a["m"]]
+        return tower_length(variant, a["r"], a["s"], ms, a["e"], a["t"])
 
     def grid(p, big_m, cap):
         for r, mt in _factorizations(p, big_m):
             for prod in divisors(mt):
-                if iterated:
-                    towers = [list(ms) for ms in _odd_factor_tuples(prod)
-                              if len(ms) >= 2]
-                else:
-                    towers = [prod] if prod % 2 else []
-                for ms in towers:
-                    for e in range(mt // prod):
-                        for t in divisors(r - 1):
-                            if t % 2 == t_parity:
-                                yield {"r": r, "s": mt // prod,
-                                       "ms" if iterated else "m": ms,
-                                       "e": e, "t": t}
-    return grid
-
-
-def _towers(variant):
-    """Registry entries for one tower variant and its iterated form."""
-    corollary = TOWER_VARIANTS[variant][3]
-
-    def length(a, ms):
-        return tower_length(variant, a["r"], a["s"], ms, a["e"], a["t"])
-
-    return {
-        variant: Family(("r", "s", "m", "e", "t"),
-                        lambda a: length(a, [a["m"]]),
-                        _tower_grid(variant, False), f"{variant}_code",
-                        partial(cosets.tower_admits, variant)),
-        corollary: Family(("r", "s", "ms", "e", "t"),
-                          lambda a: length(a, a["ms"]),
-                          _tower_grid(variant, True), "iterated_lift",
-                          partial(cosets.tower_admits, variant), (variant,)),
-    }
+                towers = [list(ms) for ms in _odd_factor_tuples(prod)
+                          if len(ms) >= 2] if iterated else [prod] * (prod % 2)
+                for ms, e in itertools.product(towers, range(mt // prod)):
+                    for t in (t for t in divisors(r - 1) if t % 2 == t_parity):
+                        params = {"r": r, "s": mt // prod, key: ms,
+                                  "e": e, "t": t}
+                        if length(params) > cap:
+                            break
+                        yield params
+    return Family(("r", "s", key, "e", "t"), length, grid,
+                  "iterated_lift" if iterated else f"{variant}_code",
+                  partial(cosets.tower_admits, variant), (variant,) * iterated)
 
 
 def _square_orders(p, big_m, cap):
@@ -287,7 +274,7 @@ def _th12_grid(p, big_m, cap):
             d_cap = cosets.coset_count(r, f, s, -1)
             for t in range(1, min(d_cap, cap // f) + 1):
                 if t * f % 2 == 0:
-                    for variant in ("tf", "tf+2"):
+                    for variant in ("tf", "tf+2")[:1 + (t * f + 2 <= cap)]:
                         yield {"r": r, "e": e, "f": f, "s": s, "t": t,
                                "variant": variant}
 
@@ -330,10 +317,9 @@ FAMILIES = {
         "r", lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
         lambda r: [t for t in divisors(r - 1) if t % 2 == 0],
         "th4_code", subspace.th4_admits),
-    **_towers("th8"),
-    **_towers("th9"),
-    **_towers("th10"),
-    **_towers("th11"),
+    **{fid: _tower_family(variant, iterated)  # th8, cor1, ..., th11, cor4
+       for variant, (*_, corollary) in TOWER_VARIANTS.items()
+       for fid, iterated in ((variant, False), (corollary, True))},
     "th12": Family(
         ("r", "e", "f", "s", "t", "variant"),
         lambda a: a["t"] * a["f"] + (2 if a["variant"] == "tf+2" else 0),

@@ -65,8 +65,8 @@ def test_integer_run_and_zero_and_roots():
 def test_th1_small_prime_case():
     code = th1_code(13, 1, 0, 3)
     assert (code.length, code.k) == (6, 3)
-    assert code.eval_set.points == (3, 5, 7, 9, 11, 1)
-    assert code.eval_set.multipliers == (5, 6, 1, 2, 3, 4)
+    assert code.eval_set.points.tolist() == [3, 5, 7, 9, 11, 1]
+    assert code.eval_set.multipliers.tolist() == [5, 6, 1, 2, 3, 4]
     assert code.verify()
     assert code.provenance["theorem"] == "th1"
 
@@ -110,7 +110,8 @@ def test_th1_base_menu():
 def test_th2_small_case():
     code = th2_code(13, 1, 0, 3)
     assert (code.length, code.k) == (4, 2)
-    assert code.eval_set.points == tuple(F13.from_int(v) for v in (0, 1, 2, 3))
+    assert code.eval_set.points.tolist() == [F13.from_int(v)
+                                          for v in (0, 1, 2, 3)]
     assert code.verify()
 
 
@@ -171,8 +172,8 @@ def test_th4_small_case():
     code = th4_code(13, 1, 0, 4)
     assert (code.length, code.k) == (6, 3)
     assert code.eval_set.extended
-    assert code.eval_set.points == (0, 4, 7, 10, 1)
-    assert code.eval_set.multipliers == (1, 3, 3, 3, 3)
+    assert code.eval_set.points.tolist() == [0, 4, 7, 10, 1]
+    assert code.eval_set.multipliers.tolist() == [1, 3, 3, 3, 3]
     assert code.verify()
 
 

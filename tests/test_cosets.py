@@ -3,6 +3,7 @@ two-decomposition families th12/th13 over GF(r^2)."""
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from grsdual import make_field
 from grsdual.field import extension_field
 from grsdual.cosets import (
+    TOWER_VARIANTS,
     CosetSpec,
+    _stages,
     _two_decomposition,
     coset_lift,
     coset_points,
@@ -23,6 +26,7 @@ from grsdual.cosets import (
     th11_code,
     th12_code,
     th13_code,
+    tower_length,
 )
 from grsdual.errors import (
     BaseNotSelfDual,
@@ -122,8 +126,8 @@ def test_th8_small_tower():
 def test_th9_small_tower():
     code = th9_code(7, 1, 1, 0, 3)
     assert (code.length, code.k) == (4, 2)
-    assert code.eval_set.points == (1, 2, 6, 3)
-    assert code.eval_set.multipliers == (2, 3, 3, 3)
+    assert code.eval_set.points.tolist() == [1, 2, 6, 3]
+    assert code.eval_set.multipliers.tolist() == [2, 3, 3, 3]
     assert code.verify()
 
 
@@ -138,8 +142,8 @@ def test_th11_extended_tower():
     code = th11_code(5, 2, 1, 0, 2)
     assert (code.length, code.k) == (4, 2)
     assert code.eval_set.extended
-    assert code.eval_set.points == (2, 21, 4)
-    assert code.eval_set.multipliers == (1, 10, 10)
+    assert code.eval_set.points.tolist() == [2, 21, 4]
+    assert code.eval_set.multipliers.tolist() == [1, 10, 10]
     assert code.verify()
 
 
@@ -180,7 +184,7 @@ def test_iterated_degenerate_second_stage():
     # a final factor of 1 keeps the field and the points unchanged
     one = iterated_lift(5, 1, [3], 0, 2, "th8")
     two = iterated_lift(5, 1, [3, 1], 0, 2, "th8")
-    assert two.eval_set.points == one.eval_set.points
+    assert two.eval_set.points.tolist() == one.eval_set.points.tolist()
     assert two.provenance == {"theorem": "cor1", "r": 5, "s": 1,
                               "ms": [3, 1], "e": 0, "t": 2}
     assert two.verify()
@@ -191,6 +195,19 @@ def test_iterated_rejects_bad_factor_lists():
         iterated_lift(5, 1, [], 0, 2, "th8")
     with pytest.raises(HypothesisViolated):
         iterated_lift(5, 1, [3, 2], 0, 2, "th8")
+
+
+def test_tower_length_is_the_product_of_the_stage_e1():
+    """The closed form (r^(s m1 m2 ...) - 1) / (r^s - 1) is the product
+    of every stage's e1 = (W - 1) / (w - 1), for every variant."""
+    for variant, (extended, _, extra, _) in TOWER_VARIANTS.items():
+        for r, s, ms, e, t in itertools.product(
+                (3, 5, 9, 13), (1, 2),
+                ([1], [3], [5], [3, 1], [3, 3], [3, 5, 3]),
+                (0, 1, 2), (1, 2, 4)):
+            expansion = math.prod(e1 for e1, _ in _stages(r, s, ms))
+            want = (t + extra) * r ** e * expansion + int(extended)
+            assert tower_length(variant, r, s, ms, e, t) == want
 
 
 def test_iterated_two_stages_exceed_desk_scale():
@@ -281,8 +298,8 @@ def test_th12_family_over_gf25():
         assert (code.length, code.k) == (n, n // 2)
         assert code.verify()
     code = th12_code(5, 6, 4, 2, 2, "tf")
-    assert code.eval_set.points == (1, 7, 13, 19, 3, 9, 15, 21)
-    assert code.eval_set.multipliers == (6, 9, 12, 3, 9, 12, 3, 6)
+    assert code.eval_set.points.tolist() == [1, 7, 13, 19, 3, 9, 15, 21]
+    assert code.eval_set.multipliers.tolist() == [6, 9, 12, 3, 9, 12, 3, 6]
     assert code.provenance["indices"] == [0, 1]
 
 
@@ -290,8 +307,8 @@ def test_th12_extended_variant():
     code = th12_code(5, 6, 4, 2, 1, "tf+2")
     assert (code.length, code.k) == (6, 3)
     assert code.eval_set.extended
-    assert code.eval_set.points == (1, 7, 13, 19, 0)
-    assert code.eval_set.multipliers == (1, 1, 1, 1, 1)
+    assert code.eval_set.points.tolist() == [1, 7, 13, 19, 0]
+    assert code.eval_set.multipliers.tolist() == [1, 1, 1, 1, 1]
     assert code.verify()
 
 
@@ -310,8 +327,8 @@ def test_th13_family_over_gf25():
     code = th13_code(5, 8, 3, 3, 1)
     assert (code.length, code.k) == (4, 2)
     assert code.eval_set.extended
-    assert code.eval_set.points == (1, 9, 17)
-    assert code.eval_set.multipliers == (4, 8, 12)
+    assert code.eval_set.points.tolist() == [1, 9, 17]
+    assert code.eval_set.multipliers.tolist() == [4, 8, 12]
     assert code.verify()
     code = th13_code(5, 8, 3, 3, 3)
     assert (code.length, code.k) == (10, 5)

@@ -12,6 +12,7 @@ min_distance's information-set search but the field's vadd/vmul, so it
 is the differential oracle for that search.
 """
 
+import gc
 import itertools
 import json
 import math
@@ -367,9 +368,82 @@ def test_eval_set_checks_match_the_per_entry_reference(make):
     count, zero multipliers, and int32, uint64 and object arrays."""
     def real():
         es = EvalSet(F, *make())
-        return es.points, es.multipliers
+        return tuple(es.points.tolist()), tuple(es.multipliers.tolist())
     assert _outcome(real) == _outcome(
         lambda: _reference_eval_set(F.q, *make()))
+
+
+def _int64_or_list(draw, xs):
+    """xs as a list of Python ints, or as an int64 array when it fits."""
+    fits = all(-2 ** 63 <= x < 2 ** 63 for x in xs)
+    return np.array(xs, dtype=np.int64) if fits and draw(st.booleans()) else xs
+
+
+@st.composite
+def eval_set_inputs(draw):
+    """(q, points, multipliers) over GF(13) or GF(3^4), each a list of
+    Python ints in [-2^70, 2^70] or an int64 array, from a valid set
+    with some of: more distinct points than q, a repeated point, a zero
+    multiplier, an entry outside [0, q) and a multiplier too many or too
+    few."""
+    q = draw(st.sampled_from([13, 81]))
+    faults = draw(st.sets(st.sampled_from(
+        ["excess", "repeat", "zero", "point", "multiplier", "count"])))
+    pts = draw(st.permutations(range(q + draw(st.integers(1, 3)))) if
+               "excess" in faults else
+               st.lists(st.integers(0, q - 1), max_size=12, unique=True))
+    v = draw(st.lists(st.integers(1, q - 1), min_size=len(pts),
+                      max_size=len(pts)))
+    outside = st.one_of(st.integers(-2 ** 70, -1), st.integers(q, 2 ** 70),
+                        st.sampled_from([-2 ** 63, 2 ** 63 - 1, -1, q]))
+    if pts and "repeat" in faults:
+        pts.append(draw(st.sampled_from(pts)))
+        v.append(draw(st.integers(1, q - 1)))
+    for kind, xs in (("point", pts), ("zero", v), ("multiplier", v)):
+        if xs and kind in faults:
+            i = draw(st.integers(0, len(xs) - 1))
+            xs[i] = 0 if kind == "zero" else draw(outside)
+    if "count" in faults:
+        v = v[:-1] if v and draw(st.booleans()) else v + [1]
+    return q, _int64_or_list(draw, pts), _int64_or_list(draw, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eval_set_inputs())
+def test_eval_set_matches_the_reference_on_lists_and_int64_arrays(case):
+    """Lists of Python ints and int64 arrays, with repeats, zeros,
+    entries outside [0, q) and count mismatches forced: EvalSet gives
+    the reference's values or its exception class and message."""
+    q, pts, v = case
+    f = make_field(*{13: (13, 1), 81: (3, 4)}[q])
+
+    def real():
+        es = EvalSet(f, pts, v)
+        return tuple(es.points.tolist()), tuple(es.multipliers.tolist())
+    assert _outcome(real) == _outcome(lambda: _reference_eval_set(q, pts, v))
+
+
+def test_a_code_holds_its_eval_set_as_two_read_only_int64_arrays():
+    """A retained th8_code(13,1,3,0,4) [732,366] holds at most 16 KB
+    (its two arrays are 11.7 KB), a code cannot change after its proof,
+    and an EvalSet is not hashable."""
+    from grsdual import th8_code
+    th8_code(13, 1, 3, 0, 4)  # the field and every cache it fills
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = th8_code(13, 1, 3, 0, 4)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16_000, held
+    for xs in (code.eval_set.points, code.eval_set.multipliers):
+        assert xs.dtype == np.int64 and xs.shape == (732,)
+        with pytest.raises(ValueError):
+            xs[0] = 1
+    with pytest.raises(TypeError):
+        hash(code.eval_set)
 
 
 def test_generator_matrix_worked_example():
@@ -452,13 +526,13 @@ def test_check_self_dual_refuses_a_bare_g_off_the_grs_shape():
     assert check_self_dual(GeneratorMatrix(f, g))
 
 
-def test_grs_eval_set_refuses_repeated_points_before_any_eval_set(
-        monkeypatch):
-    """A bare G whose row 1 / row 0 repeats a point is refused before an
-    EvalSet is formed, and check_self_dual proves it by the general Gram
-    and rank.  th8_code(13,1,3,0,2)'s G with point 1 moved onto point 0
-    is not self-dual; with c times row 2 added to row 1, c chosen so
-    that points 0 and 1 collide, it spans the same code and is."""
+def test_grs_eval_set_refuses_repeated_points_before_any_row(monkeypatch):
+    """A bare G whose row 1 / row 0 repeats a point is refused by
+    EvalSet's repeat check before any GrsRows is formed, and
+    check_self_dual proves it by the general Gram and rank.
+    th8_code(13,1,3,0,2)'s G with point 1 moved onto point 0 is not
+    self-dual; with c times row 2 added to row 1, c chosen so that
+    points 0 and 1 collide, it spans the same code and is."""
     from grsdual import th8_code
     code = th8_code(13, 1, 3, 0, 2)
     f, g, a = code.field, code.generator_matrix().data, code.eval_set.points
@@ -472,9 +546,11 @@ def test_grs_eval_set_refuses_repeated_points_before_any_eval_set(
     assert want == [False, True]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("EvalSet formed")
-    monkeypatch.setattr(grs, "EvalSet", refuse)
+        raise AssertionError("GrsRows formed")
+    monkeypatch.setattr(grs.GrsRows, "__init__", refuse)
     for x, ok in zip((moved, mixed), want):
+        with pytest.raises(DuplicatePoints):
+            EvalSet(f, f.vmul(x[1], f.vinv(x[0])), x[0])
         gmat = GeneratorMatrix(f, x)
         assert grs._grs_eval_set(gmat) is None
         assert check_self_dual(gmat) == ok
@@ -982,8 +1058,8 @@ def test_grs_eval_set_reads_back_every_eval_set(case):
     if k < 2:
         assert got is None
         return
-    assert (got.points, got.multipliers, got.extended) == (
-        es.points, es.multipliers, es.extended)
+    assert (got.points.tolist(), got.multipliers.tolist(), got.extended) == (
+        es.points.tolist(), es.multipliers.tolist(), es.extended)
     assert grs._grs_eval_set(GeneratorMatrix.from_text(es.field,
                                                        g.to_text())) == es
 

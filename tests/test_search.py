@@ -11,6 +11,7 @@ import pytest
 
 import grsdual
 from grsdual import make_field
+from grsdual.cosets import TOWER_VARIANTS
 from grsdual.errors import (
     EnumerationTooLarge,
     GreedyFailed,
@@ -23,6 +24,9 @@ from grsdual.search import (
     FAMILIES,
     CatalogEntry,
     _admitted,
+    _factorizations,
+    _odd_factor_tuples,
+    _square_orders,
     catalog,
     catalog_to_csv,
     catalog_to_jsonl,
@@ -253,24 +257,61 @@ def unbounded_lift_grid(key, ts):
     return grid
 
 
-UNBOUNDED_LIFT_GRIDS = {
+def unbounded_tower_grid(variant, iterated):
+    """A th8..th11 or cor1..cor4 grid with no cap: every r^(s m1 ...) =
+    q, e < s and t | r-1 of the variant's parity."""
+    def grid(p, big_m, cap):
+        for r, mt in _factorizations(p, big_m):
+            for prod in divisors(mt):
+                if iterated:
+                    towers = [list(ms) for ms in _odd_factor_tuples(prod)
+                              if len(ms) >= 2]
+                else:
+                    towers = [prod] if prod % 2 else []
+                for ms in towers:
+                    for e in range(mt // prod):
+                        for t in divisors(r - 1):
+                            if t % 2 == TOWER_VARIANTS[variant][1]:
+                                yield {"r": r, "s": mt // prod,
+                                       "ms" if iterated else "m": ms,
+                                       "e": e, "t": t}
+    return grid
+
+
+def unbounded_th12_grid(p, big_m, cap):
+    """The th12 grid with both variants at every t f <= cap."""
+    for r, f, e in _square_orders(p, big_m, cap):
+        for s in divisors(math.gcd(f, r - 1)):
+            d_cap = grsdual.cosets.coset_count(r, f, s, -1)
+            for t in range(1, min(d_cap, cap // f) + 1):
+                if t * f % 2 == 0:
+                    for variant in ("tf", "tf+2"):
+                        yield {"r": r, "e": e, "f": f, "s": s, "t": t,
+                               "variant": variant}
+
+
+UNBOUNDED_GRIDS = {
     "th1": unbounded_lift_grid("r", lambda r: [
         t for t in divisors((r - 1) // 2) if 2 * t != r - 1]),
     "th2": unbounded_lift_grid("p", lambda p: range(3, p, 2)),
     "th3": unbounded_lift_grid("p", lambda p: range(2, p, 2)),
     "th4": unbounded_lift_grid("r", lambda r: [
         t for t in divisors(r - 1) if t % 2 == 0]),
+    **{fid: unbounded_tower_grid(variant, iterated)
+       for variant, (_, _, _, cor) in TOWER_VARIANTS.items()
+       for fid, iterated in ((variant, False), (cor, True))},
+    "th12": unbounded_th12_grid,
 }
 
 
 def test_lift_grids_stop_at_the_cap():
     """Over every odd prime power up to 2187 and caps 2, 10, 40 and
-    q + 1, each lift family's grid is its unbounded grid filtered to
-    length <= cap, in the same order."""
+    q + 1, each lift, tower and th12 grid is its unbounded grid filtered
+    to length <= cap, in the same order."""
     for q in odd_prime_powers(2187):
         p, m = factor_prime_power(q)
         for cap in (2, 10, 40, q + 1):
-            for fid, unbounded in UNBOUNDED_LIFT_GRIDS.items():
+            for fid, unbounded in UNBOUNDED_GRIDS.items():
                 fam = FAMILIES[fid]
                 want = [a for a in unbounded(p, m, cap)
                         if fam.length(a) <= cap]
@@ -280,7 +321,7 @@ def test_lift_grids_stop_at_the_cap():
 def test_admitted_is_the_same_from_the_unbounded_lift_grids(monkeypatch):
     """_admitted over every odd prime power up to 2187 at caps 2, 10
     and 40 (or q + 1 when smaller) lists the same witnesses, in the same
-    order, as with the unbounded lift grids in place."""
+    order, as with the unbounded lift, tower and th12 grids in place."""
     def admitted_all():
         return [(n, params, prov)
                 for q in odd_prime_powers(2187)
@@ -289,7 +330,7 @@ def test_admitted_is_the_same_from_the_unbounded_lift_grids(monkeypatch):
                     make_field(*factor_prime_power(q)), cap)]
 
     bounded = admitted_all()
-    for fid, unbounded in UNBOUNDED_LIFT_GRIDS.items():
+    for fid, unbounded in UNBOUNDED_GRIDS.items():
         monkeypatch.setitem(FAMILIES, fid,
                             dataclasses.replace(FAMILIES[fid], grid=unbounded))
     assert admitted_all() == bounded
