@@ -178,15 +178,21 @@ def solve_extended_multipliers(field, points, l_values=None):
     return None if solved is None else solved[1]
 
 
-def _encodings(xs, distinct=False):
-    """xs, its entries ascending and, if distinct, whether one repeats:
-    a 1-d int64 array in numpy, any other input as Python ints by int()."""
+def _encodings(xs, lo, q, distinct=False):
+    """(xs, whether its entries lie in [lo, q), whether one repeats if
+    distinct): a 1-d int64 array in numpy, any other input as Python ints
+    by int().  Only the repeat check sorts, and it sorts a copy."""
     if isinstance(xs, np.ndarray) and xs.dtype == np.int64 and xs.ndim == 1:
+        if not distinct:  # one reduction: in uint64, x < lo is past q
+            return (xs, (xs - lo).view(np.uint64).max(initial=0) < q - lo,
+                    False)
         s = xs.copy()
         s.sort()
-        return xs, s, distinct and np.count_nonzero(s[1:] == s[:-1]) > 0
+        return (xs, not s.size or lo <= s[0] and s[-1] < q,
+                np.count_nonzero(s[1:] == s[:-1]) > 0)
     xs = list(map(int, xs))  # may pass int64 until the range check
-    return xs, sorted(xs), distinct and len(set(xs)) != len(xs)
+    return (xs, not xs or lo <= min(xs) and max(xs) < q,
+            distinct and len(set(xs)) != len(xs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,17 +208,17 @@ class EvalSet:
 
     def __post_init__(self):
         q = self.field.q
-        pts, s, repeats = _encodings(self.points, distinct=True)
+        pts, in_field, repeats = _encodings(self.points, 0, q, distinct=True)
         if repeats:
             raise DuplicatePoints("evaluation points are not distinct")
         if len(pts) > q:
             raise DuplicatePoints("more points than field elements")
-        if len(s) and not (0 <= s[0] and s[-1] < q):
+        if not in_field:
             raise ValueError("point encoding out of range")
-        v, s, _ = _encodings(self.multipliers)
+        v, nonzero, _ = _encodings(self.multipliers, 1, q)
         if len(v) != len(pts):
             raise ShapeMismatch("one multiplier per point is required")
-        if len(s) and not (0 < s[0] and s[-1] < q):
+        if not nonzero:
             raise ZeroArgument("multipliers must be nonzero encodings")
         for name, xs in (("points", pts), ("multipliers", v)):
             a = np.array(xs, dtype=np.int64)  # a copy the caller cannot write

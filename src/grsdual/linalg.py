@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import TableLimitExceeded
 
 # float64 and float32 hold every integer below these exactly
 _EXACT, _EXACT32 = 2 ** 53, 2 ** 24
-# bytes per row block of G, of its planes or of their products: cache-sized
+# bytes per row block of G, of its planes at their itemsize, or of products
 _BLOCK_BYTES = 1 << 18
 
 
@@ -80,10 +79,11 @@ def _encode(field, coeffs):
 
 
 def _sumset_rows(k, rows):
-    """(baby, giant) rows whose sums i + l cover 0..2k-2: 0..b-1 and
-    k-b..k-1, and the multiples of b below k-1 and k-1, 2b + k/b + 1 in
-    all, for b = isqrt(k // 2) capped so 2b rows fit in two blocks."""
-    b = max(1, min(math.isqrt(k // 2), rows))
+    """(baby, giant) rows whose sums cover 0..2k-2: 0..b-1, k-b..k-1 and
+    b's multiples below k-1, and k-1, for b = min(isqrt(k // 2), rows),
+    or the least b <= rows past it whose giant rows fit in one block."""
+    b, fit = max(1, math.isqrt(k // 2)), -(-(k - 1) // max(1, rows - 1))
+    b = fit if b < fit <= rows else min(b, rows)
     baby = np.concatenate([np.arange(b), np.arange(max(b, k - b), k)])
     return baby, np.append(np.arange(0, k - 1, b), k - 1)
 
@@ -93,14 +93,15 @@ def gram(field, g, hankel=False):
 
     Products are exact matmuls of coefficient planes (_coeff_planes)
     over column chunks of width w with w * (p-1)**2 < 2**53: held rows
-    against one block of streamed rows at a time.  hankel says that g
-    is an (extended) GRS generator matrix, rows v_j * a_j**i and the
-    unit column e_{k-1}, and may then be a row source: entry (i, l) is
-    S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2 and extended], so the
-    O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
-    pairs, and the result is a read-only (k, k) view of the 2k-1 S_u,
-    not a copy.  Otherwise every row of the array g is held and
-    streamed."""
+    against one block of streamed rows at a time, _BLOCK_BYTES of planes
+    at their itemsize, the first formed with the held rows.  hankel says
+    that g is an (extended) GRS generator matrix, rows v_j * a_j**i and
+    the unit column e_{k-1}, and may then be a row source: entry (i, l)
+    is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2 and extended], so
+    the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
+    pairs, in one round if the giant rows fit one block, and the result
+    is a read-only (k, k) view of the 2k-1 S_u, not a copy.  Otherwise
+    every row of the array g is held and streamed."""
     g = g if hankel else np.asarray(g[:], dtype=np.int64)
     k, n = g.shape
     p, m = field.p, field.m
@@ -115,23 +116,26 @@ def gram(field, g, hankel=False):
     assert width * (p - 1) ** 2 < _EXACT, "float64 Gram would be inexact"
     # at least 8 rows where G has 16 m of them: one-row blocks of a long
     # G cost a round each, and 8 rows of planes stay below half of G
-    rows = max(1, _BLOCK_BYTES // (8 * m * chunks * width),
+    size = 4 if width * (p - 1) ** 2 < _EXACT32 else 8  # as _coeff_planes
+    rows = max(1, _BLOCK_BYTES // (size * m * chunks * width),
                min(8, k // (2 * m)))
     # entry (i, l) goes to out[i * stride + l]: G G^T flat, or S_{i+l}
     stride = 1 if hankel else k
     held, streamed = (_sumset_rows(k, rows) if hankel
                       else (np.arange(k),) * 2)
     out = np.empty(stride * (k - 1) + k, dtype=np.int64)
-    # the first streamed block is formed in the same call as the held rows
-    first = g[np.concatenate([held, streamed[:rows]])]
-    left = _coeff_planes(field, first[:held.size], chunks, width)
+    # the held rows and the first streamed block: one read, one planes call
+    first = _coeff_planes(field, g[np.concatenate([held, streamed[:rows]])],
+                          chunks, width)
+    left = first[:, :held.size]
     for r0 in range(0, streamed.size, rows):
         idx = streamed[r0:r0 + rows]
-        block = first[held.size:] if r0 == 0 else g[idx]
-        block = _coeff_planes(field, block, chunks, width)
+        block = (first[:, held.size:] if r0 == 0
+                 else _coeff_planes(field, g[idx], chunks, width))
         out[held[:, None] * stride + idx] = _products(field, left, block)
     if hankel:
-        return as_strided(out, (k, k), out.strides * 2, writeable=False)
+        out.flags.writeable = False  # and so the (k, k) view of the S_u
+        return np.ndarray((k, k), np.int64, out, strides=out.strides * 2)
     return out.reshape(k, k)
 
 

@@ -13,7 +13,7 @@ So the quadratic character of L is constant on W iff it is constant on
 b (multiply by lam = c), and the extended criterion transfers up to the
 sign chi(prod of nonzero V) = chi(-1)^((r^e - 1)/2), which is +1 when
 q = 1 (mod 4) or e is even.  subspace_lift is the one lift: it builds
-V and zeta itself (default_subspace and the next basis power), checks its
+V and zeta itself (the first e + 1 basis powers), checks its
 preconditions once (r a subfield, b distinct and inside GF(r); for the
 extended lift an odd b that meets the extended criterion and a +1
 sign), and hands the closed-form L on to the multiplier solve.  It does
@@ -102,11 +102,12 @@ def subspace_lift(field, r, base_points, e, container_order=None,
         raise DuplicatePoints("base points are not distinct")
     if extended and base.size % 2 == 0:
         raise HypothesisViolated("extended lift needs an odd base size")
-    sub = default_subspace(f, r, e, container_order)
-    try:
-        shift = int(subspace_basis(f, r, e + 1, container_order)[-1])
+    try:  # V spans the first e powers, zeta is the last
+        basis = subspace_basis(f, r, e + 1, container_order)
     except HypothesisViolated:
+        subspace_basis(f, r, e, container_order)  # e > c: V itself fails
         raise ShiftInSubspace("subspace covers the whole container") from None
+    sub = span_enc(f, r, basis[:e])
     l_base = lagrange_products(f, base)
     v_prod = int(f.vprod(sub[sub != 0]))  # 1 for the empty product
     if extended:
@@ -116,11 +117,10 @@ def subspace_lift(field, r, base_points, e, container_order=None,
         if f.sign(v_prod) != 1:
             raise ParityCondition(
                 "need q = 1 (mod 4) or even subspace dimension")
-    # c = prod(V setminus 0) * prod(shift + V)^(T-1)
-    c = f.mul(v_prod,
-              f.power(int(f.vprod(f.vadd(shift, sub))), base.size - 1))
-    pts = f.vadd(f.vmul(base, shift)[:, None], sub[None, :]).ravel()
-    return pts, f.vmul(c, np.repeat(l_base, sub.size))
+    # zeta + V, then each b_i zeta + V; c = prod(V - 0) prod(zeta + V)^(T-1)
+    cosets = f.vadd(f.vmul(np.append(1, base), basis[e])[:, None], sub[None])
+    c = f.mul(v_prod, f.power(int(f.vprod(cosets[0])), base.size - 1))
+    return cosets[1:].ravel(), f.vmul(c, np.repeat(l_base, sub.size))
 
 
 # ----------------------------------------------------------------------

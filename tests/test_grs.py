@@ -423,6 +423,27 @@ def test_eval_set_matches_the_reference_on_lists_and_int64_arrays(case):
     assert _outcome(real) == _outcome(lambda: _reference_eval_set(q, pts, v))
 
 
+@pytest.mark.parametrize("bad", [0, -1, -2 ** 63, 13, 14, 2 ** 63 - 1])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_eval_set_refuses_multipliers_outside_one_to_q(bad, as_array):
+    """A zero, negative or >= q multiplier, at the first, a middle or the
+    last place, as an int64 array or as a list, raises ZeroArgument; a
+    wrong count is refused first, and 1 and q-1 pass at every place."""
+    pts = [0, 3, 5, 7, 12]
+    for i in range(len(pts)):
+        for fill, ok in ((bad, False), (1, True), (12, True)):
+            v = [4, 11, 2, 9, 6]
+            v[i] = fill
+            v = np.array(v, dtype=np.int64) if as_array else v
+            if ok:
+                assert EvalSet(F, pts, v).multipliers.tolist() == list(v)
+                continue
+            with pytest.raises(ZeroArgument, match="nonzero encodings"):
+                EvalSet(F, pts, v)
+            with pytest.raises(ShapeMismatch):
+                EvalSet(F, pts[:-1], v)
+
+
 def test_a_code_holds_its_eval_set_as_two_read_only_int64_arrays():
     """A retained th8_code(13,1,3,0,4) [732,366] holds at most 16 KB
     (its two arrays are 11.7 KB), a code cannot change after its proof,

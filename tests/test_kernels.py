@@ -355,7 +355,7 @@ def test_generator_matrix_matches_the_scalar_formula(fm, n, node0, extended,
             assert got.dtype == np.int64
             assert np.array_equal(got, expect[key]), key
         with pytest.MonkeyPatch.context() as mp:  # `block` rows at a time
-            mp.setattr(linalg, "_BLOCK_BYTES", 8 * n * block)
+            mp.setattr(linalg, "_BLOCK_BYTES", 8 * es.length * block)
             got = generator_matrix(es, k).data
         assert np.array_equal(got, expect)
         assert np.array_equal(generator_matrix(es, k).data, expect)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grsdual import grs, linalg, make_field
-from grsdual.cosets import th8_code
+from grsdual.cosets import th8_code, th10_code
 from grsdual.errors import TableLimitExceeded
 from grsdual.grs import (
     EvalSet,
@@ -373,18 +373,25 @@ def grs_shape(field, g):
 
 
 def block_rows(field, k, n):
-    """The row-block size of linalg.gram, from its module constants."""
+    """The row-block size of linalg.gram, from its module constants:
+    _BLOCK_BYTES of planes at 4 bytes an entry where they are float32,
+    at width * (p-1)**2 < _EXACT32, else at 8."""
     most = (linalg._EXACT - 1) // (field.p - 1) ** 2
     chunks = -(-n // most)
     width = -(-n // chunks)
-    return max(1, linalg._BLOCK_BYTES // (8 * field.m * chunks * width),
+    size = 4 if width * (field.p - 1) ** 2 < linalg._EXACT32 else 8
+    return max(1, linalg._BLOCK_BYTES // (size * field.m * chunks * width),
                min(8, k // (2 * field.m)))
 
 
 def sumset_rows(k, cap):
     """Baby rows 0..b-1, k-b..k-1 and giant rows 0, b, 2b, ..., k-1 of
-    the Hankel Gram, b = min(isqrt(k // 2), cap) and at least 1."""
-    b = max(1, min(math.isqrt(k // 2), cap))
+    the Hankel Gram: the first b from isqrt(k // 2) (at least 1) to cap
+    whose giant rows fit one block of cap rows, if one does, else
+    isqrt(k // 2) capped at cap."""
+    b = max(1, math.isqrt(k // 2))
+    b = next((c for c in range(b, cap + 1)
+              if len(range(0, k - 1, c)) < cap), min(b, cap))
     return (sorted(set(range(b)) | set(range(k - b, k))),
             sorted(set(range(0, k, b)) | {k - 1}))
 
@@ -400,12 +407,13 @@ def traced_gram(field, g):
 
     The Hankel path is the one where _grs_eval_set reads G as some
     EvalSet's rows, read here once: gram itself reads no shape.  Its
-    left operand is the coefficient planes of the baby rows, and it
-    forms those of the giant rows one row block at a time: 2b + k/b + 1
-    rows in all, at most 2 ceil(sqrt(2k)) + 1 when the block size does
-    not cap b, and never more than two row blocks held.  The general
-    path's left operand is the planes of all of g, and it forms those
-    of every row, one row block at a time."""
+    left operand is the coefficient planes of the baby rows, formed in
+    one call with the first row block of giant rows, and it forms the
+    rest of the giant rows one row block at a time: 2b + k/b + 1 rows
+    in all, never more than two row blocks held, and either one call
+    or at most 2 ceil(sqrt(2k)) + 1 rows when the block size does not
+    cap b.  The general path's left operand is the planes of all of g,
+    formed with its first row block, then every other row block."""
     rows, planes = [], linalg._coeff_planes
 
     def counted(f, a, chunks, width):
@@ -425,18 +433,21 @@ def traced_gram(field, g):
     held, streamed = sumset_rows(k, cap) if hankel else (range(k),) * 2
     blocks = [min(cap, len(streamed) - r0)
               for r0 in range(0, len(streamed), cap)]
-    assert rows == [len(held)] + blocks, rows
+    assert rows == [len(held) + blocks[0]] + blocks[1:], rows
     if hankel:
         assert len(held) <= 2 * cap
         if cap >= math.isqrt(k // 2):
-            assert sum(rows) <= sqrt_bound(k), rows
+            assert len(rows) == 1 or sum(rows) <= sqrt_bound(k), rows
+        assert len(rows) == 1 or not any(
+            len(range(0, k - 1, c)) < cap for c in range(1, cap + 1))
     return out, hankel
 
 
-def refuse_full_gram(mp, n, m, k, block=16):
-    """With row blocks of `block` rows, make plane arrays of more than
-    2 ceil(sqrt(2k)) + 1 rows in all of a matrix with n columns raise:
-    the general Gram path forms one of all k rows."""
+def refuse_full_gram(mp, n, m, k, block=8):
+    """With row blocks of `block` rows of float32 planes (p = 13), make
+    plane arrays of more than 2 ceil(sqrt(2k)) + 1 rows in all of a
+    matrix with n columns raise: the general Gram path forms one of all
+    k rows.  Returns the list of rows of each plane array formed."""
     planes, formed = linalg._coeff_planes, []
 
     def small(f, a, chunks, width):
@@ -445,8 +456,9 @@ def refuse_full_gram(mp, n, m, k, block=16):
             raise AssertionError("full planes")
         return planes(f, a, chunks, width)
 
-    mp.setattr(linalg, "_BLOCK_BYTES", 8 * m * n * block)
+    mp.setattr(linalg, "_BLOCK_BYTES", 4 * m * n * block)
     mp.setattr(linalg, "_coeff_planes", small)
+    return formed
 
 
 @settings(max_examples=80, deadline=None)
@@ -469,16 +481,20 @@ def test_gram_of_grs_matrices_takes_the_hankel_path(case):
 
 
 @pytest.mark.parametrize("p, m, k, n, grs, blocks", [
-    (7, 2, 40, 48, True, [8, 8, 3]), (3, 5, 40, 80, True, [8, 4, 4, 3]),
-    (13, 3, 50, 100, True, [10, 8, 3]),
-    (3, 2, 3, 6, True, [2, 1, 1, 1]), (5, 2, 20, 30, False, [20] + [5] * 4)])
+    (7, 2, 40, 48, True, [12 + 8]), (3, 5, 40, 80, True, [8 + 4, 4, 3]),
+    (13, 3, 50, 100, True, [14 + 8]), (3, 2, 3, 6, True, [2 + 1, 1, 1]),
+    (5, 2, 20, 30, False, [20 + 5] + [5] * 3),
+    (7, 2, 12, 48, True, [4 + 3, 3, 1]), (13, 3, 90, 100, True, [12 + 8, 8])])
 def test_gram_blocks_keep_several_rows_below_a_one_row_budget(p, m, k, n, grs,
                                                               blocks):
     """With _BLOCK_BYTES below one row of planes, a block still takes
     min(8, k // 2m) rows (at least one): 8 rows of m planes each stay
-    below half of G.  The held planes come first: on the Hankel path
-    the 2b baby rows, b capped at one block, then the giant rows 0, b,
-    2b, ... and k-1; on the general path all k rows, then every row."""
+    below half of G.  The held planes come first, in one call with the
+    first block: on the Hankel path the 2b baby rows, b capped at one
+    block, then the giant rows 0, b, 2b, ... and k-1, in one block if
+    some b <= rows lets them (k = 40 over GF(49) raises b from 4 to 6
+    and k = 50 over GF(13^3) from 5 to 7 for it); on the general path
+    all k rows, then every row."""
     f = make_field(p, m)
     rng = np.random.default_rng(k * n)
     if grs:
@@ -577,10 +593,11 @@ def test_check_self_dual_never_forms_full_gram_planes():
         f = code.field
         gmat = code.generator_matrix()
         k, n = gmat.data.shape
-        assert k > 16
+        assert k > 8 * 7  # giant rows past one block of 8
         with pytest.MonkeyPatch.context() as mp:
-            refuse_full_gram(mp, n, f.m, k)
+            formed = refuse_full_gram(mp, n, f.m, k)
             assert check_self_dual(gmat)
+        assert len(formed) > 1
         # row 0 added to row 2: the same code, not the shape
         g = gmat.data.copy()
         g[2] = f.vadd(g[2], g[0])
@@ -615,22 +632,79 @@ def test_sumset_rows_cover_every_index_within_the_bound(m, monkeypatch):
     k <= 5000: with b uncapped (m = None) in 2 ceil(sqrt(2k)) + 1 rows,
     never all k rows once b >= 2; with _BLOCK_BYTES = 8, whose blocks of
     min(8, k // 2m) rows cap b, in 2b + ceil((k-1)/b) + 1 rows, 2b of
-    them held."""
+    them held.  The giant rows fit one block wherever some b <= cap lets
+    them, b passes isqrt(k // 2) only as far as that needs and otherwise
+    is isqrt(k // 2) capped at cap; both m = 1 and m = 10 reach k whose
+    giant rows take several blocks."""
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", 8)
+    several = False
     for k in range(1, 5001):
         cap = k if m is None else block_rows(SimpleNamespace(p=3, m=m),
                                              k, 2 * k)
         baby, giant = linalg._sumset_rows(k, cap)
-        b = max(1, min(math.isqrt(k // 2), cap))
+        b = 1 if k < 3 else int(giant[1])
         assert (baby.tolist(), giant.tolist()) == sumset_rows(k, cap)
         sums = np.add.outer(baby, giant).ravel()
         assert np.bincount(sums, minlength=2 * k - 1).all(), k
         assert sums.max() == 2 * k - 2
         assert baby.size == min(2 * b, k) and baby.size <= 2 * cap
-        assert giant.size <= -(-(k - 1) // b) + 1
+        assert b <= cap and giant.size <= -(-(k - 1) // b) + 1
+        fits = m is None or any(len(range(0, k - 1, c)) < cap
+                                for c in range(1, cap + 1))
+        assert giant.size <= cap or not fits, k
+        if b > max(1, math.isqrt(k // 2)):  # raised only to fit one block
+            assert giant.size <= cap < len(range(0, k - 1, b - 1)) + 1, k
+        else:
+            assert b == min(max(1, math.isqrt(k // 2)), cap), k
+        several |= giant.size > cap
         if m is None:
             assert baby.size + giant.size <= sqrt_bound(k), k
             assert b < 2 or giant.size < k
+    assert several == (m is not None)
+
+
+def test_hankel_proof_is_one_round_where_its_giant_rows_fit_one_block():
+    """th8_code(13,1,3,0,4), [732,366], and th10_code(13,1,3,0,3),
+    [550,275], form every plane of their Hankel proof in one
+    _coeff_planes call: their float32 planes count at 4 bytes an entry,
+    so 29 and 39 rows make a block, b rises from 13 to 14 at k = 366 and
+    their giant rows fit it (2b + giant: 28 + 28 and 22 + 26 rows).  At
+    [4472,2236] over GF(3^10) the budget holds one row of planes, so the
+    floor of 8 rows makes the block and still caps b at 8: held and
+    first-block planes are 3 blocks of 8 rows, then 35 more blocks, 297
+    rows in all, as before planes were counted at their itemsize."""
+    calls, planes = [], linalg._coeff_planes
+
+    def counted(f, a, chunks, width):
+        out = planes(f, a, chunks, width)
+        calls.append((a.shape[0], out.nbytes))
+        return out
+
+    f = make_field(3, 10)
+    rng = np.random.default_rng(4472)
+    n, k = 4472, 2236
+    big = GrsRows(EvalSet(f, rng.choice(f.q, size=n, replace=False),
+                          rng.integers(1, f.q, size=n)), k)
+    for src, rows in ((th8_code(13, 1, 3, 0, 4).rows(), [28 + 28]),
+                      (th10_code(13, 1, 3, 0, 3).rows(), [22 + 26]),
+                      (big, [16 + 8] + [8] * 34 + [1])):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_coeff_planes", counted)
+            got = linalg.gram(src.field, src, hankel=True)
+        assert [r for r, _ in calls] == rows
+        assert calls[0][1] == rows[0] * src.field.m * src.shape[1] * 4
+        if src is not big:
+            assert not got.any()  # self-dual
+    held, giant = linalg._sumset_rows(k, 8)
+    assert held.size == 16 and giant[1] == 8
+    row = calls[0][1] // calls[0][0]
+    assert linalg._BLOCK_BYTES // row == 1
+    assert calls[0][1] == 3 * 8 * row
+    picks = [0, 1, 317, k - 1]
+    g = big[picks]
+    for i, j in [(0, 0), (0, 3), (3, 3), (2, 1)]:
+        assert got[picks[i], picks[j]] == zech_sum(f, f.vmul(g[i], g[j]))
 
 
 def test_hankel_gram_is_a_read_only_view_of_its_edge():
@@ -761,9 +835,9 @@ def test_gram_of_a_row_source_matches_zech_oracle(src):
         formed.extend(np.atleast_1d(idx).tolist())
         return rows(self, idx)
 
-    # one block of every row, and blocks of two rows, or of
-    # min(8, k // 2m)
-    for block in (None, 8 * f.m * cols * 2):
+    # one block of every row, and blocks of two rows of float32 planes
+    # (one of float64), or of min(8, k // 2m)
+    for block in (None, 4 * f.m * cols * 2):
         formed.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(GrsRows, "__getitem__", counted)
