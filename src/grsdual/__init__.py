@@ -57,7 +57,6 @@ from .grs import (
     solve_multipliers,
 )
 from .subspace import (
-    default_subspace,
     integer_run,
     roots_of_unity,
     subspace_basis,

@@ -73,13 +73,23 @@ _DISTANCE_BLOCK = 1 << 16
 _MINOR_BLOCK = 1 << 15
 
 
+def _below(values, bound, message):
+    """values as an int64 array of entries in [0, bound), or
+    ValueError(message), also for an integer past int64."""
+    try:
+        a = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(message) from None
+    # one reduction: the uint64 view reads a negative as past bound
+    if a.size and a.view(np.uint64).max() >= bound:
+        raise ValueError(message)
+    return a
+
+
 def _products_rows(field, a, rows):
     """L(a_i) for i in rows within every set (row of the 2-D a), a block of
     whole sets, or of one set's rows, at a time: O(a.size + _LAGRANGE_BLOCK)
     memory.  A row's own -1 Zech entry cancels; another is a repeat."""
-    # one reduction: the uint64 view reads a negative encoding as past q
-    if a.size and a.view(np.uint64).max() >= field.q:
-        raise ValueError("point encoding out of range")
     out = np.empty((len(a), rows.size), dtype=np.int64)
     per = max(1, _LAGRANGE_BLOCK // max(1, a.shape[1]))  # rows a block
     sets = max(1, per // max(1, rows.size))
@@ -101,7 +111,7 @@ def lagrange_products(field, points):
     and L has their shape.  n = 1 gives [1].  A duplicate in any set raises
     DuplicatePoints, an encoding outside [0, q) ValueError, as in EvalSet.
     """
-    a = np.array(points, dtype=np.int64)
+    a = _below(points, field.q, "point encoding out of range")
     if a.size == 0:
         raise DuplicatePoints("need at least one evaluation point")
     n = a.shape[-1]
@@ -111,10 +121,8 @@ def lagrange_products(field, points):
 
 def products_at(field, points, indices):
     """L(a_i) for each index i in [0, n), in any order, repeats allowed."""
-    a = np.array(points, dtype=np.int64)
-    rows = np.asarray(indices, dtype=np.int64)  # as uint64, -1 is past n
-    if rows.size and rows.view(np.uint64).max() >= a.shape[-1]:
-        raise ValueError("point index out of range")
+    a = _below(points, field.q, "point encoding out of range")
+    rows = _below(indices, a.shape[-1], "point index out of range")
     return _products_rows(field, a[None], rows)
 
 
@@ -247,13 +255,8 @@ class GeneratorMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        try:  # one reduction, as in _products_rows: negatives read as past q
-            d = np.asarray(self.data, dtype=np.int64)
-            if d.size and d.view(np.uint64).max() >= self.field.q:
-                raise OverflowError
-        except OverflowError:  # past q, or an integer past int64
-            raise ValueError("matrix encoding out of range") from None
-        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "data", _below(
+            self.data, self.field.q, "matrix encoding out of range"))
 
     @property
     def shape(self):

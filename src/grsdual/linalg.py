@@ -94,14 +94,16 @@ def gram(field, g, hankel=False):
     Products are exact matmuls of coefficient planes (_coeff_planes)
     over column chunks of width w with w * (p-1)**2 < 2**53: held rows
     against one block of streamed rows at a time, _BLOCK_BYTES of planes
-    at their itemsize, the first formed with the held rows.  hankel says
-    that g is an (extended) GRS generator matrix, rows v_j * a_j**i and
-    the unit column e_{k-1}, and may then be a row source: entry (i, l)
-    is S_{i+l}, S_u = sum_j v_j**2 a_j**u + [u = 2k-2 and extended], so
-    the O(sqrt k) rows of _sumset_rows give every S_u from about 2k row
-    pairs, in one round if the giant rows fit one block, and the result
-    is a read-only (k, k) view of the 2k-1 S_u, not a copy.  Otherwise
-    every row of the array g is held and streamed."""
+    at their itemsize.  hankel says that g is an (extended) GRS
+    generator matrix, rows v_j * a_j**i and the unit column e_{k-1}, and
+    may then be a row source: entry (i, l) is S_{i+l}, S_u = sum_j
+    v_j**2 a_j**u + [u = 2k-2 and extended], so the O(sqrt k) rows of
+    _sumset_rows give every S_u from about 2k row pairs, in one round if
+    the giant rows fit one block, and the result is a read-only (k, k)
+    view of the 2k-1 S_u, not a copy; the first block's planes are
+    formed in one call with the held rows'.  Otherwise every row of the
+    array g is held, its planes formed once, and each block is a slice
+    of them."""
     g = g if hankel else np.asarray(g[:], dtype=np.int64)
     k, n = g.shape
     p, m = field.p, field.m
@@ -121,16 +123,18 @@ def gram(field, g, hankel=False):
                min(8, k // (2 * m)))
     # entry (i, l) goes to out[i * stride + l]: G G^T flat, or S_{i+l}
     stride = 1 if hankel else k
-    held, streamed = (_sumset_rows(k, rows) if hankel
-                      else (np.arange(k),) * 2)
+    if hankel:  # the held rows and the first streamed block: one call
+        held, streamed = _sumset_rows(k, rows)
+        first = _coeff_planes(
+            field, g[np.concatenate([held, streamed[:rows]])], chunks, width)
+        left, formed = first[:, :held.size], first[:, held.size:]
+    else:  # every row is held, and every block is a slice of its planes
+        held = streamed = np.arange(k)
+        left = formed = _coeff_planes(field, g, chunks, width)
     out = np.empty(stride * (k - 1) + k, dtype=np.int64)
-    # the held rows and the first streamed block: one read, one planes call
-    first = _coeff_planes(field, g[np.concatenate([held, streamed[:rows]])],
-                          chunks, width)
-    left = first[:, :held.size]
     for r0 in range(0, streamed.size, rows):
         idx = streamed[r0:r0 + rows]
-        block = (first[:, held.size:] if r0 == 0
+        block = (formed[:, r0:r0 + rows] if r0 < formed.shape[1]
                  else _coeff_planes(field, g[idx], chunks, width))
         out[held[:, None] * stride + idx] = _products(field, left, block)
     if hankel:

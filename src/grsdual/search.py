@@ -6,13 +6,13 @@ q = 1 (mod 4) that is large enough, the greedy run is guaranteed to
 reach the requested size, and the resulting evaluation set satisfies
 the even-length self-dual criterion with lambda = 1. The second is
 FAMILIES, the one registry of construction families: each wire id's
-parameters, closed-form length, catalog parameter grid and builder.
-The command line and the catalog both read it. The third sweeps every
-family over one field and aggregates the reachable even lengths into
-catalog rows. The only negative statement a row ever makes is the
-classical one: q = 3 (mod 4) rules out lengths n = 2 (mod 4).
-Everything else that no family reaches is reported as unknown, never
-as impossible.
+parameters, catalog parameter grid (each point with its length) and
+builder. The command line and the catalog both read it. The third
+sweeps every family over one field and aggregates the reachable even
+lengths into catalog rows. The only negative statement a row ever
+makes is the classical one: q = 3 (mod 4) rules out lengths n = 2
+(mod 4). Everything else that no family reaches is reported as
+unknown, never as impossible.
 """
 
 from __future__ import annotations
@@ -172,17 +172,16 @@ def divisors(x):
 class Family:
     """One construction family, as the command line and catalog see it.
 
-    params names the command-line flags the builder reads.  length maps
-    a params dict to the code length without building anything.
-    grid(p, m, cap) yields the params dicts the catalog tries over
-    GF(p^m); only those with 2 <= length <= cap are tried.
-    admits(params, field) runs the family's hypothesis checks over
-    GF(q) = field, building nothing, and returns the provenance of the
-    code the builder would make; the builder calls it first.
+    params names the command-line flags the builder reads.  grid(p, m,
+    cap) yields (n, params) for every params dict the catalog tries over
+    GF(p^m), n the code length from the family's closed form, building
+    nothing, and 2 <= n <= cap.  admits(params, field) runs the family's
+    hypothesis checks over GF(q) = field, building nothing, and returns
+    the provenance of the code the builder would make; the builder calls
+    it first.
     """
 
     params: tuple
-    length: Callable
     grid: Callable
     builder: str
     admits: Callable
@@ -216,45 +215,42 @@ def _odd_factor_tuples(total):
 
 def _lift_family(key, length, ts, builder, admits):
     """th1..th4 over every r^m = q (only r = p when key is "p"), e < m,
-    and t in ts(r) ascending; length grows with t, so the grid stops at
-    the first t past cap."""
+    and t in ts(r) ascending; length(r, e, t) grows with t, so the grid
+    stops at the first t past cap."""
     def grid(p, big_m, cap):
         pairs = [(p, big_m)] if key == "p" else _factorizations(p, big_m)
         for r, m in pairs:
             for e in range(m):
                 for t in ts(r):
-                    params = {key: r, "m": m, "e": e, "t": t}
-                    if length(params) > cap:
+                    n = length(r, e, t)
+                    if n > cap:
                         break
-                    yield params
-    return Family((key, "m", "e", "t"), length, grid, builder, admits)
+                    yield n, {key: r, "m": m, "e": e, "t": t}
+    return Family((key, "m", "e", "t"), grid, builder, admits)
 
 
 def _tower_family(variant, iterated):
     """th8..th11 (one odd factor m) or cor1..cor4 (two or more odd
     factors >= 3) over every r^(s m1 m2 ...) = q, e < s, and t | r-1 of
-    the variant's parity ascending; length grows with t, so the grid
+    the variant's parity ascending; the length grows with t, so the grid
     stops at the first t past cap."""
     t_parity = TOWER_VARIANTS[variant][1]
     key = "ms" if iterated else "m"
 
-    def length(a):
-        ms = a["ms"] if iterated else [a["m"]]
-        return tower_length(variant, a["r"], a["s"], ms, a["e"], a["t"])
-
     def grid(p, big_m, cap):
         for r, mt in _factorizations(p, big_m):
             for prod in divisors(mt):
+                s = mt // prod
                 towers = [list(ms) for ms in _odd_factor_tuples(prod)
                           if len(ms) >= 2] if iterated else [prod] * (prod % 2)
-                for ms, e in itertools.product(towers, range(mt // prod)):
+                for ms, e in itertools.product(towers, range(s)):
+                    stages = ms if iterated else [ms]
                     for t in (t for t in divisors(r - 1) if t % 2 == t_parity):
-                        params = {"r": r, "s": mt // prod, key: ms,
-                                  "e": e, "t": t}
-                        if length(params) > cap:
+                        n = tower_length(variant, r, s, stages, e, t)
+                        if n > cap:
                             break
-                        yield params
-    return Family(("r", "s", key, "e", "t"), length, grid,
+                        yield n, {"r": r, "s": s, key: ms, "e": e, "t": t}
+    return Family(("r", "s", key, "e", "t"), grid,
                   "iterated_lift" if iterated else f"{variant}_code",
                   partial(cosets.tower_admits, variant), (variant,) * iterated)
 
@@ -270,13 +266,14 @@ def _square_orders(p, big_m, cap):
 
 def _th12_grid(p, big_m, cap):
     for r, f, e in _square_orders(p, big_m, cap):
+        step = 1 + f % 2  # t f even
         for s in divisors(math.gcd(f, r - 1)):
             d_cap = cosets.coset_count(r, f, s, -1)
-            for t in range(1, min(d_cap, cap // f) + 1):
-                if t * f % 2 == 0:
-                    for variant in ("tf", "tf+2")[:1 + (t * f + 2 <= cap)]:
-                        yield {"r": r, "e": e, "f": f, "s": s, "t": t,
-                               "variant": variant}
+            for t in range(step, min(d_cap, cap // f) + 1, step):
+                for n, variant in ((t * f, "tf"), (t * f + 2, "tf+2")):
+                    if n <= cap:
+                        yield n, {"r": r, "e": e, "f": f, "s": s, "t": t,
+                                  "variant": variant}
 
 
 def _th13_grid(p, big_m, cap):
@@ -285,7 +282,7 @@ def _th13_grid(p, big_m, cap):
             for s in divisors(math.gcd(f, r + 1)):
                 d_cap = cosets.coset_count(r, f, s, 1)
                 for t in range(1, min(d_cap, (cap - 1) // f) + 1, 2):
-                    yield {"r": r, "e": e, "f": f, "s": s, "t": t}
+                    yield t * f + 1, {"r": r, "e": e, "f": f, "s": s, "t": t}
 
 
 def _large_q_grid(p, big_m, cap):
@@ -294,7 +291,7 @@ def _large_q_grid(p, big_m, cap):
         for n in range(2, cap + 1, 2):
             if q <= large_q_bound(n):  # the bound grows with n
                 break
-            yield {"q": q, "n": n, "permissive": False}
+            yield n, {"q": q, "n": n, "permissive": False}
 
 
 def _large_q_code(q, n, permissive, table_limit):
@@ -303,34 +300,30 @@ def _large_q_code(q, n, permissive, table_limit):
 
 FAMILIES = {
     "th1": _lift_family(
-        "r", lambda a: 2 * a["t"] * a["r"] ** a["e"],
+        "r", lambda r, e, t: 2 * t * r ** e,
         lambda r: [t for t in divisors((r - 1) // 2) if 2 * t != r - 1],
         "th1_code", subspace.th1_admits),
     "th2": _lift_family(
-        "p", lambda a: (a["t"] + 1) * a["p"] ** a["e"],
+        "p", lambda p, e, t: (t + 1) * p ** e,
         lambda p: range(3, p, 2), "th2_code", subspace.integer_run_admits),
     "th3": _lift_family(
-        "p", lambda a: (a["t"] + 1) * a["p"] ** a["e"] + 1,
+        "p", lambda p, e, t: (t + 1) * p ** e + 1,
         lambda p: range(2, p, 2), "th3_code",
         partial(subspace.integer_run_admits, extended=True)),
     "th4": _lift_family(
-        "r", lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
+        "r", lambda r, e, t: (t + 1) * r ** e + 1,
         lambda r: [t for t in divisors(r - 1) if t % 2 == 0],
         "th4_code", subspace.th4_admits),
     **{fid: _tower_family(variant, iterated)  # th8, cor1, ..., th11, cor4
        for variant, (*_, corollary) in TOWER_VARIANTS.items()
        for fid, iterated in ((variant, False), (corollary, True))},
-    "th12": Family(
-        ("r", "e", "f", "s", "t", "variant"),
-        lambda a: a["t"] * a["f"] + (2 if a["variant"] == "tf+2" else 0),
-        _th12_grid, "th12_code", cosets.th12_admits),
-    "th13": Family(
-        ("r", "e", "f", "s", "t"), lambda a: a["t"] * a["f"] + 1,
-        _th13_grid, "th13_code", cosets.th13_admits),
+    "th12": Family(("r", "e", "f", "s", "t", "variant"), _th12_grid,
+                   "th12_code", cosets.th12_admits),
+    "th13": Family(("r", "e", "f", "s", "t"), _th13_grid, "th13_code",
+                   cosets.th13_admits),
     # permissive skips the field-size bound; the catalog never sets it
-    "large_q": Family(
-        ("q", "n", "permissive"), lambda a: a["n"], _large_q_grid,
-        "_large_q_code", _large_q_admits),
+    "large_q": Family(("q", "n", "permissive"), _large_q_grid,
+                      "_large_q_code", _large_q_admits),
 }
 
 
@@ -369,12 +362,9 @@ def _prov_key(prov):
 
 def _admitted(fld, cap):
     """(length, family, params, provenance) for every grid point of every
-    family with 2 <= length <= cap whose hypotheses hold over fld."""
+    family, up to length cap, whose hypotheses hold over fld."""
     for family in FAMILIES.values():
-        for params in family.grid(fld.p, fld.m, cap):
-            n = family.length(params)
-            if not 2 <= n <= cap:
-                continue
+        for n, params in family.grid(fld.p, fld.m, cap):
             try:
                 prov = family.admits(params, fld)
             except HypothesisViolated:

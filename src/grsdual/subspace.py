@@ -73,23 +73,18 @@ def subspace_basis(field, r, e, container_order=None):
     return np.arange(e, dtype=np.int64) * stride % (field.q - 1) + 1
 
 
-def default_subspace(field, r, e, container_order=None):
-    """Span of the first e canonical basis elements, in span order."""
-    return span_enc(field, r, subspace_basis(field, r, e, container_order))
-
-
 def subspace_lift(field, r, base_points, e, container_order=None,
                   extended=False):
     """Lift base points in GF(r) along the cosets b_i * zeta + V.
 
-    V is default_subspace(field, r, e, container_order), spanned by
-    g^0..g^(e-1), and zeta = g^e lies outside it while e < c (see
-    subspace_basis); at e = c, V holds the container.  With
-    extended set, the base must be odd-sized and meet the extended
-    criterion, and chi(prod of nonzero V) must be +1 (q = 1 (mod 4) or
-    even e), so the lifted set meets it too.  Returns (points, l): the
-    lifted points row-major and the closed form c * L_b(b_i) of L on
-    them.
+    V is span_enc(field, r, subspace_basis(field, r, e,
+    container_order)), spanned by g^0..g^(e-1), and zeta = g^e lies
+    outside it while e < c (see subspace_basis); at e = c, V holds the
+    container.  With extended set, the base must be odd-sized and meet
+    the extended criterion, and chi(prod of nonzero V) must be +1
+    (q = 1 (mod 4) or even e), so the lifted set meets it too.  Returns
+    (points, l): the lifted points row-major and the closed form
+    c * L_b(b_i) of L on them.
     """
     f = field
     base = np.asarray(base_points, dtype=np.int64)

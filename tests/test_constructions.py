@@ -28,7 +28,6 @@ from grsdual.grs import (
     solve_multipliers,
 )
 from grsdual.subspace import (
-    default_subspace,
     integer_run,
     roots_of_unity,
     subspace_basis,
@@ -203,11 +202,11 @@ def test_th4_closed_form_sweep():
                     th4_code(r, 1, 0, t)
 
 
-def test_subspace_basis_and_default_subspace():
+def test_subspace_basis_spans_a_subspace():
     f = make_field(3, 4)
     basis = subspace_basis(f, 3, 2)
     assert len(basis) == 2
-    sub = default_subspace(f, 3, 2)
+    sub = span_enc(f, 3, basis)
     assert len(sub) == 9
     assert len(set(int(x) for x in sub)) == 9
     sset = set(int(x) for x in sub)
@@ -279,7 +278,7 @@ def test_lift_shift_is_the_scanned_shift():
     """subspace_lift's zeta = g^e equals the first container element
     outside V for every field up to GF(3^8) below, every subfield r and
     container and every e up to the scan's refusal at e = c, which the
-    lift repeats; at e = c + 1 both keep default_subspace's message."""
+    lift repeats; at e = c + 1 both keep subspace_basis's message."""
     equal = refused = 0
     for p, top in ((3, 8), (5, 4), (7, 3), (11, 2), (13, 2)):
         for m in range(1, top + 1):
@@ -289,16 +288,16 @@ def test_lift_shift_is_the_scanned_shift():
                 for w in subs:
                     for e in range(m + 2):
                         try:
-                            want = scan_shift(
-                                f, default_subspace(f, r, e, w), w)
+                            want = scan_shift(f, span_enc(
+                                f, r, subspace_basis(f, r, e, w)), w)
                         except ShiftInSubspace as exc:
                             refused += 1
                             with pytest.raises(ShiftInSubspace,
                                                match=re.escape(str(exc))):
                                 subspace_lift(f, r, (0, 1), e, w)
-                            # past c, default_subspace's own refusal
+                            # past c, subspace_basis's own refusal
                             with pytest.raises(HypothesisViolated) as over:
-                                default_subspace(f, r, e + 1, w)
+                                subspace_basis(f, r, e + 1, w)
                             with pytest.raises(HypothesisViolated,
                                                match=re.escape(
                                                    str(over.value))):
@@ -384,7 +383,7 @@ def test_extended_lift_parity_is_the_sign_of_the_subspace_product():
             r = p ** d
             base = f.subfield_enc(r)
             for e in range(m // d):
-                sub = default_subspace(f, r, e)
+                sub = span_enc(f, r, subspace_basis(f, r, e))
                 nz = sub[sub != 0]
                 sign = f.sign(int(f.vprod(nz))) if nz.size else 1
                 try:

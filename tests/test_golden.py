@@ -143,14 +143,14 @@ def test_grid_covers_every_family():
 
 def test_registry_length_matches_built_code():
     """Every catalog witness up to q = 125 that its family admits builds
-    a code of the length its family's pure formula predicts from the
-    parameters alone."""
+    a code of the length its family's grid yields from the parameters
+    alone."""
     hits = 0
     for q in odd_prime_powers(125):
         fld = make_field(*factor_prime_power(q))
-        for _, fam, params, _ in _admitted(fld, min(40, q + 1)):
+        for n, fam, params, _ in _admitted(fld, min(40, q + 1)):
             code = fam.build(params, DEFAULT_TABLE_LIMIT)
-            assert code.length == fam.length(params), (q, params)
+            assert code.length == n, (q, params)
             hits += 1
     assert hits > 500
 

@@ -193,11 +193,13 @@ def test_lagrange_products_edge_cases():
 
 
 @pytest.mark.parametrize("points", [[20, 3], [-5, 3], [3, 13],
-                                    [3, 2 ** 63 - 1], [-2 ** 63, 3]])
+                                    [3, 2 ** 63 - 1], [-2 ** 63, 3],
+                                    [2 ** 70, 3], [3, -2 ** 70]])
 def test_l_refuses_out_of_range_encodings_as_eval_set_does(points):
     """Both entry points raise EvalSet's error, where the wrapped Zech
-    index read [20, 3] as some encodings and returned [12, 6]; the
-    stacked form checks every set."""
+    index read [20, 3] as some encodings and returned [12, 6], and an
+    integer past int64 raised a bare OverflowError; the stacked form
+    checks every set."""
     with pytest.raises(ValueError, match="point encoding out of range"):
         EvalSet(F, points, [1, 1])
     with pytest.raises(ValueError, match="point encoding out of range"):
@@ -209,10 +211,12 @@ def test_l_refuses_out_of_range_encodings_as_eval_set_does(points):
     assert lagrange_products(F, [12, 3]).tolist() == [5, 11]
 
 
-@pytest.mark.parametrize("index", [5, 3, -1, 2 ** 63 - 1, -2 ** 63])
+@pytest.mark.parametrize("index", [5, 3, -1, 2 ** 63 - 1, -2 ** 63,
+                                   2 ** 70, -2 ** 70])
 def test_products_at_refuses_an_index_outside_the_set(index):
     """An index outside [0, n) is refused, where 5 raised a bare
-    IndexError and -1 read L(a_2) Python-style; every index is checked."""
+    IndexError, -1 read L(a_2) Python-style and 2**70 raised a bare
+    OverflowError; every index is checked."""
     with pytest.raises(ValueError, match="point index out of range"):
         products_at(F, [1, 2, 3], [index])
     with pytest.raises(ValueError, match="point index out of range"):

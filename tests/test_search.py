@@ -216,19 +216,16 @@ def test_catalog_entry_to_obj():
 
 
 def test_admits_exactly_when_the_build_succeeds():
-    """Over every grid point with q <= 343 and 2 <= length <= min(40,
-    q + 1), admits returns the built code's provenance, and the length
-    is the family's formula, exactly when the build succeeds; a refusal
-    is the builder's, class and message."""
+    """Over every grid point with q <= 343 and cap min(40, q + 1),
+    admits returns the built code's provenance, and the grid's length is
+    the built code's, exactly when the build succeeds; a refusal is the
+    builder's, class and message."""
     admitted = refused = 0
     for q in odd_prime_powers(343):
         fld = make_field(*factor_prime_power(q))
         cap = min(40, q + 1)
         for fam in FAMILIES.values():
-            for params in fam.grid(fld.p, fld.m, cap):
-                n = fam.length(params)
-                if not 2 <= n <= cap:
-                    continue
+            for n, params in fam.grid(fld.p, fld.m, cap):
                 try:
                     prov = fam.admits(params, fld)
                 except HypothesisViolated as exc:
@@ -290,6 +287,24 @@ def unbounded_th12_grid(p, big_m, cap):
                                "variant": variant}
 
 
+def unbounded_th13_grid(p, big_m, cap):
+    """The th13 grid with every odd t up to the coset count."""
+    for r, f, e in _square_orders(p, big_m, cap):
+        if f % 2 == 1:
+            for s in divisors(math.gcd(f, r + 1)):
+                d_cap = grsdual.cosets.coset_count(r, f, s, 1)
+                for t in range(1, d_cap + 1, 2):
+                    yield {"r": r, "e": e, "f": f, "s": s, "t": t}
+
+
+def unbounded_large_q_grid(p, big_m, cap):
+    """Every even n <= q + 1 past the clique bound, when q = 1 (mod 4)."""
+    q = p ** big_m
+    for n in range(2, q + 2, 2):
+        if q % 4 == 1 and q > large_q_bound(n):
+            yield {"q": q, "n": n, "permissive": False}
+
+
 UNBOUNDED_GRIDS = {
     "th1": unbounded_lift_grid("r", lambda r: [
         t for t in divisors((r - 1) // 2) if 2 * t != r - 1]),
@@ -301,27 +316,68 @@ UNBOUNDED_GRIDS = {
        for variant, (_, _, _, cor) in TOWER_VARIANTS.items()
        for fid, iterated in ((variant, False), (cor, True))},
     "th12": unbounded_th12_grid,
+    "th13": unbounded_th13_grid,
+    "large_q": unbounded_large_q_grid,
 }
+
+
+def tower_reference_length(plus, extended):
+    """(t + plus) r^e E, plus 1 if extended, with E = 1 + r^s + ... +
+    r^(s (M - 1)) summed term by term and M the product of the factors."""
+    def length(a):
+        big_m = math.prod(a["ms"]) if "ms" in a else a["m"]
+        e_sum = sum(a["r"] ** (a["s"] * i) for i in range(big_m))
+        return (a["t"] + plus) * a["r"] ** a["e"] * e_sum + extended
+    return length
+
+
+# each family's length, as the README's family table states it
+REFERENCE_LENGTHS = {
+    "th1": lambda a: 2 * a["t"] * a["r"] ** a["e"],
+    "th2": lambda a: (a["t"] + 1) * a["p"] ** a["e"],
+    "th3": lambda a: (a["t"] + 1) * a["p"] ** a["e"] + 1,
+    "th4": lambda a: (a["t"] + 1) * a["r"] ** a["e"] + 1,
+    **{fid: tower_reference_length(plus, extended)
+       for variant, plus, extended in (("th8", 0, 0), ("th9", 1, 0),
+                                       ("th10", 0, 1), ("th11", 1, 1))
+       for fid in (variant, TOWER_VARIANTS[variant][3])},
+    "th12": lambda a: a["t"] * a["f"] + 2 * (a["variant"] == "tf+2"),
+    "th13": lambda a: a["t"] * a["f"] + 1,
+    "large_q": lambda a: a["n"],
+}
+
+
+def capped_grid(fid):
+    """fid's unbounded grid as (n, params), n its reference length,
+    keeping the points with n <= cap."""
+    def grid(p, big_m, cap):
+        for a in UNBOUNDED_GRIDS[fid](p, big_m, cap):
+            n = REFERENCE_LENGTHS[fid](a)
+            if n <= cap:
+                yield n, a
+    return grid
 
 
 def test_lift_grids_stop_at_the_cap():
     """Over every odd prime power up to 2187 and caps 2, 10, 40 and
-    q + 1, each lift, tower and th12 grid is its unbounded grid filtered
-    to length <= cap, in the same order."""
+    q + 1, each family's grid is its unbounded grid filtered to
+    reference length <= cap, in the same order, each point with its
+    reference length, and no length is below 2."""
+    assert set(UNBOUNDED_GRIDS) == set(REFERENCE_LENGTHS) == set(FAMILIES)
     for q in odd_prime_powers(2187):
         p, m = factor_prime_power(q)
         for cap in (2, 10, 40, q + 1):
-            for fid, unbounded in UNBOUNDED_GRIDS.items():
-                fam = FAMILIES[fid]
-                want = [a for a in unbounded(p, m, cap)
-                        if fam.length(a) <= cap]
-                assert list(fam.grid(p, m, cap)) == want, (q, cap, fid)
+            for fid, fam in FAMILIES.items():
+                got = list(fam.grid(p, m, cap))
+                assert got == list(capped_grid(fid)(p, m, cap)), (q, cap, fid)
+                assert all(n >= 2 for n, _ in got), (q, cap, fid)
 
 
 def test_admitted_is_the_same_from_the_unbounded_lift_grids(monkeypatch):
     """_admitted over every odd prime power up to 2187 at caps 2, 10
     and 40 (or q + 1 when smaller) lists the same witnesses, in the same
-    order, as with the unbounded lift, tower and th12 grids in place."""
+    order, as with every family's unbounded grid, filtered to reference
+    length <= cap, in place."""
     def admitted_all():
         return [(n, params, prov)
                 for q in odd_prime_powers(2187)
@@ -330,9 +386,9 @@ def test_admitted_is_the_same_from_the_unbounded_lift_grids(monkeypatch):
                     make_field(*factor_prime_power(q)), cap)]
 
     bounded = admitted_all()
-    for fid, unbounded in UNBOUNDED_GRIDS.items():
-        monkeypatch.setitem(FAMILIES, fid,
-                            dataclasses.replace(FAMILIES[fid], grid=unbounded))
+    for fid in UNBOUNDED_GRIDS:
+        monkeypatch.setitem(FAMILIES, fid, dataclasses.replace(
+            FAMILIES[fid], grid=capped_grid(fid)))
     assert admitted_all() == bounded
     assert len(bounded) > 15000
 
