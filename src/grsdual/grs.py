@@ -73,19 +73,6 @@ _DISTANCE_BLOCK = 1 << 16
 _MINOR_BLOCK = 1 << 15
 
 
-def _below(values, bound, message):
-    """values as an int64 array of entries in [0, bound), or
-    ValueError(message), also for an integer past int64."""
-    try:
-        a = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(message) from None
-    # one reduction: the uint64 view reads a negative as past bound
-    if a.size and a.view(np.uint64).max() >= bound:
-        raise ValueError(message)
-    return a
-
-
 def _products_rows(field, a, rows):
     """L(a_i) for i in rows within every set (row of the 2-D a), a block of
     whole sets, or of one set's rows, at a time: O(a.size + _LAGRANGE_BLOCK)
@@ -111,7 +98,7 @@ def lagrange_products(field, points):
     and L has their shape.  n = 1 gives [1].  A duplicate in any set raises
     DuplicatePoints, an encoding outside [0, q) ValueError, as in EvalSet.
     """
-    a = _below(points, field.q, "point encoding out of range")
+    a = linalg._below(points, field.q, "point encoding out of range")
     if a.size == 0:
         raise DuplicatePoints("need at least one evaluation point")
     n = a.shape[-1]
@@ -121,8 +108,8 @@ def lagrange_products(field, points):
 
 def products_at(field, points, indices):
     """L(a_i) for each index i in [0, n), in any order, repeats allowed."""
-    a = _below(points, field.q, "point encoding out of range")
-    rows = _below(indices, a.shape[-1], "point index out of range")
+    a = linalg._below(points, field.q, "point encoding out of range")
+    rows = linalg._below(indices, a.shape[-1], "point index out of range")
     return _products_rows(field, a[None], rows)
 
 
@@ -255,7 +242,7 @@ class GeneratorMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _below(
+        object.__setattr__(self, "data", linalg._below(
             self.data, self.field.q, "matrix encoding out of range"))
 
     @property

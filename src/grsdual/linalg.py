@@ -8,9 +8,9 @@ flag, that g is the generator matrix of some (extended) GRS code
 (grs.GrsRows, or a bare G that grs._grs_eval_set has read as one), so
 that G @ G.T is Hankel and O(sqrt k) of its rows give all of it.  Any
 other matrix takes the general path: the row-block Gram loop against
-the planes of all of it.  The rank is that of the systematic form, in
-Zech arithmetic; every k x k minor of G comes from one Laplace
-expansion along rows.
+the planes of all of it.  The rank is that of the systematic form, a
+Gauss-Jordan elimination on the digit planes of G in exact int64;
+every k x k minor of G comes from one Laplace expansion along rows.
 """
 
 from __future__ import annotations
@@ -25,6 +25,19 @@ from .errors import TableLimitExceeded
 _EXACT, _EXACT32 = 2 ** 53, 2 ** 24
 # bytes per row block of G, of its planes at their itemsize, or of products
 _BLOCK_BYTES = 1 << 18
+
+
+def _below(values, bound, message):
+    """values as an int64 array of entries in [0, bound), or
+    ValueError(message), also for an integer past int64."""
+    try:
+        a = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(message) from None
+    # one reduction: the uint64 view reads a negative as past bound
+    if a.size and a.view(np.uint64).max() >= bound:
+        raise ValueError(message)
+    return a
 
 
 def _coeff_planes(field, g, chunks, width):
@@ -151,33 +164,44 @@ def rank(field, mat):
 def systematic(field, g, order):
     """Gauss-Jordan form of g with pivots taken greedily in column order.
 
-    Returns (rows, pivots): one row per pivot, pivots[i] the column
-    where row i holds 1 and every other row holds 0.  Over the given
-    order, the pivots are the lexicographically first maximal
-    independent set of columns, so len(pivots) is the rank.
+    Returns (rows, pivots): one int64 row of encodings per pivot,
+    pivots[i] the column where row i holds 1 and every other row 0.
+    Over the given order, the pivots are the lexicographically first
+    maximal independent set of columns, so len(pivots) is the rank.  An
+    encoding outside [0, q) raises ValueError.  Runs on the digit planes
+    d of g, (k, m, n): column t of M(c) holds the digits of c x**t, x the
+    root of the modulus, and per pivot scaled[u] = M(x**u / pivot) @
+    d[row] mod p; scaled[0] is the new pivot row, and every row i loses
+    sum_u d[i, u, col] scaled[u], in one integer matmul reduced mod p.
+    Each entry sums m products below (p-1)**2, exact in int64 as
+    m (p-1)**2 < 2**53 for every field make_field builds.
     """
-    a = np.array(g, dtype=np.int64)
-    rows = a.shape[0]
+    a = _below(g, field.q, "encoding out of range")
+    k, n = a.shape
+    p, m = field.p, field.m
+    d = field.digits()[:, a].transpose(1, 0, 2).astype(np.int64, order="C")
+    # h[u, t] = log x**(u+t): x has base-p value p; GF(p)'s h is [[0]]
+    h = np.add.outer(np.arange(m), np.arange(m)) * field._log[p % field.q]
+    units = field.digits()[:, 1:]  # digits of theta**0 .. theta**(q-2)
+    powers = p ** np.arange(m)
     pivots = []
     for c in order:
         r = len(pivots)
-        if r == rows:
+        if r == k:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = np.flatnonzero(vals := d[r:, :, c] @ powers)
         if nz.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = field.vmul(a[r], field.inv(int(a[r, c])))
-        others = np.flatnonzero(a[:, c])
-        others = others[others != r]
-        if others.size:
-            a[others] = field.vadd(
-                a[others],
-                field.vmul(field.vneg(a[others, c])[:, None], a[r][None, :]))
+        if nz[0]:
+            d[[r, r + nz[0]]] = d[[r + nz[0], r]]
+        # w[s, u, t]: digit s of x**(u+t) / pivot
+        w = units.take(h - field._log[vals[nz[0]]], axis=1, mode="wrap")
+        scaled = (w.transpose(1, 0, 2) @ d[r]) % p
+        d -= (d[:, :, c] @ scaled.reshape(m, m * n)).reshape(k, m, n)
+        d %= p
+        d[r] = scaled[0]
         pivots.append(int(c))
-    return a[:len(pivots)], pivots
+    return (field._log[powers @ d[:len(pivots)]] + 1).astype(np.int64), pivots
 
 
 def minors_nonzero(field, g, block):

@@ -3,12 +3,14 @@ Zech-table oracles.
 
 zech_gram and zech_rank below are the straightforward kernels: every
 sum is a fold of Zech additions and the row reduction touches every
-column of every row.  They share nothing with grsdual.linalg except the
-field's own vadd/vmul, so agreement is a differential check of the
-coefficient-plane Gram, its chunking and row blocking, of the Hankel
-Gram of GRS generator matrices and its fallback to every row, and of
-the rank.  A bare G takes the Hankel Gram, with no elimination, exactly
-when grs._grs_eval_set reads it as some EvalSet's rows.
+column of every row.  zech_systematic is the Zech-table Gauss-Jordan
+that linalg.systematic replaced with one on digit planes.  They share
+nothing with grsdual.linalg except the field's own vadd/vmul, so
+agreement is a differential check of the coefficient-plane Gram, its
+chunking and row blocking, of the Hankel Gram of GRS generator matrices
+and its fallback to every row, and of the systematic form and rank.  A
+bare G takes the Hankel Gram, with no elimination, exactly when
+grs._grs_eval_set reads it as some EvalSet's rows.
 """
 
 import math
@@ -17,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grsdual import grs, linalg, make_field
 from grsdual.cosets import th8_code, th10_code
@@ -61,6 +63,33 @@ def zech_gram(field, g):
         for i in range(g.shape[0]):
             out[i] = zech_sum(field, field.vmul(g[i][None, :], g))
     return out
+
+
+def zech_systematic(field, g, order):
+    """linalg.systematic before it ran on digit planes: Gauss-Jordan in
+    Zech arithmetic, touching only the rows that hold the pivot column."""
+    a = np.array(g, dtype=np.int64)
+    rows = a.shape[0]
+    pivots = []
+    for c in order:
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = field.vmul(a[r], field.inv(int(a[r, c])))
+        others = np.flatnonzero(a[:, c])
+        others = others[others != r]
+        if others.size:
+            a[others] = field.vadd(
+                a[others],
+                field.vmul(field.vneg(a[others, c])[:, None], a[r][None, :]))
+        pivots.append(int(c))
+    return a[:len(pivots)], pivots
 
 
 def zech_rank(field, mat):
@@ -213,6 +242,60 @@ def test_rank_fallback_on_a_full_rank_matrix():
     assert linalg.rank(f, g[:, :2]) == 0
     assert linalg.rank(f, g) == 2
     assert linalg.rank(f, np.zeros((0, 3), dtype=np.int64)) == 0
+
+
+# m = 1 to 4, and the largest prime below 2^22 for the int64 bound
+ELIMINATION_FIELDS = [(3, 1), (37, 1), (BIG_P, 1), (3, 2), (13, 2), (3, 3),
+                      (7, 3), (3, 4), (5, 4)]
+
+
+@st.composite
+def elimination_cases(draw):
+    """(field, g, order): g with zero rows, zero and repeated columns,
+    and a column order as _information_sets passes it, an int64
+    permutation, or a range."""
+    f = make_field(*draw(st.sampled_from(ELIMINATION_FIELDS)))
+    k, n = draw(st.integers(0, 7)), draw(st.integers(0, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = rng.integers(0, f.q, size=(k, n))
+    g[rng.random((k, n)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0
+    if k:
+        g[draw(st.lists(st.integers(0, k - 1), max_size=2)), :] = 0
+    if n:
+        cols = st.integers(0, n - 1)
+        g[:, draw(st.lists(cols, max_size=2))] = 0
+        for dst, src in draw(st.lists(st.tuples(cols, cols), max_size=3)):
+            g[:, dst] = g[:, src]
+    if draw(st.booleans()):
+        return f, g, range(n)
+    return f, g, np.array(draw(st.permutations(range(n))), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases())
+@example((make_field(3, 4), np.zeros((0, 5), dtype=np.int64), range(5)))
+@example((make_field(5), np.zeros((3, 0), dtype=np.int64),
+          np.zeros(0, dtype=np.int64)))
+def test_systematic_matches_the_zech_elimination(case):
+    f, g, order = case
+    rows, pivots = linalg.systematic(f, g, order)
+    want_rows, want_pivots = zech_systematic(f, g, order)
+    assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+    assert rows.tobytes() == want_rows.tobytes()
+    assert pivots == want_pivots
+    assert all(type(c) is int for c in pivots)
+
+
+@pytest.mark.parametrize("bad", [7, -1, 2 ** 40, 2 ** 70])
+def test_rank_refuses_an_encoding_outside_the_field(bad):
+    """7 is past GF(5)'s encodings; -1 and 2**40 used to raise a bare
+    IndexError, and 7 to give rank 2 from a garbage form."""
+    f = make_field(5)
+    g = [[1, bad, 2], [2, 3, 1]]
+    with pytest.raises(ValueError, match="out of range"):
+        linalg.rank(f, g)
+    with pytest.raises(ValueError, match="out of range"):
+        linalg.systematic(f, g, [2, 1, 0])
 
 
 def counted_rank(field, mat):
